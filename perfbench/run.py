@@ -13,9 +13,11 @@ undecided, enters the latency sample at its measured time and is not run
 again.  Every answer is checked after its op, outside the timed region.
 
 With ``--trace 0`` the last stdout line is the JSON result with the
-end-to-end metrics; with ``--trace 1`` it carries the per-layer metrics of
-a traced run, whose spans go to ``.perfbench_out/``.  A human summary
-(provenance, timed-out and failed instances) goes to stderr.
+end-to-end metrics.  With ``--trace 1`` it carries the per-layer metrics
+of exactly one traced pass, whatever ``--seconds`` says, so that counts
+and self times are the work of one pass and not of as many passes as fit;
+its spans go to ``.perfbench_out/``.  A human summary (provenance,
+timed-out and failed instances) goes to stderr.
 """
 
 import argparse
@@ -38,8 +40,11 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
 MIN_PASSES = 3
-CHEAP_S = 0.001
+CHEAP_S = 0.015
 REPEAT = 8
+# a traced op runs under this multiple of the workload's limit, so the
+# tracing overhead does not turn a finished op into a time-out
+TRACE_SLACK = 10
 
 sys.path.insert(0, str(HERE))
 import tracer as tracing  # noqa: E402
@@ -54,8 +59,14 @@ class OpTimeout(BaseException):
     """Raised by SIGALRM inside an op that exceeds the time limit."""
 
 
+_armed = False   # True only while an op runs under the timer
+
+
 def _on_alarm(signum, frame):
-    raise OpTimeout()
+    # a signal that lands once the op is over is dropped, not raised in
+    # the untimed code that follows
+    if _armed:
+        raise OpTimeout()
 
 
 def load_library():
@@ -98,19 +109,22 @@ class Record:
 
 def run_op(op, limit_s, tracer=None):
     """Time one op under the limit, then check its answer untimed."""
+    global _armed
     gc.collect()
     depth = tracer.begin(op.kind) if tracer else 0
     status, result = "ok", None
+    t0 = perf_counter()
     try:
-        signal.setitimer(signal.ITIMER_REAL, limit_s)
-        t0 = perf_counter()
         try:
+            _armed = True
+            signal.setitimer(signal.ITIMER_REAL, limit_s)
             result = op.run()
         finally:
-            elapsed = perf_counter() - t0
+            _armed = False
             signal.setitimer(signal.ITIMER_REAL, 0)
+            elapsed = perf_counter() - t0
     except OpTimeout:
-        status = "timeout"
+        status, elapsed = "timeout", perf_counter() - t0
     except Exception as exc:  # a crashing op is a failure, not a crashed run
         status, result = "error", f"{type(exc).__name__}: {exc}"
     if tracer:
@@ -137,8 +151,10 @@ def measure(name, seed, seconds):
 
     An op that hit the time limit is not run again: its first time stands.
     After the first pass, an op that took under CHEAP_S runs REPEAT times
-    per pass, shuffled among the others, so that ops of a fraction of a
-    millisecond get a best time from samples spread over the whole run.
+    per pass, shuffled among the others, so that the ops that set the
+    percentiles (sub-millisecond divisions and decisions, hom solves of
+    ~8 ms, the 5-7 ms searches of ``decide``) get a best time from many
+    samples spread over the whole run, not from one per pass.
     Returns the set-up times (one per pass) and, per op, its Records."""
     setups, runs, timed_out, cheap = [], None, set(), set()
     shuffle = random.Random(seed).shuffle
@@ -173,12 +189,17 @@ def quantile(values, q):
 def end_to_end(setups, runs):
     """Each op's latency is its best run: the shared machine this was
     tuned on slows down by up to half for seconds at a time, and the
-    minimum over runs spread across the whole run filters that out."""
+    minimum over runs spread across the whole run filters that out.
+
+    ``ops_per_s`` is the ops that completed (did not hit the time limit)
+    over the summed best times of all ops, time-outs at their measured
+    time: a slow op that starts to finish under the limit raises it."""
     best = [min(r.elapsed for r in rs) * 1000.0 for rs in runs]
+    completed = sum(rs[0].status != "timeout" for rs in runs)
     decided = [any(r.decided for r in rs) for rs in runs]
     return {
         "setup_s": statistics.median(setups),
-        "ops_per_s": len(best) / (sum(best) / 1000.0),
+        "ops_per_s": completed / (sum(best) / 1000.0),
         "latency_p50_ms": quantile(best, 0.5),
         "latency_p90_ms": quantile(best, 0.9),
         "decided_ratio": sum(decided) / len(decided),
@@ -269,26 +290,35 @@ def summarize(name, records, extra=""):
         print(f"#   FAILED ({r.status}: {r.detail}): {r.label}", file=sys.stderr)
 
 
-def traced_run(name, seed, seconds, prov):
-    """One untraced pass for the overhead, then traced passes until
-    ``seconds`` have passed."""
-    _, wl, ops = set_up(name, seed)
-    plain = [run_op(op, wl.limit_s) for op in ops]
+def trace_pass(ops, limit_s, lib):
+    """Run ``ops`` once under a fresh tracer; returns (tracer, Records)."""
     t = tracing.Tracer()
-    t.install(vars(wl.lib))
-    records = []
-    start = perf_counter()
+    t.install(vars(lib))
     try:
-        while perf_counter() - start < seconds or not records:
-            records += [run_op(op, wl.limit_s, tracer=t) for op in ops]
+        records = [run_op(op, limit_s * TRACE_SLACK, tracer=t) for op in ops]
     finally:
         t.uninstall()
-    both = [(a.elapsed, b.elapsed) for a, b in zip(plain, records)
-            if a.status == b.status == "ok"]
+    return t, records
+
+
+def traced_run(name, seed, prov):
+    """One untraced pass, then one traced pass over the ops that finished
+    in it.  An op cut off by the time limit is left out of the traced
+    pass: how far it got, and so every count it adds, depends on the
+    speed of the machine.  The overhead is the traced-minus-untraced time
+    of the ops that finished in both passes."""
+    _, wl, ops = set_up(name, seed)
+    plain = [run_op(op, wl.limit_s) for op in ops]
+    finished = [i for i, r in enumerate(plain) if r.status != "timeout"]
+    t, traced = trace_pass([ops[i] for i in finished], wl.limit_s, wl.lib)
+    both = [(plain[i].elapsed, r.elapsed) for i, r in zip(finished, traced)
+            if plain[i].status == r.status == "ok"]
     base = sum(a for a, _ in both)
     overhead = sum(b for _, b in both) - base
     metrics = per_layer(t, overhead, overhead / base if base else 0.0)
-    summarize(name, records, extra=f"; tracing overhead {overhead:.3f}s on "
+    records = [r for r in plain if r.status == "timeout"] + traced
+    summarize(name, records, extra=f"; {len(ops) - len(finished)} timed-out ops not traced; "
+                                     f"tracing overhead {overhead:.3f}s on "
                                      f"{base:.3f}s of untraced op time")
     OUT.mkdir(exist_ok=True)
     path = OUT / f"trace-{name}-seed{seed}.json"
@@ -309,7 +339,7 @@ def run_once(name, seed, seconds, trace):
     prov = provenance()
     print("# provenance: " + json.dumps(prov, sort_keys=True), file=sys.stderr)
     if trace:
-        records, metrics = traced_run(name, seed, seconds, prov)
+        records, metrics = traced_run(name, seed, prov)
     else:
         setups, runs = measure(name, seed, seconds)
         records = [r for rs in runs for r in rs]

@@ -1,14 +1,17 @@
 """The benchmark's own tests: run with ``python3 -m pytest perfbench -q``.
 
 They check that inputs depend on the seed only, that tracing changes no
-verdict or count, that the tracer also rebinds names imported with
+verdict, that a traced pass repeats its counts exactly, that the time
+limit cuts an op off, that the tracer also rebinds names imported with
 ``from ... import``, and that the benchmark refuses to report without the
 package sources.
 """
 
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -22,7 +25,7 @@ import workloads  # noqa: E402
 # kinds that finish in milliseconds, so traced and untraced runs both finish
 FAST = {
     "decide": lambda kind: kind.startswith(("equal", "corpus Wa", "corpus Va", "corpus U",
-                                            "corpus twisted", "mixed p=2 e=1", "mixed p=3 e=1")),
+                                            "corpus twisted", "mixed p=2 e=1")),
     "hom": lambda kind: kind.endswith("p=2 fq") or kind.endswith("p=3 fq"),
     "identities": lambda kind: kind.startswith(("reduce", "check-extension gabber p=3",
                                                 "verify-iso split p=3", "identity gabber.commutator",
@@ -65,6 +68,37 @@ def test_tracing_changes_no_answer():
         assert sum(t.calls(k) for k in tracing.FIELD_ARITH) > 0, name
         layer = {"decide": "zerocert", "hom": "homs", "identities": "polyring"}[name]
         assert t.layer_calls(layer) > 0, name
+
+
+def test_traced_passes_give_the_same_counts():
+    """Counts are the work of one pass: a second traced pass over the same
+    warm ops repeats every count of the first."""
+    for name in workloads.WORKLOADS:
+        lib, wl, ops = _fast_ops(name)
+        for op in ops:
+            op.run()
+        signal.signal(signal.SIGALRM, run._on_alarm)
+        counts = []
+        for _ in range(2):
+            t, records = run.trace_pass(ops, wl.limit_s, lib)
+            assert all(r.status == "ok" for r in records), name
+            metrics = run.per_layer(t, 0.0, 0.0)
+            counts.append(({k: v for k, (v, unit) in metrics.items() if unit == "count"},
+                           {k: s.calls for k, s in t.stats.items()}, dict(t.counters)))
+        assert counts[0] == counts[1], name
+        assert sum(counts[0][0].values()) > 0, name
+
+
+def test_time_limit_cuts_an_op_and_drops_a_late_signal():
+    signal.signal(signal.SIGALRM, run._on_alarm)
+    slow = workloads.Op("slow", "slow", lambda: time.sleep(2), lambda r: (True, True, ""))
+    rec = run.run_op(slow, 0.05)
+    assert rec.status == "timeout" and 0.05 <= rec.elapsed < 1.0
+    fast = workloads.Op("fast", "fast", lambda: 1, lambda r: (True, r == 1, ""))
+    rec = run.run_op(fast, 0.05)
+    assert rec.status == "ok" and rec.decided
+    # a signal that lands after the op is over must not raise
+    run._on_alarm(signal.SIGALRM, None)
 
 
 def test_imported_names_are_rebound_and_restored():

@@ -188,23 +188,35 @@ def _mixed_demo(lib, k):
 class Decide:
     """One op: ``woundcheck classify``.
 
-    The op list holds two instances of every equal-exponent kind (p, e,
-    depth, n), random mixed instances at e = 1 for (p, n) in (2, 2),
-    (2, 3), (3, 3), two planted mixed instances of every mixed kind
-    (p, e, n) (six at p = 5, e = 1, n = 3, whose interrupted searches set
-    the peak memory: the highest of six is steadier than the highest of
-    two), and the corpus groups.  Planted instances have a zero, so
-    the relaxation cannot certify them and the searches run; at p = 5 with
-    3 variables and over F_4, F_9 and F_25 they hit the time limit,
-    whatever their coefficients.  Random mixed instances at p = 5, at
-    e = 2, or at p = 3 with 2 variables would finish or hit the limit
-    depending on their coefficients, so the number of slow ops, and with
-    it every timing, would vary with the seed; the planted kinds keep the
-    slow decisions in every list in a fixed number instead.
+    The op list holds three instances of every equal-exponent kind (p, e,
+    depth, n), a random mixed instance at p = 2, e = 1 with 2 variables,
+    planted mixed instances in the numbers of ``PLANTED``, and the corpus
+    groups.  Planted instances have a zero, so the relaxation
+    cannot certify them and the searches run.
+
+    Over F_9 and F_25 the rational search hits the time limit whatever
+    the coefficients: one instance of each such kind keeps those slow
+    decisions in every list.  With W2 these 5 time-outs are under a tenth
+    of the 148 ops, so the 90th percentile falls on a decision that
+    finishes.  At p = 5 with 3 variables the meet-in-the-middle search
+    builds a table of 625^2 entries and finishes in 0.4-1 s, under the
+    2 s limit; its six instances set the peak memory (86-162 MB each, a
+    fixed amount per instance, where a search cut off by the limit would
+    leave a peak that depends on the speed of the machine).  The 90th
+    percentile falls among the seven planted instances at p = 3, n = 3,
+    whose searches finish in 5-7 ms.  Random mixed instances in 3
+    variables, at p = 5, at e = 2, or at p = 3 finish in a millisecond or
+    run the rational search for seconds depending on their coefficients
+    (2 of 40 at p = 2 with 3 variables hit the limit), so the number of
+    slow ops, and with it every timing, would vary with the seed; the
+    planted kinds keep it fixed.
     """
 
     name = "decide"
-    limit_s = 0.25
+    limit_s = 2.0
+    # planted instances per mixed kind (p, e, n)
+    PLANTED = {(2, 1, 2): 2, (2, 1, 3): 2, (3, 1, 2): 2, (3, 1, 3): 7, (5, 1, 2): 2,
+               (5, 1, 3): 6, (3, 2, 2): 1, (3, 2, 3): 1, (5, 2, 2): 1, (5, 2, 3): 1}
 
     def __init__(self, lib, seed):
         self.lib = lib
@@ -232,15 +244,13 @@ class Decide:
         lib = self.lib
         rng = _rng(self.seed, self.name)
         ops = []
-        for p, e, depth, n, _ in itertools.product(PRIMES, (1, 2), (0, 1), (1, 2, 3), range(2)):
+        for p, e, depth, n, _ in itertools.product(PRIMES, (1, 2), (0, 1), (1, 2, 3), range(3)):
             g = random_group(lib, self.fields[(p, e, depth)], rng, n, mixed=False)
             ops.append(_classify_op(lib, f"equal p={p} e={e} depth={depth} n={n}", g, "exact"))
-        for p, n in ((2, 2), (2, 3), (3, 3)):
-            k = self.fields[(p, 1, rng.randrange(2))]
-            ops.append(_classify_op(lib, f"mixed p={p} e=1 depth={k.spec.depth} n={n}",
-                                    random_group(lib, k, rng, n, mixed=True), None))
-        planted = [kind for kind in itertools.product(PRIMES, (1, 2), (2, 3))
-                   for _ in range(6 if kind == (5, 1, 3) else 2)]
+        k = self.fields[(2, 1, rng.randrange(2))]
+        ops.append(_classify_op(lib, f"mixed p=2 e=1 depth={k.spec.depth} n=2",
+                                random_group(lib, k, rng, 2, mixed=True), None))
+        planted = [kind for kind, count in self.PLANTED.items() for _ in range(count)]
         for p, e, n in planted:
             k = self.fields[(p, e, rng.randrange(2))]
             ops.append(_classify_op(lib, f"mixed-planted p={p} e={e} depth={k.spec.depth} n={n}",
