@@ -1,16 +1,18 @@
 """woundcheck benchmark: closed-loop workloads, one client, one thread.
 
-    python3 perfbench/run.py --workload decide --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --all --seconds 30        # every workload, both modes
+    python3 perfbench/run.py --workload decide --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --all --seconds 40        # every workload, both modes
 
-The seed fixes one list of ops per workload.  A run makes whole passes
-over that list, each after a fresh set-up (import, corpus construction,
-instance generation, warm-up), until ``--seconds`` have passed and
-MIN_PASSES passes are done; ops under CHEAP_S run REPEAT times a pass.
-``setup_s`` is the median set-up; an op's latency is its best run.  Each
-op runs under the workload's time limit; an op that hits it counts as
-undecided, enters the latency sample at its measured time and is not run
-again.  Every answer is checked after its op, outside the timed region.
+The seed fixes one list of ops per workload.  A run makes passes over
+that list, each after SETUPS fresh set-ups (import, corpus construction,
+instance generation, warm-up), until ``--seconds`` have passed; a pass
+stops when the time is up.  ``setup_s`` is the median set-up.  After the
+first pass, an op whose first time is at most BAND times the first
+pass's 90th percentile runs REPEAT times a pass.  An op's latency is its
+best run.  Each op runs under the workload's time limit; an op that hits
+it counts as undecided, enters the latency sample at its measured time
+and is not run again.  Every answer is checked after its op, outside the
+timed region.
 
 With ``--trace 0`` the last stdout line is the JSON result with the
 end-to-end metrics.  With ``--trace 1`` it carries the per-layer metrics
@@ -39,8 +41,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-MIN_PASSES = 3
-CHEAP_S = 0.015
+SETUPS = 3   # set-ups before each pass
+BAND = 2.0
 REPEAT = 8
 # a traced op runs under this multiple of the workload's limit, so the
 # tracing overhead does not turn a finished op into a time-out
@@ -146,33 +148,42 @@ def run_op(op, limit_s, tracer=None):
 
 
 def measure(name, seed, seconds):
-    """Whole passes over the seeded op list, each after a fresh set-up,
-    until ``seconds`` have passed and MIN_PASSES passes are done.
+    """Passes over the seeded op list, each after SETUPS fresh set-ups,
+    until ``seconds`` have passed since the start; a pass stops when the
+    time is up, the first pass runs to the end.
 
-    An op that hit the time limit is not run again: its first time stands.
-    After the first pass, an op that took under CHEAP_S runs REPEAT times
-    per pass, shuffled among the others, so that the ops that set the
-    percentiles (sub-millisecond divisions and decisions, hom solves of
-    ~8 ms, the 5-7 ms searches of ``decide``) get a best time from many
-    samples spread over the whole run, not from one per pass.
-    Returns the set-up times (one per pass) and, per op, its Records."""
-    setups, runs, timed_out, cheap = [], None, set(), set()
-    shuffle = random.Random(seed).shuffle
+    The first pass runs every op once, in seeded order.  An op that hit
+    the time limit is not run again: its first time stands.  Later passes
+    are shuffled; in them an op whose first time is at most BAND times the
+    first pass's 90th percentile runs REPEAT times, every other op once.
+    The machine this was tuned on runs up to twice as slow for stretches
+    of a second or more, so an op's best time is steady only when it
+    comes from many runs spread over the whole run; the repeats spend the
+    run on the ops that set the percentiles (in ``hom`` the 50-90 ms
+    solves around the 90th percentile) rather than on the few slow ones
+    above them, which weigh only in ``ops_per_s``.
+    Returns the set-up times and, per op, its Records."""
     start = perf_counter()
-    while perf_counter() - start < seconds or len(setups) < MIN_PASSES:
-        wl = ops = None
-        gc.unfreeze()   # let the previous pass's library go
-        gc.collect()
-        setup_s, wl, ops = set_up(name, seed)
-        setups.append(setup_s)
+    setups, runs, order = [], None, []
+    shuffle = random.Random(seed).shuffle
+    while runs is None or perf_counter() - start < seconds:
+        for _ in range(SETUPS):
+            wl = ops = None
+            gc.unfreeze()   # let the previous set-up's library go
+            gc.collect()
+            setup_s, wl, ops = set_up(name, seed)
+            setups.append(setup_s)
         if runs is None:
             runs = [[run_op(op, wl.limit_s)] for op in ops]
-            timed_out = {i for i, rs in enumerate(runs) if rs[0].status == "timeout"}
-            cheap = {i for i, rs in enumerate(runs) if rs[0].elapsed < CHEAP_S}
+            first = [rs[0] for rs in runs]
+            band = BAND * quantile([r.elapsed for r in first], 0.9)
+            finished = [i for i, r in enumerate(first) if r.status != "timeout"]
+            order = finished + [i for i in finished if first[i].elapsed <= band] * (REPEAT - 1)
             continue
-        order = [i for i in range(len(ops)) if i not in timed_out] + sorted(cheap) * (REPEAT - 1)
         shuffle(order)
         for i in order:
+            if perf_counter() - start >= seconds:
+                break
             runs[i].append(run_op(ops[i], wl.limit_s))
     return setups, runs
 
@@ -345,7 +356,7 @@ def run_once(name, seed, seconds, trace):
         records = [r for rs in runs for r in rs]
         values = end_to_end(setups, runs)
         metrics = {k: (values[k], unit) for k, unit in END_TO_END}
-        summarize(name, records, extra=f" in {len(setups)} passes over {len(runs)} ops")
+        summarize(name, records, extra=f" over {len(runs)} ops, {len(setups)} set-ups")
     failed = sum(r.status in ("error", "wrong") for r in records)
     print(json.dumps({"correct": not any(r.status == "wrong" for r in records),
                       "attempted": len(records), "failed": failed,
@@ -375,7 +386,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--all", action="store_true", help="run every workload in both modes")
     args = ap.parse_args(argv)

@@ -2,7 +2,8 @@
 
 They check that inputs depend on the seed only, that tracing changes no
 verdict, that a traced pass repeats its counts exactly, that the time
-limit cuts an op off, that the tracer also rebinds names imported with
+limit cuts an op off, that a run sets up several times and repeats no
+op once its time is up, that the tracer also rebinds names imported with
 ``from ... import``, and that the benchmark refuses to report without the
 package sources.
 """
@@ -99,6 +100,13 @@ def test_time_limit_cuts_an_op_and_drops_a_late_signal():
     assert rec.status == "ok" and rec.decided
     # a signal that lands after the op is over must not raise
     run._on_alarm(signal.SIGALRM, None)
+
+
+def test_measure_sets_up_several_times_and_stops_at_the_deadline():
+    signal.signal(signal.SIGALRM, run._on_alarm)
+    setups, runs = run.measure("identities", 1, 0)
+    assert len(setups) == run.SETUPS and all(s > 0 for s in setups)
+    assert all(len(rs) == 1 for rs in runs)
 
 
 def test_imported_names_are_rebound_and_restored():

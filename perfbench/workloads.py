@@ -197,14 +197,17 @@ class Decide:
     Over F_9 and F_25 the rational search hits the time limit whatever
     the coefficients: one instance of each such kind keeps those slow
     decisions in every list.  With W2 these 5 time-outs are under a tenth
-    of the 148 ops, so the 90th percentile falls on a decision that
+    of the 162 ops, so the 90th percentile falls on a decision that
     finishes.  At p = 5 with 3 variables the meet-in-the-middle search
     builds a table of 625^2 entries and finishes in 0.4-1 s, under the
     2 s limit; its six instances set the peak memory (86-162 MB each, a
     fixed amount per instance, where a search cut off by the limit would
     leave a peak that depends on the speed of the machine).  The 90th
-    percentile falls among the seven planted instances at p = 3, n = 3,
-    whose searches finish in 5-7 ms.  Random mixed instances in 3
+    percentile falls among the 21 planted instances at p = 3, n = 3,
+    whose searches finish in 3-8 ms depending on the instance: with 21
+    of them the percentile sits inside the group, near its 75th
+    percentile, and moves little with the seed; with seven it fell on
+    the third fastest and moved by a fifth.  Random mixed instances in 3
     variables, at p = 5, at e = 2, or at p = 3 finish in a millisecond or
     run the rational search for seconds depending on their coefficients
     (2 of 40 at p = 2 with 3 variables hit the limit), so the number of
@@ -215,7 +218,7 @@ class Decide:
     name = "decide"
     limit_s = 2.0
     # planted instances per mixed kind (p, e, n)
-    PLANTED = {(2, 1, 2): 2, (2, 1, 3): 2, (3, 1, 2): 2, (3, 1, 3): 7, (5, 1, 2): 2,
+    PLANTED = {(2, 1, 2): 2, (2, 1, 3): 2, (3, 1, 2): 2, (3, 1, 3): 21, (5, 1, 2): 2,
                (5, 1, 3): 6, (3, 2, 2): 1, (3, 2, 3): 1, (5, 2, 2): 1, (5, 2, 3): 1}
 
     def __init__(self, lib, seed):
