@@ -13,7 +13,7 @@ Subpackage map:
 * ``groups`` -- hypersurface group presentations, classification, cocycle
   extensions, Frobenius isogenies;
 * ``homs`` -- canonical forms, verification, constraint derivation and
-  bounded enumeration of homomorphisms;
+  F_p-kernel solving of homomorphisms over finite coefficient domains;
 * ``parser``, ``session``, ``corpus``, ``cli`` -- the text front end and
   the built-in regression corpus.
 """

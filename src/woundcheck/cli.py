@@ -12,8 +12,8 @@ import time
 
 from . import corpus
 from .groups import AffineLine, check_group_axioms, classify, is_alternating, twist_group
-from .homs import (EnumerationBudgetError, derive_hom_constraints, landing_identity,
-                   solve_homs_bounded, verify_hom, verify_mutual_inverse)
+from .homs import (EnumerationBudgetError, default_exponent_caps, derive_hom_constraints,
+                   landing_identity, solve_homs_bounded, verify_hom, verify_mutual_inverse)
 from .oracle import random_point_oracle
 from .parser import ParseError, render_elem, render_poly, render_ppoly
 from .ppoly import reduce_mod
@@ -136,24 +136,30 @@ def cmd_verify_hom(args):
     return EXIT_VERIFIED if ok else EXIT_REFUTED
 
 
-def _parse_caps(s, source, cap_args):
-    caps = {}
-    for item in cap_args or ():
-        var, _, val = item.partition("=")
-        if var not in source.vars:
-            raise ParseError(f"cap for unknown variable {var!r}")
-        caps[source.vars.index(var)] = int(val)
-    return caps
-
-
-def cmd_derive(args):
-    s = _load(args.file)
+def _derive(s, args):
+    """The constraint system of `derive`/`solve`, validated at the boundary."""
     src = s.group_or_line(args.source)
     tgt = s.group_or_line(args.target)
     if isinstance(src, AffineLine):
         raise ParseError("use a split presentation for a line source")
-    caps = _parse_caps(s, src, args.cap)
-    cs = derive_hom_constraints(src, tgt, caps=caps or None)
+    bound = default_exponent_caps(src, tgt)[src.pivot]
+    caps = {}
+    for item in args.cap or ():
+        var, _, val = item.partition("=")
+        if var not in src.vars:
+            raise ParseError(f"cap for unknown variable {var!r}")
+        try:
+            cap = int(val)
+        except ValueError:
+            raise ParseError(f"cap {item!r} is not VAR=<integer>") from None
+        if var == src.vars[src.pivot] and cap > bound:
+            raise ParseError(f"pivot cap {item!r} exceeds the canonical-form bound {bound}")
+        caps[src.vars.index(var)] = cap
+    return src, tgt, derive_hom_constraints(src, tgt, caps=caps or None)
+
+
+def cmd_derive(args):
+    src, tgt, cs = _derive(_load(args.file), args)
     rep = Report("derive")
     rep.add("source", render_group(src))
     rep.add("target", "Ga" if isinstance(tgt, AffineLine) else render_group(tgt))
@@ -183,14 +189,11 @@ def _domain_elems(field, name):
 
 def cmd_solve(args):
     s = _load(args.file)
-    src = s.group_or_line(args.source)
-    tgt = s.group_or_line(args.target)
-    caps = _parse_caps(s, src, args.cap)
-    cs = derive_hom_constraints(src, tgt, caps=caps or None)
+    src, tgt, cs = _derive(s, args)
     domain = _domain_elems(s.field, args.domain)
     sols = solve_homs_bounded(cs, domain, max_nodes=args.max_enum)
     rep = Report("solve")
-    rep.add("source", "Ga" if isinstance(src, AffineLine) else render_group(src))
+    rep.add("source", render_group(src))
     rep.add("target", "Ga" if isinstance(tgt, AffineLine) else render_group(tgt))
     rep.add("domain", args.domain)
     rep.add("domain.size", len(domain))
@@ -280,7 +283,8 @@ def _add_common(sp):
                     help="randomized oracle trials (default 100)")
     sp.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
     sp.add_argument("--max-enum", type=int, default=10_000_000,
-                    help="enumeration guard (default 10^7)")
+                    help="solve: refuse to list a solution space whose points "
+                         "times unknowns exceed N (default 10^7)")
 
 
 def main(argv=None):
@@ -319,7 +323,9 @@ def main(argv=None):
     _add_common(sp)
     sp.set_defaults(fn=cmd_derive)
 
-    sp = sub.add_parser("solve", help="enumerate homomorphisms over a finite domain")
+    sp = sub.add_parser("solve", help="homomorphisms with coefficients in a finite domain: "
+                                 "the F_p-kernel over the domain's span, "
+                                 "filtered to the domain")
     sp.add_argument("file")
     sp.add_argument("source")
     sp.add_argument("target")

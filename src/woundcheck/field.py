@@ -268,3 +268,15 @@ class FieldElem:
     def __repr__(self):
         from .parser import render_elem
         return f"<{render_elem(self)}>"
+
+
+def clear_denominators(field, elems):
+    """(D, numerators): D is the monic lcm of the denominators and each
+    numerator is x * D as a polynomial."""
+    if all(x.den == fq.ONE for x in elems):
+        return fq.ONE, [x.num for x in elems]
+    gf = field.gf
+    den = fq.ONE
+    for x in elems:
+        den = fq.mul(gf, den, fq.divmod_(gf, x.den, fq.gcd(gf, den, x.den))[0])
+    return den, [fq.mul(gf, x.num, fq.divmod_(gf, den, x.den)[0]) for x in elems]

@@ -9,18 +9,23 @@ morphisms iff their canonical forms coincide.
 
 Constraint derivation builds the generic map with one fresh symbol per
 allowed (coordinate, variable, exponent) slot, composes, reduces, and
-collects one vanishing condition per surviving coefficient.  The bounded
-solver enumerates assignments of a finite coefficient domain with simple
-unit-linear propagation; it is an exhaustive enumeration of the assignment
-space and returns every satisfying map in canonical form.
+collects one vanishing condition per surviving coefficient.  Every such
+condition is additive in the unknowns, so the solver works by exact
+F_p-linear algebra: over the F_p-span of a finite coefficient domain the
+solutions are the points of an affine F_p-kernel, which it lists and
+filters to the domain.  It returns every satisfying map in canonical form.
 """
 
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import fqpoly as fq
+from .field import FieldElem, clear_denominators
 from .groups import is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
-from .polyring import Poly, RelationSet
+from .polyring import RelationSet
 from .ppoly import PPoly, reduce_mod, to_relation
 
 
@@ -219,123 +224,140 @@ def derive_hom_constraints(source, target, caps=None, names=None):
 
 
 # ---------------------------------------------------------------------------
-# bounded enumeration
+# solving: the F_p-kernel over the span of the domain
 
 
-def _eval_partial(poly, assignment):
-    """Substitute the assigned unknowns; returns a Poly over the same space."""
-    out = {}
-    for m, c in poly.terms.items():
-        coef = c
-        rest = list(m)
-        for i, e in enumerate(m):
-            if e and assignment[i] is not None:
-                coef = coef * assignment[i] ** e
-                rest[i] = 0
-        if coef.is_zero():
-            continue
-        key = tuple(rest)
-        s = out.get(key)
-        s = coef if s is None else s + coef
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return Poly(poly.field, poly.nvars, out)
-
-
-def _linear_solve(poly, var):
-    """If poly = c1 * x_var + c0 (exponent exactly 1), return the root."""
-    c1 = c0 = None
-    for m, c in poly.terms.items():
-        if m[var] == 0:
-            if any(m):
-                return None
-            c0 = c
-        elif m[var] == 1 and sum(m) == 1:
-            c1 = c
-        else:
-            return None
-    if c1 is None:
+def _additive_slot(m, p):
+    """(unknown, e) for the monomial u^(p^e), None for the constant one."""
+    live = [(i, x) for i, x in enumerate(m) if x]
+    if not live:
         return None
-    if c0 is None:
-        return poly.field.zero()
-    return -(c0 / c1)
+    if len(live) == 1:
+        i, x = live[0]
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        if x == 1:
+            return i, e
+    raise ValueError(f"constraint monomial {m} is not additive in the unknowns")
+
+
+def _fp_vectors(field, elems):
+    """F_p coordinates of elems over one common denominator D: the base-p
+    digits of every GF(q) coefficient of the numerators.  Returns (D,
+    vectors); the vectors share one length."""
+    gf = field.gf
+    den, nums = clear_denominators(field, elems)
+    width = max(map(len, nums), default=0)
+    p, e = gf.p, gf.e
+    vectors = []
+    for num in nums:
+        num = num + (0,) * (width - len(num))
+        if e == 1:
+            vectors.append(list(num))
+        else:
+            vectors.append([c // p ** t % p for c in num for t in range(e)])
+    return den, vectors
+
+
+def _undigits(gf, digits):
+    """The numerator whose coordinates _fp_vectors reads as digits."""
+    e = gf.e
+    return fq.norm([sum(d * gf.p ** t for t, d in enumerate(digits[i:i + e]))
+                    for i in range(0, len(digits), e)])
+
+
+def _rref(rows, p):
+    """Reduced row echelon form mod p: (nonzero rows, pivot columns)."""
+    a = np.array(rows, dtype=np.int64 if p < 1 << 31 else object)
+    pivots = []
+    for c in range(a.shape[1] if a.ndim == 2 else 0):
+        rank = len(pivots)
+        live = np.flatnonzero(a[rank:, c])
+        if not live.size:
+            continue
+        r = rank + int(live[0])
+        a[[rank, r]] = a[[r, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        col = a[:, c].copy()
+        col[rank] = 0
+        a = (a - np.outer(col, a[rank])) % p
+        pivots.append(c)
+        if len(pivots) == a.shape[0]:
+            break
+    return a[:len(pivots)].tolist(), pivots
 
 
 def solve_homs_bounded(cs, domain, max_nodes=10_000_000):
-    """Enumerate all assignments of the unknowns from the finite domain that
-    satisfy every constraint; deterministic order, each returned map in
-    canonical form and guaranteed to verify."""
-    domain = list(domain)
-    domain_set = set(domain)
+    """Every assignment of the unknowns from the finite domain that satisfies
+    every constraint; deterministic order, each returned map in canonical
+    form and guaranteed to verify.
+
+    Each constraint is additive in the unknowns, so over the F_p-span of the
+    domain the solutions form an affine F_p-subspace: the kernel of one
+    matrix with a column per (unknown, span basis element).  Its points are
+    listed and kept when every coordinate lies in the domain, which is all
+    of them for a subspace domain.  EnumerationBudgetError is raised before
+    listing when p^dim(kernel) * #unknowns exceeds max_nodes.
+    """
+    field = cs.ring.base
+    p = field.p
     nunk = len(cs.ring.names)
-    polys = [p for _, p in cs.constraints]
-    nodes = 0
-    solutions = []
-
-    def fail_budget():
-        raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} assignments")
-
-    def recurse(assignment, remaining):
-        nonlocal nodes
-        # simplify to the still-relevant constraints
-        live = []
-        for p in remaining:
-            q = _eval_partial(p, assignment)
-            if q.is_zero():
+    domain = list(domain)
+    # span basis d_1..d_r, and each domain element keyed by its coordinates
+    den, vecs = _fp_vectors(field, domain)
+    rows, dpiv = _rref(vecs, p)
+    r = len(dpiv)
+    by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
+    basis = [FieldElem(field, _undigits(field.gf, row), den) for row in rows]
+    # one column per (unknown, d_j) and a last one for the constant term;
+    # l^p = l for l in F_p, so u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
+    ncols = nunk * r
+    frob = {}
+    matrix = []
+    for _, poly in cs.constraints:
+        cols = [field.zero()] * (ncols + 1)
+        for m, c in poly.terms.items():
+            slot = _additive_slot(m, p)
+            if slot is None:
+                cols[ncols] = c
                 continue
-            unassigned = {i for m in q.terms for i, e in enumerate(m) if e}
-            if not unassigned:
-                return  # nonzero constant: contradiction
-            live.append((q, unassigned))
-        if not live:
-            free = [i for i in range(nunk) if assignment[i] is None]
-            for combo in itertools.product(domain, repeat=len(free)):
-                nodes += len(free)
-                if nodes > max_nodes:
-                    fail_budget()
-                full = list(assignment)
-                for i, v in zip(free, combo):
-                    full[i] = v
-                solutions.append(tuple(full))
-            return
-        q, unassigned = min(live, key=lambda t: (len(t[1]), min(t[1])))
-        var = min(unassigned)
-        if len(unassigned) == 1:
-            forced = _linear_solve(q, var)
-            if forced is not None:
-                nodes += 1
-                if nodes > max_nodes:
-                    fail_budget()
-                if forced in domain_set:
-                    assignment[var] = forced
-                    recurse(assignment, [p for p, _ in live])
-                    assignment[var] = None
-                return
-        for v in domain:
-            nodes += 1
-            if nodes > max_nodes:
-                fail_budget()
-            assignment[var] = v
-            q2 = _eval_partial(q, assignment)
-            if len(unassigned) > 1 or q2.is_zero():
-                recurse(assignment, [p for p, _ in live])
-        assignment[var] = None
-
-    recurse([None] * nunk, polys)
+            u, e = slot
+            for j, d in enumerate(basis):
+                if (j, e) not in frob:
+                    frob[(j, e)] = d.frobenius(e)
+                cols[u * r + j] = cols[u * r + j] + c * frob[(j, e)]
+        _, vals = _fp_vectors(field, cols)
+        matrix.extend(row for row in zip(*vals) if any(row))
+    reduced, pivots = _rref(matrix, p)
+    if ncols in pivots:
+        return []  # inconsistent: 1 = 0
+    free = [c for c in range(ncols) if c not in pivots]
+    if p ** len(free) * nunk > max_nodes:
+        raise EnumerationBudgetError(
+            f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {max_nodes}")
+    forced = [(c, (-row[ncols]) % p, [row[f] for f in free])
+              for c, row in zip(pivots, reduced)]
+    solutions = []
+    lam = [0] * ncols
+    for t in itertools.product(range(p), repeat=len(free)):
+        for f, v in zip(free, t):
+            lam[f] = v
+        for c, rhs, coef in forced:
+            lam[c] = (rhs - sum(a * v for a, v in zip(coef, t))) % p
+        sol = tuple(by_coords.get(tuple(lam[u * r:u * r + r])) for u in range(nunk))
+        if all(x is not None for x in sol):
+            solutions.append(sol)
     solutions.sort(key=lambda sol: [_domain_key(v) for v in sol])
     out = []
     for sol in solutions:
-        coords = []
-        for ans in cs.ansatz:
-            terms = {}
-            for (i, e), c in ans.terms.items():
-                val = c.poly.evaluate(sol)
-                if not val.is_zero():
-                    terms[(i, e)] = val
-            coords.append(PPoly(cs.source.field, cs.source.nvars, terms))
-        m = PPolyMap(f"sol{len(out)}", cs.source, cs.target, tuple(coords))
+        terms = [{} for _ in cs.ansatz]
+        for (_, j, i, e), v in zip(cs.slots, sol):
+            if v:
+                terms[j][(i, e)] = v
+        coords = tuple(PPoly(cs.source.field, cs.source.nvars, t) for t in terms)
+        m = PPolyMap(f"sol{len(out)}", cs.source, cs.target, coords)
         out.append(HomSolution(dict(zip(cs.ring.names, sol)), canonical_form(m)))
     return out
 

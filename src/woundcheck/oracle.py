@@ -78,7 +78,8 @@ def parametrize_relation(f, pivot, field):
     args = []
     for i in range(f.nvars):
         args.append(coords.get(i, PPoly.zero(deeper, len(free))))
-    assert femb.compose(args).is_zero()
+    if not femb.compose(args).is_zero():
+        raise RuntimeError("parametrized point does not satisfy the relation")
     return r, free, coords
 
 

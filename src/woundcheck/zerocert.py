@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fqpoly as fq
-from .field import Field, FieldElem
+from .field import Field, FieldElem, clear_denominators
 from .ppoly import PPoly
 
 
@@ -79,20 +79,6 @@ def left_kernel_vector(rows, field):
     return rank, x
 
 
-def _clear_denominators(field, coeffs):
-    """Scale by the lcm of the denominators; returns numerator tuples."""
-    gf = field.gf
-    lam = fq.ONE
-    for c in coeffs:
-        g = fq.gcd(gf, lam, c.den)
-        lam = fq.mul(gf, lam, fq.divmod_(gf, c.den, g)[0])
-    out = []
-    for c in coeffs:
-        extra = fq.divmod_(gf, lam, c.den)[0]
-        out.append(fq.mul(gf, c.num, extra))
-    return out
-
-
 def _semilinear_rows(field, polys, N):
     """Decompose c = sum_j u_j^(p^N) b^j; returns (columns, rows of u_ij)."""
     gf = field.gf
@@ -114,7 +100,7 @@ def _semilinear_rows(field, polys, N):
 def _equal_exponent(P, pres, N, stage):
     field = P.dom
     coeffs = [P.coeff(i, N) for i in pres]
-    polys = _clear_denominators(field, coeffs)
+    polys = clear_denominators(field, coeffs)[1]
     cols, rows = _semilinear_rows(field, polys, N)
     rank, x = left_kernel_vector(rows, field)
     if x is None:
@@ -153,7 +139,8 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
             return res
         rank, x = res
         witness = tuple(x)
-        assert P.evaluate(witness).is_zero()
+        if not P.evaluate(witness).is_zero():
+            raise RuntimeError("equal-exponent witness does not vanish")
         return ZeroDecision("zero", "equal_exponent", witness=witness, rank=rank)
 
     # mixed exponents: min-exponent relaxation w_i = x_i^(p^(N_i - nmin))
@@ -252,7 +239,8 @@ def _rational_witness_search(P, bound, budget):
                 point = [field.zero()] * P.nvars
                 for slot, c in zip(pres, combo):
                     point[slot] = pool[c]
-                assert P.evaluate(point).is_zero()
+                if not P.evaluate(point).is_zero():
+                    raise RuntimeError("search witness does not vanish")
                 return tuple(point)
     return None
 
@@ -285,7 +273,7 @@ def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None, pai
         out[missing][(0,) * (1 + extra_gens)] = 1
         return tuple(out)
     exps = {i: e for (i, e), _ in P.terms.items()}
-    coeffs = _clear_denominators(field, [P.coeff(i, exps[i]) for i in pres])
+    coeffs = clear_denominators(field, [P.coeff(i, exps[i]) for i in pres])[1]
 
     ed = degree_bound if extra_degree is None else extra_degree
     shape = (degree_bound + 1,) + (ed + 1,) * extra_gens
@@ -332,9 +320,10 @@ def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None, pai
         witness[i] = cands[hit[k]]
     if extra_gens == 0:
         point = [field.elem(tuple(int(v) for v in w)) for w in witness]
-        assert P.evaluate(point).is_zero()
-    else:
-        assert _verify_multigen(P, pres, exps, coeffs, [witness[i] for i in pres], p)
+        if not P.evaluate(point).is_zero():
+            raise RuntimeError("meet-in-the-middle witness does not vanish")
+    elif not _verify_multigen(P, pres, exps, coeffs, [witness[i] for i in pres], p):
+        raise RuntimeError("meet-in-the-middle witness does not vanish")
     return tuple(witness)
 
 

@@ -130,3 +130,27 @@ def test_selftest_p2():
     assert code == 0, out
     assert "b2.hom_under_W2_relation" in out
     assert "selftest: pass" in out
+
+
+def test_derive_pivot_cap_over_bound_is_input_error():
+    code, out, err = run(["derive", HOMS, "Va", "U", "--cap", "X=5"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: pivot cap 'X=5' exceeds")
+
+
+def test_solve_pivot_cap_over_bound_is_input_error():
+    code, out, err = run(["solve", HOMS, "Va", "U", "--cap", "X=5"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: pivot cap 'X=5' exceeds")
+
+
+def test_solve_non_integer_cap_is_input_error():
+    code, out, err = run(["solve", HOMS, "Va", "U", "--cap", "X=abc"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: cap 'X=abc' is not")
+
+
+def test_solve_line_source_is_input_error():
+    code, out, err = run(["solve", HOMS, "Ga", "U"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: use a split presentation")

@@ -185,3 +185,148 @@ def test_mutual_inverse_identity():
     wa = corpus.group_wa(k)
     ident = identity_map(wa)
     assert verify_mutual_inverse(ident, ident)
+
+
+# ---------------------------------------------------------------------------
+# the F_p-kernel solver against a brute force over the domain
+
+_GROUPS = {"Wa": corpus.group_wa, "Va": corpus.group_va, "U": corpus.group_u,
+           "W": corpus.group_w}
+_PAIRS = list(itertools.product(_GROUPS, repeat=2))
+
+
+def brute_force(cs, domain):
+    """Every point of domain^#unknowns at which every constraint evaluates
+    to zero, in lexicographic order of the sorted domain."""
+    domain = sorted(domain, key=lambda x: (x.den, x.num))
+    polys = cs.polys()
+    return [pt for pt in itertools.product(domain, repeat=len(cs.ring.names))
+            if all(q.evaluate(pt).is_zero() for q in polys)]
+
+
+def solved_points(cs, domain):
+    return [tuple(s.values[n] for n in cs.ring.names) for s in solve_homs_bounded(cs, domain)]
+
+
+def capped_system(p, s, t, pivot_cap, other_cap):
+    k = corpus.base_field(p)
+    src = _GROUPS[s](k)
+    caps = {src.pivot: min(pivot_cap, src.f.max_exp(src.pivot) - 1), 1 - src.pivot: other_cap}
+    return derive_hom_constraints(src, _GROUPS[t](k), caps=caps)
+
+
+# (p, domain degree, pivot cap, other cap): at most ~10^4 points per pair
+@pytest.mark.parametrize("p,deg,pivot_cap,other_cap,pairs", [
+    (2, 0, 1, 1, _PAIRS),
+    (3, 0, 0, 1, _PAIRS),
+    (3, 0, 1, 1, [("Va", "U")]),
+    (5, 0, 0, 0, _PAIRS),
+    (2, 1, 0, 1, [("Va", "U"), ("Wa", "Wa"), ("W", "W")]),
+])
+def test_solver_matches_brute_force_on_corpus_pairs(p, deg, pivot_cap, other_cap, pairs):
+    domain = poly_elements(corpus.base_field(p), deg)
+    nonzero = 0
+    for s, t in pairs:
+        cs = capped_system(p, s, t, pivot_cap, other_cap)
+        want = brute_force(cs, domain)
+        assert solved_points(cs, domain) == want, (s, t)
+        nonzero += len(want) > 1
+    assert nonzero  # some pair has more than the zero map
+
+
+def test_solver_matches_brute_force_on_non_subspace_domain():
+    k = k3()
+    domain = [k.zero(), k.one()]  # 2 = 1 + 1 is missing
+    for s, t in (("Va", "U"), ("Wa", "Wa"), ("U", "U")):
+        cs = capped_system(3, s, t, 0, 1)
+        want = brute_force(cs, domain)
+        assert solved_points(cs, domain) == want, (s, t)
+    cs = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: 2})
+    want = brute_force(cs, domain)
+    assert len(want) == 8
+    assert solved_points(cs, domain) == want
+
+
+def _system(k, nunk, *texts):
+    """The split line -> Ga ansatz with nunk unknowns and the given
+    constraints over them."""
+    from woundcheck.homs import ConstraintSystem
+    cs = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: nunk - 1})
+    extra = tuple(((0, 0), parse_poly(t, k, cs.ring.names)) for t in texts)
+    return ConstraintSystem(cs.source, cs.target, cs.ring, cs.slots, cs.ansatz, extra)
+
+
+def test_solver_matches_brute_force_with_rational_domain():
+    k = k3()
+    a = k.base_gen()
+    inv = a.inverse()
+    domain = [k.from_int(c0) + k.from_int(c1) * inv for c0 in range(3) for c1 in range(3)]
+    domain += [a, a + inv]  # not closed: a + 1/a + a is missing
+    cs = _system(k, 2, "a*c0_X_0 - 1", "c0_X_1^3 - c0_X_0^3")
+    assert solved_points(cs, domain) == brute_force(cs, domain) == [(inv, inv)]
+    # (u - a v)^3 + (u - a v) = 0 forces u = a v; a + 1 = a * (1 + 1/a) is missing
+    cs = _system(k, 2, "c0_X_0^3 - a^3*c0_X_1^3 + c0_X_0 - a*c0_X_1")
+    want = brute_force(cs, domain)
+    assert set(want) == {(k.zero(), k.zero()), (k.one(), inv), (k.from_int(2), 2 * inv),
+                         (a, k.one())}
+    assert solved_points(cs, domain) == want
+
+
+def test_affine_constraints_consistent_and_inconsistent():
+    k = k3()
+    domain = poly_elements(k, 1)
+    # u^3 - u = λ1 (a^3 - a) for u = λ0 + λ1 a
+    consistent = _system(k, 1, "c0_X_0^3 - c0_X_0 - a^3 + a")
+    want = brute_force(consistent, domain)
+    assert [x for (x,) in want] == sorted((k.base_gen() + c for c in range(3)),
+                                          key=lambda x: (x.den, x.num))
+    assert solved_points(consistent, domain) == want
+    inconsistent = _system(k, 1, "c0_X_0^3 - c0_X_0 - 1")
+    assert brute_force(inconsistent, domain) == []
+    assert solve_homs_bounded(inconsistent, domain) == []
+
+
+def test_non_additive_monomial_raises():
+    k = k3()
+    for text in ("c0_X_0*c0_X_1", "c0_X_0^2", "c0_X_0^3 + c0_X_1^6"):
+        with pytest.raises(ValueError, match="not additive"):
+            solve_homs_bounded(_system(k, 2, text), [k.zero(), k.one()])
+
+
+# ---------------------------------------------------------------------------
+# pairs the earlier enumerating solver could not finish within a second
+
+
+@pytest.mark.parametrize("p,deg", [(3, 2), (5, 1)])
+def test_solve_hom_vu_matches_w_points_on_larger_domains(p, deg):
+    k = corpus.base_field(p)
+    domain = poly_elements(k, deg)
+    sols = solve_homs_bounded(derive_hom_constraints(corpus.group_va(k), corpus.group_u(k)),
+                              domain)
+    fw = corpus.group_w(k).f
+    wpoints = [(d, e) for d in domain for e in domain if fw.evaluate((d, e)).is_zero()]
+    expected = {(corpus._pp(k, 2, (0, 0, d.frobenius(1)), (0, 1, d)),
+                 corpus._pp(k, 2, (0, 0, e), (1, 1, d))) for d, e in wpoints}
+    assert len(sols) == len(wpoints) == len(expected)
+    assert {s.map.coords for s in sols} == expected
+    assert all(verify_hom(s.map) for s in sols)
+
+
+@pytest.mark.parametrize("p,s,t,deg", [(5, "Va", "Va", 1), (5, "U", "U", 2)])
+def test_solve_endomorphisms_on_larger_domains(p, s, t, deg):
+    k = corpus.base_field(p)
+    cs = derive_hom_constraints(_GROUPS[s](k), _GROUPS[t](k))
+    sols = solve_homs_bounded(cs, poly_elements(k, deg))
+    assert len(sols) == p
+    assert all(verify_hom(sol.map) for sol in sols)
+
+
+def test_solver_exact_for_large_characteristic():
+    # products of residues overflow 64-bit integers here
+    from woundcheck.field import Field, FieldSpec
+    k = Field(FieldSpec(4_294_967_311))
+    cs = _system(k, 2, "3*c0_X_0 + 5*c0_X_1 - 7", "11*c0_X_0 - 13*c0_X_1 + 17")
+    u, v = k.from_int(3) / k.from_int(47), k.from_int(64) / k.from_int(47)
+    domain = [k.zero(), k.one(), u, v]
+    assert brute_force(cs, domain) == [(u, v)]
+    assert solved_points(cs, domain) == [(u, v)]
