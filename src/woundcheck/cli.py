@@ -2,8 +2,8 @@
 
 Reports are machine-parseable `key: value` lines on stdout, byte-identical
 across runs for identical inputs and seeds; elapsed time goes to stderr.
-Exit codes: 0 verified/certified, 1 refuted, 2 unknown-or-incomplete,
-3 input error.
+Exit codes: 0 verified/certified, 1 refuted, 2 unknown, 3 input error
+(one `error:` line on stderr, also for a `--max-enum` refusal).
 """
 
 import argparse
@@ -13,9 +13,10 @@ import time
 from . import corpus
 from .groups import AffineLine, check_group_axioms, classify, is_alternating, twist_group
 from .homs import (EnumerationBudgetError, default_exponent_caps, derive_hom_constraints,
-                   landing_identity, solve_homs_bounded, verify_hom, verify_mutual_inverse)
-from .oracle import random_point_oracle
-from .parser import ParseError, render_elem, render_poly, render_ppoly
+                   landing_identity, relative_frobenius, solve_homs_bounded, verify_hom,
+                   verify_mutual_inverse)
+from .oracle import UnsupportedRelationError, random_point_oracle
+from .parser import ParseError, parse_ppoly, render_elem, render_poly, render_ppoly
 from .ppoly import reduce_mod
 from .session import parse_session, render_extension, render_group, render_map
 
@@ -48,6 +49,12 @@ def _load(path):
 def _field_line(field):
     s = field.spec
     return f"field p={s.p} e={s.e} gen={s.gen} depth={s.depth}"
+
+
+def _trials(args):
+    if args.trials < 1:
+        raise ParseError(f"--trials {args.trials} is not a positive number of oracle trials")
+    return args.trials
 
 
 def _witness_str(witness):
@@ -97,10 +104,8 @@ def cmd_reduce(args):
         if not (args.f and args.pivot and args.vars):
             raise ParseError("reduce needs --group or all of --f/--pivot/--vars")
         vars_ = tuple(args.vars.split(","))
-        from .parser import parse_ppoly
         f = parse_ppoly(args.f, s.field, vars_)
         pivot = vars_.index(args.pivot)
-    from .parser import parse_ppoly
     dom = s.ring if s.param_names else s.field
     h = parse_ppoly(args.h, dom, vars_)
     tr = reduce_mod(h, f, pivot)
@@ -121,6 +126,7 @@ def cmd_verify_hom(args):
     if args.map not in s.maps:
         raise ParseError(f"unknown map {args.map!r}")
     m = s.maps[args.map]
+    trials = _trials(args)
     ok = verify_hom(m)
     rep = Report("verify-hom")
     rep.add("map", render_map(m))
@@ -128,10 +134,14 @@ def cmd_verify_hom(args):
     rep.add("verified", str(ok).lower())
     ident = landing_identity(m)
     if ident is not None:
-        sampled = random_point_oracle(ident[0], ident[1], seed=args.seed, trials=args.trials)
-        rep.add("oracle.trials", args.trials)
-        rep.add("oracle.result", "all-trials-vanish" if sampled else "nonzero-point-found")
-        rep.add("oracle.agrees", str(sampled == ok).lower())
+        try:
+            sampled = random_point_oracle(ident[0], ident[1], seed=args.seed, trials=trials)
+        except UnsupportedRelationError:
+            rep.add("oracle.result", "unsupported")
+        else:
+            rep.add("oracle.trials", trials)
+            rep.add("oracle.result", "all-trials-vanish" if sampled else "nonzero-point-found")
+            rep.add("oracle.agrees", str(sampled == ok).lower())
     rep.emit()
     return EXIT_VERIFIED if ok else EXIT_REFUTED
 
@@ -226,8 +236,10 @@ def cmd_check_extension(args):
 def cmd_twist(args):
     s = _load(args.file)
     g = s.group_or_line(args.group)
+    if args.n < 0:
+        raise ParseError(f"twist exponent {args.n} is negative")
     tw = twist_group(g, args.n)
-    m = corpus.relative_frobenius(g, args.n)
+    m = relative_frobenius(g, args.n)
     rep = Report("twist")
     rep.add("group", render_group(g))
     rep.add("n", args.n)
@@ -256,7 +268,7 @@ def cmd_verify_iso(args):
 
 def cmd_selftest(args):
     p = args.p
-    items = corpus.selftest_items(p, seed=args.seed, trials=args.trials)
+    items = corpus.selftest_items(p, seed=args.seed, trials=_trials(args))
     rep = Report("selftest-paper")
     rep.add("p", p)
     failures = 0

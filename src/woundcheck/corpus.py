@@ -17,7 +17,7 @@ splitting of the Frobenius twist of Wa over the base field itself.
 
 from .field import Field, FieldSpec
 from .groups import CocycleExtension, HypersurfaceGroup
-from .homs import PPolyMap
+from .homs import PPolyMap, relative_frobenius  # noqa: F401  (re-exported)
 from .params import ParamRing
 from .polyring import Poly
 from .ppoly import PPoly
@@ -25,6 +25,14 @@ from .ppoly import PPoly
 
 def base_field(p, e=1, depth=0):
     return Field(FieldSpec(p, e, "a", depth))
+
+
+def _mono(field, nvars, c, *powers):
+    """c * prod X_i^e over the (i, e) in powers, as a Poly."""
+    m = [0] * nvars
+    for i, e in powers:
+        m[i] += e
+    return Poly(field, nvars, {tuple(m): c})
 
 
 def _pp(dom, nvars, *terms):
@@ -75,16 +83,9 @@ def split_line(field):
 def gabber_cocycle(field):
     """h((x,y),(x',y')) = (x x'^p - x^p x', x y'^p - x' y^p) on Va x Va."""
     one = field.one()
-
-    def mono(i, ei, j, ej, c):
-        m = [0, 0, 0, 0]
-        m[i] += ei
-        m[j] += ej
-        return Poly(field, 4, {tuple(m): c})
-
     p = field.p
-    h1 = mono(0, 1, 2, p, one) - mono(0, p, 2, 1, one)
-    h2 = mono(0, 1, 3, p, one) - mono(2, 1, 1, p, one)
+    h1 = _mono(field, 4, one, (0, 1), (2, p)) - _mono(field, 4, one, (0, p), (2, 1))
+    h2 = _mono(field, 4, one, (0, 1), (3, p)) - _mono(field, 4, one, (2, 1), (1, p))
     return (h1, h2)
 
 
@@ -94,9 +95,7 @@ def gabber_extension(field):
 
 def hom_ring_w(field):
     """Parameters (d, e) subject to the W-relation d = d^(p^2) + a e^p."""
-    a = field.base_gen()
-    rel = _pp(field, 2, (0, 2, field.one()), (0, 0, -field.one()), (1, 1, a))
-    return ParamRing(field, ("d", "e"), [(rel, 0)])
+    return ParamRing(field, ("d", "e"), [(group_w(field).f, 0)])
 
 
 def phi_b_map(field):
@@ -113,24 +112,14 @@ def b_map_polys(field):
     """b((x',y'),(x,y)) = (x x'^p + x^p x', x y' + x' y^p) over (x',y',x,y)."""
     one = field.one()
     p = field.p
-
-    def mono(i, ei, j, ej, c):
-        m = [0, 0, 0, 0]
-        m[i] += ei
-        m[j] += ej
-        return Poly(field, 4, {tuple(m): c})
-
-    b1 = mono(2, 1, 0, p, one) + mono(2, p, 0, 1, one)
-    b2 = mono(2, 1, 1, 1, one) + mono(0, 1, 3, p, one)
+    b1 = _mono(field, 4, one, (2, 1), (0, p)) + _mono(field, 4, one, (2, p), (0, 1))
+    b2 = _mono(field, 4, one, (2, 1), (1, 1)) + _mono(field, 4, one, (0, 1), (3, p))
     return (b1, b2)
 
 
 def hom_ring_w2(field):
     """Parameters (X', Y', Z') subject to the W2 relation, p = 2."""
-    a = field.base_gen()
-    rel = _pp(field, 3, (0, 2, field.one()), (0, 0, field.one()),
-              (1, 1, a), (2, 3, a * a))
-    return ParamRing(field, ("X'", "Y'", "Z'"), [(rel, 0)])
+    return ParamRing(field, ("X'", "Y'", "Z'"), [(group_w2(field).f, 0)])
 
 
 def b2_induced_map(field):
@@ -160,55 +149,39 @@ def b2_polys(field):
     """b2 over the joint space (X', Y', Z', X, Y), p = 2."""
     one = field.one()
     a = field.base_gen()
-
-    def mono(spec, c):
-        m = [0] * 5
-        for i, e in spec:
-            m[i] += e
-        return Poly(field, 5, {tuple(m): c})
-
-    b1 = (mono([(3, 1), (0, 2)], one) + mono([(3, 1), (2, 4)], a)
-          + mono([(3, 2), (0, 1)], one) + mono([(4, 2), (2, 2)], a))
-    b2 = (mono([(3, 1), (1, 1)], one) + mono([(3, 2), (2, 2)], one)
-          + mono([(4, 1), (2, 1)], one) + mono([(4, 2), (0, 1)], one))
+    b1 = (_mono(field, 5, one, (3, 1), (0, 2)) + _mono(field, 5, a, (3, 1), (2, 4))
+          + _mono(field, 5, one, (3, 2), (0, 1)) + _mono(field, 5, a, (4, 2), (2, 2)))
+    b2 = (_mono(field, 5, one, (3, 1), (1, 1)) + _mono(field, 5, one, (3, 2), (2, 2))
+          + _mono(field, 5, one, (4, 1), (2, 1)) + _mono(field, 5, one, (4, 2), (0, 1)))
     return (b1, b2)
+
+
+def _splitting_pair(group, field, b, name):
+    """Mutually inverse isomorphisms group <-> Ga of a form X + X^p + b^p Y^p:
+    (X, Y) -> X + b Y and T -> (-T^p, b^-1 (T + T^p))."""
+    from .groups import AffineLine
+
+    line = AffineLine()
+    f = PPolyMap(f"{name}_to_line", group, line,
+                 (_pp(field, 2, (0, 0, field.one()), (1, 0, b)),))
+    g = PPolyMap(f"line_to_{name}", line, group,
+                 (_pp(field, 1, (0, 1, -field.one())),
+                  _pp(field, 1, (0, 0, b.inverse()), (0, 1, b.inverse()))))
+    return f, g
 
 
 def wa_splitting_pair(field):
     """The mutually inverse isomorphisms Wa <-> Ga over k(a^(1/p))."""
-    from .groups import AffineLine
-
     deep = field.extend(1)
-    wa = group_wa(deep)
-    line = AffineLine()
-    b = deep.gen_elem()           # a^(1/p)
-    f = PPolyMap("wa_to_line", wa, line,
-                 (_pp(deep, 2, (0, 0, deep.one()), (1, 0, b)),))
-    g = PPolyMap("line_to_wa", line, wa,
-                 (_pp(deep, 1, (0, 1, -deep.one())),
-                  _pp(deep, 1, (0, 0, b.inverse()), (0, 1, b.inverse()))))
-    return f, g
+    return _splitting_pair(group_wa(deep), deep, deep.gen_elem(), "wa")  # b = a^(1/p)
 
 
 def twisted_wa_splitting_pair(field):
     """Depth-0 splitting of the Frobenius twist of Wa: the twisted group is
     split over the base field itself."""
-    from .groups import AffineLine, twist_group
+    from .groups import twist_group
 
-    wa1 = twist_group(group_wa(field), 1)
-    line = AffineLine()
-    a = field.base_gen()
-    f = PPolyMap("twisted_to_line", wa1, line,
-                 (_pp(field, 2, (0, 0, field.one()), (1, 0, a)),))
-    g = PPolyMap("line_to_twisted", line, wa1,
-                 (_pp(field, 1, (0, 1, -field.one())),
-                  _pp(field, 1, (0, 0, a.inverse()), (0, 1, a.inverse()))))
-    return f, g
-
-
-def relative_frobenius(g, n):
-    from .homs import relative_frobenius as _rf
-    return _rf(g, n)
+    return _splitting_pair(twist_group(group_wa(field), 1), field, field.base_gen(), "twisted")
 
 
 def paper_names_hom_vu():

@@ -11,7 +11,7 @@ p-polynomials can mix parameter and field coefficients freely.
 """
 
 from .field import FieldElem
-from .polyring import Poly, RelationSet, normal_form
+from .polyring import Poly, RelationSet, _add_terms, normal_form
 from .ppoly import to_relation
 
 
@@ -169,17 +169,19 @@ def flatten_ppoly(f, var_slots, param_slots, ambient_field, ambient_n):
     param_slots[j] the ambient index of the j-th parameter symbol.
     """
     p = ambient_field.p
-    out = Poly.zero(ambient_field, ambient_n)
-    for (i, e), c in f.terms.items():
-        m = [0] * ambient_n
-        m[var_slots[i]] = p ** e
-        if isinstance(c, FieldElem):
-            out = out + Poly(ambient_field, ambient_n, {tuple(m): c})
-        else:
+
+    def spread():
+        for (i, e), c in f.terms.items():
+            m = [0] * ambient_n
+            m[var_slots[i]] = p ** e
+            if isinstance(c, FieldElem):
+                yield tuple(m), c
+                continue
             for pm, pc in c.poly.terms.items():
                 mm = list(m)
                 for j, exp in enumerate(pm):
                     if exp:
                         mm[param_slots[j]] += exp
-                out = out + Poly(ambient_field, ambient_n, {tuple(mm): pc})
-    return out
+                yield tuple(mm), pc
+
+    return Poly._raw(ambient_field, ambient_n, _add_terms({}, spread()))

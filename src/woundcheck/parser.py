@@ -1,9 +1,11 @@
 """Text grammar for elements, p-polynomials and general polynomials.
 
-Field elements serialize as ``<poly in gen>/<poly in gen>`` with integer
-literals reduced mod p and the denominator omitted when it is 1.  Inside a
-tower of depth m the working generator is printed in terms of the named
-generator: ``a``, ``a^3``, ``a^(1/p^2)``, ``a^(5/p^1)`` and so on.
+Field elements serialize as ``<poly in gen>/<poly in gen>`` with the
+denominator omitted when it is 1.  Integer literals are reduced mod p when
+e = 1; when e > 1 they are F_q digit codes below q (the base-p digits of n
+are its coordinates in the basis of ``gfq``), and larger ones are errors.
+Inside a tower of depth m the working generator is printed in terms of the
+named generator: ``a``, ``a^3``, ``a^(1/p^2)``, ``a^(5/p^1)`` and so on.
 
 p-polynomials are sums of ``<coef>*<VAR>^(p^<e>)`` in canonical (variable,
 exponent) order; general polynomials are sums of ``<coef>*V1^n1*V2^n2``
@@ -16,7 +18,7 @@ import re
 
 from . import fqpoly as fq
 from .field import FieldElem
-from .polyring import Poly, grlex_key
+from .polyring import Poly, _add_terms, grlex_key
 from .ppoly import PPoly
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)"
@@ -99,33 +101,14 @@ def _gen_power(field, stream):
     return field.elem(fq.shift(fq.ONE, k * scale))
 
 
-def _scalar_term(field, stream, ring=None):
-    """Product of integer literals, generator powers and parameter powers."""
-    acc = ring.one() if ring is not None else field.one()
-    first = True
-    while True:
-        kind, val = stream.peek()
-        if kind == "int":
-            stream.next()
-            acc = acc * field.from_int(val)
-        elif kind == "op" and val == "(":
-            stream.next()
-            acc = acc * _scalar_sum(field, ring, stream)
-            stream.expect("op", ")")
-        elif kind == "name" and val == field.spec.gen:
-            acc = acc * _gen_power(field, stream)
-        elif kind == "name" and ring is not None and val in ring.names:
-            stream.next()
-            e = stream.expect("int") if stream.accept("op", "^") else 1
-            acc = acc * _param_power(ring, val, e)
-        else:
-            if first:
-                raise ParseError(f"expected a scalar, got {stream.peek()!r}")
-            break
-        first = False
-        if not stream.accept("op", "*"):
-            break
-    return acc
+def _literal(field, n):
+    """An integer literal: reduced mod p when e = 1, else the F_q digit code."""
+    spec = field.spec
+    if spec.e == 1:
+        return field.from_int(n)
+    if n >= spec.q:
+        raise ParseError(f"literal {n} is not an F_{spec.q} digit code (below {spec.q})")
+    return field.elem((n,) if n else ())
 
 
 def _param_power(ring, name, e):
@@ -136,34 +119,85 @@ def _param_power(ring, name, e):
     return acc
 
 
-def _poly_in_gen(field, stream):
-    acc = field.zero()
-    sign = 1
-    if stream.accept("op", "-"):
-        sign = -1
+def _term(field, ring, stream, var=None):
+    """One product of factors, as (variable factors, coefficient).
+
+    A factor is, in this order of precedence: an integer literal, a
+    parenthesized coefficient, a variable (when var(stream) consumes one and
+    returns it), a generator power, or a power of a parameter of ring.
+    """
+    acc = ring.one() if ring is not None else field.one()
+    factors = []
+    first = True
     while True:
-        term = _scalar_term(field, stream)
-        acc = acc + (term if sign == 1 else -term)
-        if stream.accept("op", "+"):
-            sign = 1
-        elif stream.accept("op", "-"):
-            sign = -1
+        kind, val = stream.peek()
+        if kind == "int":
+            stream.next()
+            acc = acc * _literal(field, val)
+        elif kind == "op" and val == "(":
+            stream.next()
+            acc = acc * _coef(field, ring, stream)
+            stream.expect("op", ")")
+        elif kind == "name" and var is not None and (v := var(stream)) is not None:
+            factors.append(v)
+        elif kind == "name" and val == field.spec.gen:
+            acc = acc * _gen_power(field, stream)
+        elif kind == "name" and ring is not None and val in ring.names:
+            stream.next()
+            e = stream.expect("int") if stream.accept("op", "^") else 1
+            acc = acc * _param_power(ring, val, e)
         else:
-            return acc
+            if first:
+                raise ParseError(f"unexpected token {stream.peek()!r}")
+            break
+        first = False
+        if not stream.accept("op", "*"):
+            break
+    return factors, acc
+
+
+def _sum(stream, term):
+    """The terms of `[-] t {(+|-) t}` as (key, signed coefficient) pairs;
+    term() reads one t as (key, coefficient)."""
+    out = []
+    neg = stream.accept("op", "-") is not None
+    while True:
+        key, c = term()
+        out.append((key, -c if neg else c))
+        if stream.accept("op", "+"):
+            neg = False
+        elif stream.accept("op", "-"):
+            neg = True
+        else:
+            return out
+
+
+def _scalar_sum(field, ring, stream):
+    coefs = [c for _, c in _sum(stream, lambda: _term(field, ring, stream))]
+    return sum(coefs[1:], coefs[0])
+
+
+def _coef(field, ring, stream):
+    """A sum of scalar terms with an optional `/<sum>`, as one coefficient."""
+    acc = _scalar_sum(field, ring, stream)
+    if stream.accept("op", "/"):
+        den = _scalar_sum(field, None, stream)
+        if den.is_zero():
+            raise ParseError("zero denominator")
+        acc = acc * den.inverse()
+    return acc
+
+
+def _done(stream, value):
+    if not stream.done():
+        raise ParseError(f"trailing input at {stream.peek()!r}")
+    return value
 
 
 def parse_element(field, text):
     """Parse `<poly in gen>` or `<poly in gen>/<poly in gen>`."""
     stream = _Stream(tokenize(text))
-    num = _poly_in_gen(field, stream)
-    if stream.accept("op", "/"):
-        den = _poly_in_gen(field, stream)
-        if den.is_zero():
-            raise ParseError("zero denominator")
-        num = num / den
-    if not stream.done():
-        raise ParseError(f"trailing input at {stream.peek()!r}")
-    return num
+    return _done(stream, _coef(field, None, stream))
 
 
 def render_elem(x):
@@ -223,98 +257,33 @@ def parse_ppoly(text, dom, var_names, nvars=None):
         nvars = len(var_names)
     index = {n: i for i, n in enumerate(var_names)}
     stream = _Stream(tokenize(text))
-    terms = {}
-    if stream.accept("int", 0) and stream.done():
-        return PPoly(dom, nvars, {})
-    stream.i = 0
-    sign = 1
-    if stream.accept("op", "-"):
-        sign = -1
-    while True:
-        coef, slot = _ppoly_term(field, ring, index, stream)
-        if sign == -1:
-            coef = -coef
-        if slot in terms:
-            terms[slot] = terms[slot] + coef
-        else:
-            terms[slot] = coef
-        if stream.accept("op", "+"):
-            sign = 1
-        elif stream.accept("op", "-"):
-            sign = -1
-        else:
-            break
-    if not stream.done():
-        raise ParseError(f"trailing input at {stream.peek()!r}")
-    return PPoly(dom, nvars, terms)
+    if stream.toks == [("int", 0)]:
+        return PPoly.zero(dom, nvars)
 
-
-def _ppoly_term(field, ring, index, stream):
-    coef = ring.one() if ring is not None else field.one()
-    slot = None
-    first = True
-    while True:
-        kind, val = stream.peek()
-        if kind == "int":
-            stream.next()
-            coef = coef * field.from_int(val)
-        elif kind == "op" and val == "(":
-            stream.next()
-            coef = coef * _scalar_sum(field, ring, stream)
-            stream.expect("op", ")")
-        elif kind == "name" and val in index:
-            stream.next()
-            e = 0
-            if stream.accept("op", "^"):
-                stream.expect("op", "(")
-                stream.expect("name", "p")
-                e = stream.expect("int") if stream.accept("op", "^") else 1
-                stream.expect("op", ")")
-            if slot is not None:
-                raise ParseError("two variables in one p-polynomial term")
-            slot = (index[val], e)
-        elif kind == "name" and val == field.spec.gen:
-            coef = coef * _gen_power(field, stream)
-        elif kind == "name" and ring is not None and val in ring.names:
-            stream.next()
+    def var(stream):
+        """`V`, `V^(p)` or `V^(p^e)`: the slot (variable, e)."""
+        name = stream.peek()[1]
+        if name not in index:
+            return None
+        stream.next()
+        e = 0
+        if stream.accept("op", "^"):
+            stream.expect("op", "(")
+            stream.expect("name", "p")
             e = stream.expect("int") if stream.accept("op", "^") else 1
-            coef = coef * _param_power(ring, val, e)
-        else:
-            if first:
-                raise ParseError(f"unexpected token {stream.peek()!r} in p-polynomial")
-            break
-        first = False
-        if not stream.accept("op", "*"):
-            break
-    if slot is None:
-        raise ParseError("p-polynomial term lacks a variable")
-    return coef, slot
+            stream.expect("op", ")")
+        return index[name], e
 
+    def term():
+        slots, coef = _term(field, ring, stream, var)
+        if not slots:
+            raise ParseError("p-polynomial term lacks a variable")
+        if len(slots) > 1:
+            raise ParseError("two variables in one p-polynomial term")
+        return slots[0], coef
 
-def _scalar_sum(field, ring, stream):
-    """Sum of scalar terms with an optional `/<sum>`, for coefficients."""
-    acc = _scalar_sum_nodiv(field, ring, stream)
-    if stream.accept("op", "/"):
-        den = _scalar_sum_nodiv(field, None, stream)
-        acc = acc * den.inverse()
-    return acc
-
-
-def _scalar_sum_nodiv(field, ring, stream):
-    acc = None
-    sign = 1
-    if stream.accept("op", "-"):
-        sign = -1
-    while True:
-        t = _scalar_term(field, stream, ring)
-        t = t if sign == 1 else -t
-        acc = t if acc is None else acc + t
-        if stream.accept("op", "+"):
-            sign = 1
-        elif stream.accept("op", "-"):
-            sign = -1
-        else:
-            return acc
+    terms = _add_terms({}, _sum(stream, term))
+    return _done(stream, PPoly(dom, nvars, terms))
 
 
 def render_coef(c, param_names=None):
@@ -346,51 +315,23 @@ def parse_poly(text, field, var_names, nvars=None):
         nvars = len(var_names)
     index = {n: i for i, n in enumerate(var_names)}
     stream = _Stream(tokenize(text))
-    acc = Poly.zero(field, nvars)
-    if stream.accept("int", 0) and stream.done():
-        return acc
-    stream.i = 0
-    sign = 1
-    if stream.accept("op", "-"):
-        sign = -1
-    while True:
-        coef = field.one()
+
+    def var(stream):
+        """`V` or `V^n`: the exponent vector of the factor."""
+        name = stream.peek()[1]
+        if name not in index:
+            return None
+        stream.next()
         exps = [0] * nvars
-        first = True
-        while True:
-            kind, val = stream.peek()
-            if kind == "int":
-                stream.next()
-                coef = coef * field.from_int(val)
-            elif kind == "op" and val == "(":
-                stream.next()
-                coef = coef * _scalar_sum(field, None, stream)
-                stream.expect("op", ")")
-            elif kind == "name" and val in index:
-                stream.next()
-                n = stream.expect("int") if stream.accept("op", "^") else 1
-                exps[index[val]] += n
-            elif kind == "name" and val == field.spec.gen:
-                coef = coef * _gen_power(field, stream)
-            else:
-                if first:
-                    raise ParseError(f"unexpected token {stream.peek()!r} in polynomial")
-                break
-            first = False
-            if not stream.accept("op", "*"):
-                break
-        if sign == -1:
-            coef = -coef
-        acc = acc + Poly(field, nvars, {tuple(exps): coef})
-        if stream.accept("op", "+"):
-            sign = 1
-        elif stream.accept("op", "-"):
-            sign = -1
-        else:
-            break
-    if not stream.done():
-        raise ParseError(f"trailing input at {stream.peek()!r}")
-    return acc
+        exps[index[name]] = stream.expect("int") if stream.accept("op", "^") else 1
+        return exps
+
+    def term():
+        powers, coef = _term(field, None, stream, var)
+        return tuple(map(sum, zip([0] * nvars, *powers))), coef
+
+    terms = _add_terms({}, _sum(stream, term))
+    return _done(stream, Poly._raw(field, nvars, terms))
 
 
 def render_poly(f, var_names=None):

@@ -13,10 +13,25 @@ remainder and does not depend on rewrite order.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import add
 
 
 def grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _add_terms(out, pairs):
+    """Add each (key, coefficient) of pairs into the sparse map out, dropping
+    keys whose coefficient sums to zero; returns out."""
+    for k, c in pairs:
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
 
 
 class Poly:
@@ -69,15 +84,7 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly._raw(self.field, self.nvars, out)
+        return Poly._raw(self.field, self.nvars, _add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return Poly._raw(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
@@ -95,22 +102,14 @@ class Poly:
             return Poly.zero(self.field, self.nvars)
         out = {}
         for m, x in self.terms.items():
-            out[tuple(a + b for a, b in zip(m, exps))] = c * x
+            out[tuple(map(add, m, exps))] = c * x
         return Poly._raw(self.field, self.nvars, out)
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        other_terms = other.terms.items()
+        out = _add_terms({}, ((tuple(map(add, m1, m2)), c1 * c2)
+                              for m1, c1 in self.terms.items() for m2, c2 in other_terms))
         return Poly._raw(self.field, self.nvars, out)
 
     def frob_pow(self, n):
@@ -249,37 +248,48 @@ def normal_form(h, rset):
     one application of X^B -> rhs at a time; disjoint blocks guarantee
     termination and a rewrite-order-independent result.
     """
+    return _rewrite(h, rset)[0]
+
+
+def _rewrite(h, rset):
+    """(normal form of h, rewrites): each rewrite (relation, lowered, c)
+    replaced c * X^lowered * X_pivot^bound by c * X^lowered * rhs.
+
+    A rewrite lowers the sum of the pivot degrees, so taking monomials in
+    descending order of that sum rewrites each one once, with all of its
+    coefficient.
+    """
     if isinstance(rset, Relation):
         rset = RelationSet(rset.rhs.nvars, (rset,))
     if h.nvars != rset.nvars:
         raise ValueError("polynomial and relations disagree on variable count")
     rels = rset.relations
     if not rels:
-        return h
-    out = {}
+        return h, ()
     work = dict(h.terms)
-    while work:
-        m, c = work.popitem()
-        for r in rels:
-            if m[r.pivot] >= r.bound:
-                lowered = list(m)
-                lowered[r.pivot] -= r.bound
-                for rm, rc in r.rhs.mul_term(tuple(lowered), c).terms.items():
-                    s = work.get(rm)
-                    s = rc if s is None else s + rc
-                    if s.is_zero():
-                        work.pop(rm, None)
-                    else:
-                        work[rm] = s
-                break
-        else:
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return Poly._raw(h.field, h.nvars, out)
+    rewrites = []
+    heap = []
+    new = work
+    while True:
+        for m in new:
+            for k, r in enumerate(rels):
+                if m[r.pivot] >= r.bound:
+                    heappush(heap, (-sum(m[q.pivot] for q in rels), m, k))
+                    break
+        if not heap:
+            return Poly._raw(h.field, h.nvars, work), rewrites
+        _, m, k = heappop(heap)
+        c = work.pop(m, None)
+        if c is None:  # cancelled, or a second entry for m
+            new = ()
+            continue
+        r = rels[k]
+        lowered = list(m)
+        lowered[r.pivot] -= r.bound
+        lowered = tuple(lowered)
+        rewrites.append((r, lowered, c))
+        new = r.rhs.mul_term(lowered, c).terms
+        _add_terms(work, new.items())
 
 
 def is_identically_zero(h, rset):

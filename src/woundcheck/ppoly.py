@@ -19,8 +19,8 @@ subtracted.  On p-polynomial input the remainder is again a p-polynomial.
 
 from dataclasses import dataclass
 
-from .field import Field
-from .polyring import Poly
+from .field import Field, FieldElem
+from .polyring import Poly, Relation, _add_terms, _rewrite
 
 
 def join_dom(d1, d2):
@@ -86,14 +86,7 @@ class PPoly:
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+        out = _add_terms(dict(self.terms), other.terms.items())
         return PPoly._raw(join_dom(self.dom, other.dom), self.nvars, out)
 
     def __neg__(self):
@@ -145,17 +138,9 @@ class PPoly:
             if m.nvars != nv:
                 raise ValueError("inner maps disagree on variable count")
             dom = join_dom(dom, m.dom)
-        out = {}
-        for (i, e), c in self.terms.items():
-            for (j, f), b in maps[i].terms.items():
-                k = (j, f + e)
-                v = c * b.frobenius(e)
-                s = out.get(k)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+        out = _add_terms({}, (((j, f + e), c * b.frobenius(e))
+                              for (i, e), c in self.terms.items()
+                              for (j, f), b in maps[i].terms.items()))
         return PPoly._raw(dom, nv, out)
 
     def principal_part(self):
@@ -205,26 +190,14 @@ def is_smooth(f):
 def to_relation(f, pivot):
     """Compile f = 0, pivoted at a unit-leading variable, into the rewrite
     rule X_pivot^(p^N) -> rhs used by the normal-form engine."""
-    from .field import FieldElem
-    from .polyring import Relation
-
     n0 = f.max_exp(pivot)
     if n0 is None:
         raise ValueError("pivot does not occur in the relation")
     u = f.terms[(pivot, n0)]
     if not (isinstance(u, FieldElem) and u.is_unit()):
         raise ValueError("relation pivot leading coefficient is not a unit")
-    uinv = u.inverse()
-    p = f.dom.p
-    rhs_terms = {}
-    for (i, e), c in f.terms.items():
-        if (i, e) == (pivot, n0):
-            continue
-        m = [0] * f.nvars
-        m[i] = p ** e
-        rhs_terms[tuple(m)] = -(uinv * c)
-    rhs = Poly(f.dom, f.nvars, rhs_terms)
-    return Relation(pivot, p ** n0, rhs, source=f)
+    rest = PPoly._raw(f.dom, f.nvars, {k: c for k, c in f.terms.items() if k != (pivot, n0)})
+    return Relation(pivot, f.dom.p ** n0, rest.to_poly().scale(-u.inverse()), source=f)
 
 
 @dataclass(frozen=True)
@@ -234,8 +207,9 @@ class ReductionTrace:
     Each step is (multiplier, j) and contributed multiplier * (u^-1 F)^(p^j)
     to the subtracted part, u being the divisor's leading pivot coefficient.
     For p-polynomial input the multipliers are coefficients and j >= 0; for
-    general polynomial input they are monomial terms (as Poly) with j = 0
-    and u^-1 already folded in.
+    general polynomial input the steps are the rewrites of the normal_form
+    engine against to_relation(F, pivot): monomial terms (as Poly) with
+    j = 0 and u^-1 already folded in.
     """
     divisor: PPoly
     pivot: int
@@ -275,11 +249,11 @@ def reduce_mod(h, f, pivot):
         raise ValueError("leading pivot coefficient is not a unit")
     if isinstance(h, PPoly):
         return _reduce_ppoly(h, f, pivot, n0, u)
-    return _reduce_poly(h, f, pivot, n0, u)
+    return _reduce_poly(h, f, pivot, u)
 
 
 def _reduce_ppoly(h, f, pivot, n0, u):
-    uinv = u.inverse()
+    neg_uinv = -u.inverse()
     rem = dict(h.terms)
     dom = join_dom(h.dom, f.dom)
     steps = []
@@ -290,43 +264,18 @@ def _reduce_ppoly(h, f, pivot, n0, u):
         c = rem.pop((pivot, top))
         j = top - n0
         steps.append((c, j))
-        for (i, e), b in f.terms.items():
-            if (i, e) == (pivot, n0):
-                continue
-            k = (i, e + j)
-            v = c * (uinv * b).frobenius(j)
-            s = rem.get(k)
-            s = -v if s is None else s - v
-            if s.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = s
+        _add_terms(rem, (((i, e + j), c * (neg_uinv * b).frobenius(j))
+                         for (i, e), b in f.terms.items() if (i, e) != (pivot, n0)))
     return ReductionTrace(f, pivot, tuple(steps), PPoly._raw(dom, h.nvars, rem))
 
 
-def _reduce_poly(h, f, pivot, n0, u):
+def _reduce_poly(h, f, pivot, u):
+    """The normal_form rewrite loop against f; a rewrite of c * X^lowered
+    is the step c * u^-1 * X^lowered times f."""
     if not isinstance(h.field, Field) or not isinstance(f.dom, Field):
         raise TypeError("general polynomial division requires field coefficients")
-    bound = f.dom.p ** n0
-    fpoly = f.to_poly()
+    rem, rewrites = _rewrite(h, to_relation(f, pivot))
     uinv = u.inverse()
-    rem = dict(h.terms)
-    steps = []
-    while True:
-        cand = [m for m in rem if m[pivot] >= bound]
-        if not cand:
-            break
-        m = max(cand, key=lambda t: t[pivot])
-        c = rem[m]
-        lowered = list(m)
-        lowered[pivot] -= bound
-        mult = Poly._raw(h.field, h.nvars, {tuple(lowered): -(c * uinv)})
-        steps.append((-mult, 0))
-        for rm, rc in (mult * fpoly).terms.items():
-            s = rem.get(rm)
-            s = rc if s is None else s + rc
-            if s.is_zero():
-                rem.pop(rm, None)
-            else:
-                rem[rm] = s
-    return ReductionTrace(f, pivot, tuple(steps), Poly._raw(h.field, h.nvars, rem))
+    steps = tuple((Poly._raw(h.field, h.nvars, {lowered: c * uinv}), 0)
+                  for _, lowered, c in rewrites)
+    return ReductionTrace(f, pivot, steps, rem)

@@ -61,6 +61,19 @@ def _kvs(text):
     return dict(_KV_RE.findall(text))
 
 
+def _header(head, *keys):
+    """The key=value pairs of a statement header, with its name (the first
+    word after the kind) under "name"; ParseError if one of keys is missing."""
+    kind, *words = [w for w in head.split() if "=" not in w]
+    kv = _kvs(head)
+    if words:
+        kv["name"] = words[0]
+    missing = [k for k in keys if k not in kv]
+    if missing:
+        raise ParseError(f"{kind} statement lacks {', '.join(missing)}")
+    return kv
+
+
 def parse_session(text):
     s = Session()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -85,7 +98,7 @@ def _statement(s, line):
     head, _, tail = line.partition(":")
     head = head.strip()
     tail = tail.strip()
-    kind = head.split(None, 1)[0]
+    kind = head.split()[0] if head else ""
     if kind == "field":
         if s.field is not None:
             raise ParseError("duplicate field statement")
@@ -98,16 +111,14 @@ def _statement(s, line):
         s.field = Field(spec)
     elif kind == "params":
         _require_field(s)
-        names = head.split(None, 1)[1].replace(" ", "")
+        names = head[len(kind):].replace(" ", "")
         s.param_names = tuple(n for n in names.split(",") if n)
         for n in s.param_names:
             s._claim(n)
         s._ring = None
     elif kind == "relation":
         _require_field(s)
-        kv = _kvs(head)
-        if "pivot" not in kv:
-            raise ParseError("relation needs pivot=<param>")
+        kv = _header(head, "pivot")
         if kv["pivot"] not in s.param_names:
             raise ParseError(f"pivot {kv['pivot']!r} is not a declared parameter")
         fp = parse_ppoly(tail, s.field, s.param_names)
@@ -116,9 +127,8 @@ def _statement(s, line):
         s.ring  # compile now: validates the pivot
     elif kind == "group":
         _require_field(s)
-        parts = head.split()
-        name = parts[1]
-        kv = _kvs(head)
+        kv = _header(head, "name", "vars", "pivot")
+        name = kv["name"]
         vars_ = tuple(kv["vars"].split(","))
         pivot = kv["pivot"]
         if pivot not in vars_:
@@ -131,9 +141,8 @@ def _statement(s, line):
             raise ParseError(str(exc)) from None
     elif kind == "extension":
         _require_field(s)
-        parts = head.split()
-        name = parts[1]
-        kv = _kvs(head)
+        kv = _header(head, "name", "center", "base")
+        name = kv["name"]
         center = s.group_or_line(kv["center"])
         base = s.group_or_line(kv["base"])
         comps = {}
@@ -154,9 +163,8 @@ def _statement(s, line):
             raise ParseError(str(exc)) from None
     elif kind == "map":
         _require_field(s)
-        parts = head.split()
-        name = parts[1]
-        kv = _kvs(head)
+        kv = _header(head, "name", "from", "to")
+        name = kv["name"]
         src = s.group_or_line(kv["from"])
         tgt = s.group_or_line(kv["to"])
         dom = s.ring if s.param_names else s.field

@@ -154,3 +154,43 @@ def test_solve_line_source_is_input_error():
     code, out, err = run(["solve", HOMS, "Ga", "U"])
     assert code == 3 and out == ""
     assert err.startswith("error: use a split presentation")
+
+
+def _one_error_line(err):
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    return len(errors) == 1 and "Traceback" not in err
+
+
+def test_twist_negative_exponent_is_input_error():
+    code, out, err = run(["twist", WOUND, "Wa", "-1"])
+    assert code == 3 and out == "" and _one_error_line(err)
+
+
+def test_non_positive_trials_are_input_errors():
+    for trials in ("0", "-5"):
+        for argv in (["verify-hom", HOMS, "phi_b"], ["selftest-paper", "3"]):
+            code, out, err = run(argv + ["--trials", trials])
+            assert code == 3 and out == "" and _one_error_line(err)
+
+
+def test_verify_hom_oracle_unsupported_relation(tmp_path):
+    path = tmp_path / "unsampled.txt"
+    path.write_text("field p=3 e=1 gen=a depth=0\n"
+                    "group G vars=X,Y pivot=X : "
+                    "1*X^(p^0) + 1*X^(p^1) + a*Y^(p^0) + 1*Y^(p^1)\n"
+                    "map id from=G to=G : X -> 1*X^(p^0) ; Y -> 1*Y^(p^0)\n", encoding="utf-8")
+    code, out, err = run(["verify-hom", str(path), "id"])
+    assert code == 0 and "Traceback" not in err
+    assert out.endswith("verified: true\noracle.result: unsupported\n")
+
+
+def test_literals_at_e2_are_fq_digit_codes(tmp_path):
+    path = tmp_path / "f9.txt"
+    head = "field p=3 e=2 gen=a depth=0\ngroup G vars=X,Y pivot=X : 1*X^(p^1) + "
+    path.write_text(head + "4*Y^(p^1)\n", encoding="utf-8")
+    _, out, _ = run(["classify", str(path), "G"])
+    assert "defining: 1*X^(p^1) + 4*Y^(p^1)\n" in out
+    path.write_text(head + "9*Y^(p^1)\n", encoding="utf-8")
+    code, out, err = run(["classify", str(path), "G"])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert "error: line 2: literal 9" in err

@@ -59,11 +59,11 @@ def _report(argv):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
-    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-    assert _report(CASES[name]) == want
+    want = (GOLDEN / f"{name}.txt").read_bytes()
+    assert _report(CASES[name]).encode("utf-8") == want
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        (GOLDEN / f"{name}.txt").write_text(_report(argv), encoding="utf-8")
+        (GOLDEN / f"{name}.txt").write_bytes(_report(argv).encode("utf-8"))

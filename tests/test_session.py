@@ -100,3 +100,27 @@ def test_ppoly_parse_accepts_any_order_and_bare_vars():
     f2 = parse_ppoly("X + X^(p^1) + a*Y^(p^1)", k, ("X", "Y"))
     assert f1 == f2 == s.groups["Wa"].f
     assert parse_ppoly(render_ppoly(f1, ("X", "Y")), k, ("X", "Y")) == f1
+
+
+_HEADER_BASE = """field p=3 e=1 gen=a depth=0
+params d
+group G vars=X,Y pivot=X : 1*X^(p^0) + 1*X^(p^1) + a*Y^(p^1)
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "group H pivot=X : 1*X^(p^0)",                       # no vars=
+    "group",                                             # nothing but the kind
+    "extension E base=G : h1 = 0 ; h2 = 0",              # no center=
+    "map m from=G : T -> 1*X^(p^0)",                     # no to=
+    "relation : 1*d^(p^1) + 1*d^(p^0)",                  # no pivot=
+])
+def test_incomplete_statement_header_is_one_error_line(tmp_path, line):
+    from test_cli import run
+    path = tmp_path / "bad.txt"
+    path.write_text(_HEADER_BASE + line + "\n", encoding="utf-8")
+    code, out, err = run(["classify", str(path), "G"])
+    assert code == 3 and out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: line 4: ")
+    assert "Traceback" not in err
