@@ -57,6 +57,20 @@ def _trials(args):
     return args.trials
 
 
+def _search_bound(args):
+    if args.search_bound < 0:
+        raise ParseError(f"--search-bound {args.search_bound} is negative")
+    return args.search_bound
+
+
+def _group(s, name):
+    """The named hypersurface group; the line Ga has no defining polynomial."""
+    g = s.group_or_line(name)
+    if isinstance(g, AffineLine):
+        raise ParseError(f"{name} is the additive line, not a hypersurface group")
+    return g
+
+
 def _witness_str(witness):
     return "(" + ", ".join(render_elem(x) for x in witness) + ")"
 
@@ -85,12 +99,13 @@ def _classify_into(rep, g, search_bound):
 
 def cmd_classify(args):
     s = _load(args.file)
-    g = s.group_or_line(args.group)
+    g = _group(s, args.group)
+    search_bound = _search_bound(args)
     rep = Report("classify")
     rep.add("group", args.group)
     rep.add("field", _field_line(s.field))
     rep.add("defining", render_ppoly(g.f, g.vars))
-    c = _classify_into(rep, g, args.search_bound)
+    c = _classify_into(rep, g, search_bound)
     rep.emit()
     return {"no_zero": EXIT_VERIFIED, "zero": EXIT_REFUTED, "unknown": EXIT_UNKNOWN}[c.wound.verdict]
 
@@ -98,17 +113,22 @@ def cmd_classify(args):
 def cmd_reduce(args):
     s = _load(args.file)
     if args.group:
-        g = s.group_or_line(args.group)
+        g = _group(s, args.group)
         f, pivot, vars_ = g.f, g.pivot, g.vars
     else:
         if not (args.f and args.pivot and args.vars):
             raise ParseError("reduce needs --group or all of --f/--pivot/--vars")
         vars_ = tuple(args.vars.split(","))
         f = parse_ppoly(args.f, s.field, vars_)
+        if args.pivot not in vars_:
+            raise ParseError(f"pivot {args.pivot!r} not among --vars")
         pivot = vars_.index(args.pivot)
     dom = s.ring if s.param_names else s.field
     h = parse_ppoly(args.h, dom, vars_)
-    tr = reduce_mod(h, f, pivot)
+    try:
+        tr = reduce_mod(h, f, pivot)
+    except ValueError as exc:  # the pivot is absent from f, or its coefficient is not a unit
+        raise ParseError(str(exc)) from None
     rep = Report("reduce")
     rep.add("field", _field_line(s.field))
     rep.add("dividend", render_ppoly(h, vars_))
@@ -235,16 +255,17 @@ def cmd_check_extension(args):
 
 def cmd_twist(args):
     s = _load(args.file)
-    g = s.group_or_line(args.group)
+    g = _group(s, args.group)
     if args.n < 0:
         raise ParseError(f"twist exponent {args.n} is negative")
+    search_bound = _search_bound(args)
     tw = twist_group(g, args.n)
     m = relative_frobenius(g, args.n)
     rep = Report("twist")
     rep.add("group", render_group(g))
     rep.add("n", args.n)
     rep.add("twisted", render_group(tw))
-    _classify_into(rep, tw, args.search_bound)
+    _classify_into(rep, tw, search_bound)
     rep.add("relative_frobenius", render_map(m))
     rep.add("relative_frobenius.hom", str(verify_hom(m)).lower())
     rep.emit()

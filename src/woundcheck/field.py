@@ -13,6 +13,8 @@ are immutable; every operation returns a fresh normalized element.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fqpoly as fq
 from .gfq import GFq, is_prime
 
@@ -280,3 +282,25 @@ def clear_denominators(field, elems):
     for x in elems:
         den = fq.mul(gf, den, fq.divmod_(gf, x.den, fq.gcd(gf, den, x.den))[0])
     return den, [fq.mul(gf, x.num, fq.divmod_(gf, den, x.den)[0]) for x in elems]
+
+
+def _rref(rows, p):
+    """Reduced row echelon form mod p of a matrix with entries in [0, p):
+    (nonzero rows, pivot columns)."""
+    a = np.array(rows, dtype=np.int64 if p < 1 << 31 else object)
+    pivots = []
+    for c in range(a.shape[1] if a.ndim == 2 else 0):
+        rank = len(pivots)
+        live = np.flatnonzero(a[rank:, c])
+        if not live.size:
+            continue
+        r = rank + int(live[0])
+        a[[rank, r]] = a[[r, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        col = a[:, c].copy()
+        col[rank] = 0
+        a = (a - np.outer(col, a[rank])) % p
+        pivots.append(c)
+        if len(pivots) == a.shape[0]:
+            break
+    return a[:len(pivots)].tolist(), pivots

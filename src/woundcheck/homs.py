@@ -19,10 +19,8 @@ filters to the domain.  It returns every satisfying map in canonical form.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fqpoly as fq
-from .field import FieldElem, clear_denominators
+from .field import FieldElem, _rref, clear_denominators
 from .groups import is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
 from .polyring import RelationSet
@@ -266,27 +264,6 @@ def _undigits(gf, digits):
     e = gf.e
     return fq.norm([sum(d * gf.p ** t for t, d in enumerate(digits[i:i + e]))
                     for i in range(0, len(digits), e)])
-
-
-def _rref(rows, p):
-    """Reduced row echelon form mod p: (nonzero rows, pivot columns)."""
-    a = np.array(rows, dtype=np.int64 if p < 1 << 31 else object)
-    pivots = []
-    for c in range(a.shape[1] if a.ndim == 2 else 0):
-        rank = len(pivots)
-        live = np.flatnonzero(a[rank:, c])
-        if not live.size:
-            continue
-        r = rank + int(live[0])
-        a[[rank, r]] = a[[r, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
-        col = a[:, c].copy()
-        col[rank] = 0
-        a = (a - np.outer(col, a[rank])) % p
-        pivots.append(c)
-        if len(pivots) == a.shape[0]:
-            break
-    return a[:len(pivots)].tolist(), pivots
 
 
 def solve_homs_bounded(cs, domain, max_nodes=10_000_000):

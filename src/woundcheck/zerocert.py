@@ -14,11 +14,14 @@ The decision runs in three stages:
    enumerated by increasing degree.  Finding a witness settles Zero;
    exhausting the budget or the bound returns Unknown.
 
-``exhaustive_poly_search`` is the independent confirmation search used by
-the test suites: an exact meet-in-the-middle enumeration of all witness
-vectors with polynomial entries up to a degree bound (optionally over one
-extra transcendental), done in numpy integer arithmetic with every hit
-re-verified exactly.
+Over a prime field, stage 3 first runs ``exhaustive_poly_search``, which
+the test suites also use as the independent confirmation search.  It
+covers every witness vector with polynomial entries up to a degree bound
+(optionally in extra transcendentals).  Such a vector is a vector of F_p
+coefficients, and the principal part is F_p-linear in them, so the search
+is one row reduction mod p of a matrix with a column per (variable,
+coefficient); it returns the first zero of a fixed scan order and
+re-verifies it exactly.
 """
 
 import itertools
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fqpoly as fq
-from .field import Field, FieldElem, clear_denominators
+from .field import Field, FieldElem, _rref, clear_denominators
 from .ppoly import PPoly
 
 
@@ -249,12 +252,20 @@ def _rational_witness_search(P, bound, budget):
 # exhaustive polynomial witness search (independent confirmation oracle)
 
 
-def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None, pair_limit=40_000_000):
+def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
     """Search all witness vectors with polynomial entries of degree <=
-    degree_bound (in each of 1 + extra_gens transcendentals) for a zero of
-    the principal part P.  Exact meet-in-the-middle enumeration; any hit is
-    re-verified in exact arithmetic.  Returns a tuple of coefficient
-    arrays (one per variable, shape (deg+1,) * gens) or None.
+    degree_bound (in each of 1 + extra_gens transcendentals; extra_degree
+    bounds the extra ones) for a zero of the principal part P.  Returns a
+    tuple of coefficient arrays (one per variable, shape (deg+1,) * gens)
+    or None; a hit is re-verified in exact arithmetic.
+
+    Over F_p, c * x^(p^N) is F_p-linear in the coefficients of x, so the
+    zeros are the kernel of one matrix with a column per (variable,
+    coefficient).  The hit is the first zero of the scan that lists the
+    last variable first, then the others in order, and each variable's
+    coefficients from degree 0, most significant first: with the columns
+    least significant first, that is the kernel vector of the first free
+    column.
     """
     field = P.dom
     if field.spec.e != 1:
@@ -264,9 +275,7 @@ def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None, pai
     p = field.p
     pres = P.vars_present()
     n = len(pres)
-    if n > 3:
-        raise ValueError("exhaustive search supports at most 3 variables")
-    if len(pres) < P.nvars:
+    if n < P.nvars:
         missing = next(i for i in range(P.nvars) if i not in pres)
         out = [np.zeros((degree_bound + 1,) + (1,) * extra_gens, dtype=np.int64)
                for _ in range(P.nvars)]
@@ -278,85 +287,49 @@ def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None, pai
     ed = degree_bound if extra_degree is None else extra_degree
     shape = (degree_bound + 1,) + (ed + 1,) * extra_gens
     ncoef = int(np.prod(shape))
-    ncand = p ** ncoef
-    if ncand * ncand > pair_limit and n >= 3:
-        raise ValueError("candidate space too large for meet-in-the-middle")
+    units = np.eye(ncoef, dtype=np.int64).reshape((ncoef,) + shape)
 
-    # all candidate entries, one per mixed-radix digit vector
-    digits = np.array(list(itertools.product(range(p), repeat=ncoef)), dtype=np.int64)
-    cands = digits.reshape((ncand,) + shape)
-
-    terms = []
-    out_shape = None
+    # images[k][d]: c_k * x^(p^N_k) for x the unit with coefficient d
+    images = []
     for k, i in enumerate(pres):
         q = p ** exps[i]
         spread_shape = tuple((s - 1) * q + 1 for s in shape)
-        spread = np.zeros((ncand,) + spread_shape, dtype=np.int64)
-        spread[(slice(None),) + tuple(slice(None, None, q) for _ in shape)] = cands
+        spread = np.zeros((ncoef,) + spread_shape, dtype=np.int64)
+        spread[(slice(None),) + tuple(slice(None, None, q) for _ in shape)] = units
         c = coeffs[k]
         tgt_shape = (spread_shape[0] + len(c) - 1,) + spread_shape[1:]
-        acc = np.zeros((ncand,) + tgt_shape, dtype=np.int64)
+        acc = np.zeros((ncoef,) + tgt_shape, dtype=np.int64)
         for m, g in enumerate(c):
             if g:
                 acc[:, m:m + spread_shape[0]] += g * spread
-        acc %= p
-        terms.append(acc)
-        if out_shape is None:
-            out_shape = tgt_shape
-        else:
-            out_shape = tuple(max(a, b) for a, b in zip(out_shape, tgt_shape))
+        images.append(acc)
+    out_shape = tuple(map(max, zip(*(acc.shape[1:] for acc in images))))
 
-    flat = []
-    for acc in terms:
-        pad = [(0, o - s) for s, o in zip(acc.shape[1:], out_shape)]
-        acc = np.pad(acc, [(0, 0)] + pad)
-        flat.append(acc.reshape(ncand, -1).astype(np.uint8))
-
-    hit = _mitm(flat, p, ncand)
-    if hit is None:
+    # scan order, most significant first: variable n-1, then 0 .. n-2
+    order = [n - 1] + list(range(n - 1))
+    columns = []
+    for k in reversed(order):
+        pad = [(0, o - s) for s, o in zip(images[k].shape[1:], out_shape)]
+        columns.append(np.pad(images[k], [(0, 0)] + pad).reshape(ncoef, -1)[::-1])
+    matrix = np.concatenate(columns).T
+    reduced, pivots = _rref(matrix[matrix.any(axis=1)], p)
+    free = next((c for c in range(n * ncoef) if c not in pivots), None)
+    if free is None:
         return None
-    witness = [np.zeros(shape, dtype=np.int64) for _ in range(P.nvars)]
-    for k, i in enumerate(pres):
-        witness[i] = cands[hit[k]]
+    hit = np.zeros(n * ncoef, dtype=np.int64)
+    hit[free] = 1
+    for row, c in zip(reduced, pivots):
+        hit[c] = -row[free] % p
+    witness = [None] * n  # every variable is present: pres is 0 .. n-1
+    for k, d in zip(order, hit[::-1].reshape(n, ncoef)):
+        witness[k] = d.reshape(shape)
     if extra_gens == 0:
         point = [field.elem(tuple(int(v) for v in w)) for w in witness]
         if not P.evaluate(point).is_zero():
-            raise RuntimeError("meet-in-the-middle witness does not vanish")
-    elif not _verify_multigen(P, pres, exps, coeffs, [witness[i] for i in pres], p):
-        raise RuntimeError("meet-in-the-middle witness does not vanish")
+            raise RuntimeError("kernel witness does not vanish")
+    elif not _verify_multigen(P, pres, exps, coeffs, witness, p):
+        raise RuntimeError("kernel witness does not vanish")
     return tuple(witness)
-
-
-def _mitm(flat, p, ncand):
-    n = len(flat)
-    if n == 1:
-        zero = bytes(flat[0].shape[1])
-        for idx in range(1, ncand):  # index 0 is the zero candidate
-            if flat[0][idx].tobytes() == zero:
-                return (idx,)
-        return None
-    if n == 2:
-        table = {}
-        neg = (p - flat[0]) % p
-        for idx in range(ncand):
-            table.setdefault(neg[idx].tobytes(), []).append(idx)
-        for jdx in range(ncand):
-            for idx in table.get(flat[1][jdx].tobytes(), ()):
-                if idx or jdx:
-                    return (idx, jdx)
-        return None
-    # n == 3: pair the first two against the negated third
-    table = {}
-    for i in range(ncand):
-        sums = (flat[0][i][None, :] + flat[1]) % p
-        for j in range(ncand):
-            table.setdefault(sums[j].tobytes(), []).append((i, j))
-    neg = (p - flat[2]) % p
-    for kdx in range(ncand):
-        for i, j in table.get(neg[kdx].tobytes(), ()):
-            if i or j or kdx:
-                return (i, j, kdx)
-    return None
 
 
 def _verify_multigen(P, pres, exps, coeffs, arrays, p):

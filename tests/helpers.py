@@ -1,5 +1,10 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
-instances for the division and decision property suites."""
+instances for the division and decision property suites, and a brute-force
+witness scan."""
+
+import itertools
+
+import numpy as np
 
 from woundcheck.field import Field, FieldSpec
 from woundcheck.ppoly import PPoly
@@ -91,3 +96,58 @@ def rand_principal_part(field, rng, nvars=3, max_exp=2, deg=2, equal=True):
                 break
         terms[(i, e)] = c
     return PPoly(field, nvars, terms)
+
+
+def plant_zero(P, rng, degree_bound):
+    """P with one coefficient shifted so that P vanishes at a random point
+    whose entries are polynomials of degree <= degree_bound, one of them 1;
+    P itself when the shift would cancel that coefficient."""
+    field = P.dom
+    pres = P.vars_present()
+    j = rng.choice(pres)
+    point = [field.elem(tuple(rng.randrange(field.p) for _ in range(degree_bound + 1)))
+             for _ in range(P.nvars)]
+    point[j] = field.one()
+    (slot,) = [s for s in P.terms if s[0] == j]
+    c = P.terms[slot] - P.evaluate(point)
+    if c.is_zero():
+        return P
+    return PPoly(field, P.nvars, {**P.terms, slot: c})
+
+
+def brute_force_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
+    """The first zero of the principal part P, over a prime field and with
+    polynomial coefficients, among witness vectors with polynomial entries
+    of degree <= degree_bound in 1 + extra_gens transcendentals (extra_degree
+    in the extra ones).  The scan runs itertools.product over the entries'
+    coefficients: the last variable's first, then the other variables' in
+    order, each entry's in C order of its coefficient array, the first one
+    most significant.  Each candidate is evaluated as a sparse map from
+    monomials to coefficients.  Returns one coefficient array per variable,
+    or None."""
+    field = P.dom
+    p = field.p
+    pres = P.vars_present()
+    order = pres[-1:] + pres[:-1]
+    ed = degree_bound if extra_degree is None else extra_degree
+    shape = (degree_bound + 1,) + (ed + 1,) * extra_gens
+    cells = list(itertools.product(*map(range, shape)))
+    terms = {i: (p ** e, c.num) for (i, e), c in P.terms.items()}
+    if any(c.den != (1,) for c in P.terms.values()):
+        raise ValueError("brute force needs polynomial coefficients")
+    for digits in itertools.product(range(p), repeat=len(order) * len(cells)):
+        if not any(digits):
+            continue
+        value = {}
+        for t, i in enumerate(order):
+            q, c = terms[i]
+            for cell, d in zip(cells, digits[t * len(cells):(t + 1) * len(cells)]):
+                for m, g in enumerate(c):
+                    key = (cell[0] * q + m,) + tuple(x * q for x in cell[1:])
+                    value[key] = (value.get(key, 0) + g * d) % p
+        if not any(value.values()):
+            arrays = [np.zeros(shape, dtype=np.int64) for _ in range(P.nvars)]
+            for t, i in enumerate(order):
+                arrays[i] = np.array(digits[t * len(cells):(t + 1) * len(cells)]).reshape(shape)
+            return tuple(arrays)
+    return None

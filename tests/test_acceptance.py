@@ -16,7 +16,8 @@ from pathlib import Path
 from helpers import rand_division_pair, rand_elem, rand_principal_part
 from woundcheck import corpus
 from woundcheck.cli import main as cli_main
-from woundcheck.groups import block_relations, classify, landing_poly, twist_group
+from woundcheck.groups import (HypersurfaceGroup, block_relations, classify, landing_poly,
+                              twist_group)
 from woundcheck.homs import (compose_maps, derive_hom_constraints, landing_identity,
                              solve_homs_bounded, verify_hom, verify_mutual_inverse)
 from woundcheck.oracle import random_point_oracle
@@ -140,6 +141,17 @@ def test_criterion_6_decision_vs_search():
                 assert any(not w.is_zero() for w in d.witness)
                 assert P.evaluate(d.witness).is_zero()
         assert unknowns == 0
+
+
+def test_criterion_6_mixed_search_three_variables_p7():
+    with budget("6 (mixed exponents, 3 variables, p=7)", 1.0):
+        k = corpus.base_field(7)
+        a = k.base_gen()
+        f = PPoly(k, 3, {(0, 0): k.one(), (0, 1): k.one(), (1, 2): a, (2, 1): k.one()})
+        rep = classify(HypersurfaceGroup("M", ("X", "Y", "Z"), f, 0))
+        assert rep.wound_verdict == "refuted" and rep.wound.stage == "search"
+        assert rep.wound.witness == (-a ** 3, k.zero(), a ** 3)
+        assert f.principal_part().evaluate(rep.wound.witness).is_zero()
 
 
 def _verdict_identities():

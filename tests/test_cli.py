@@ -194,3 +194,42 @@ def test_literals_at_e2_are_fq_digit_codes(tmp_path):
     code, out, err = run(["classify", str(path), "G"])
     assert code == 3 and out == "" and _one_error_line(err)
     assert "error: line 2: literal 9" in err
+
+
+def test_line_is_not_a_hypersurface_group():
+    for argv in (["classify", WOUND, "Ga"], ["twist", WOUND, "Ga", "1"],
+                 ["reduce", WOUND, "1*T^(p^1)", "--group", "Ga"]):
+        code, out, err = run(argv)
+        assert code == 3 and out == "" and _one_error_line(err)
+        assert "error: Ga is the additive line" in err
+
+
+def test_reduce_pivot_errors_are_input_errors():
+    for pivot, f in (("Z", "1*X^(p^1)"), ("X", "1*Y^(p^1)")):
+        code, out, err = run(["reduce", WOUND, "1*X^(p^2)", "--f", f,
+                              "--pivot", pivot, "--vars", "X,Y"])
+        assert code == 3 and out == "" and _one_error_line(err)
+
+
+def _mixed_three_variables(tmp_path, p):
+    """A smooth group whose principal part X^p + a Y^(p^2) + Z^p has a zero
+    that the relaxation cannot rule out, so the witness search runs."""
+    path = tmp_path / f"mixed{p}.txt"
+    path.write_text(f"field p={p} e=1 gen=a depth=0\n"
+                    "group M vars=X,Y,Z pivot=X : "
+                    "1*X^(p^0) + 1*X^(p^1) + a*Y^(p^2) + 1*Z^(p^1)\n", encoding="utf-8")
+    return str(path)
+
+
+def test_negative_search_bound_is_input_error(tmp_path):
+    mixed = _mixed_three_variables(tmp_path, 3)
+    for argv in (["classify", WOUND, "Wa"], ["classify", mixed, "M"],
+                 ["twist", WOUND, "Wa", "1"], ["twist", mixed, "M", "0"]):
+        code, out, err = run(argv + ["--search-bound", "-1"])
+        assert code == 3 and out == "" and _one_error_line(err)
+
+
+def test_classify_three_variable_mixed_group_at_p11(tmp_path):
+    code, out, err = run(["classify", _mixed_three_variables(tmp_path, 11), "M"])
+    assert code == 1 and "Traceback" not in err
+    assert out.endswith("wound: refuted\nwitness: (10*a^3, 0, a^3)\n")

@@ -1,8 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import field_fpa, ppoly, rand_elem, rand_principal_part, va_poly, wa_poly
+from helpers import (brute_force_poly_search, field_fpa, plant_zero, ppoly, rand_elem,
+                     rand_principal_part, va_poly, wa_poly)
+from woundcheck.field import Field, FieldSpec
 from woundcheck.ppoly import PPoly
 from woundcheck.zerocert import decide_no_nontrivial_zero, exhaustive_poly_search
 
@@ -109,6 +114,67 @@ def test_exhaustive_search_finds_bivariate_zero():
     P = ppoly(k, 2, (0, 1, 1), (1, 1, a ** 3))
     w = exhaustive_poly_search(P, 1, extra_gens=1)
     assert w is not None
+
+
+def _scan_bounds(p, n, extra_gens):
+    """The largest (degree_bound, extra_degree) whose scan has at most 4096
+    candidates, or the smallest one."""
+    sizes = [(b, b) for b in range(9, -1, -1)] if extra_gens == 0 else [(1, 1), (0, 1), (1, 0)]
+    for b, ed in sizes:
+        if p ** (n * (b + 1) * (ed + 1) ** extra_gens) <= 4096:
+            return b, ed
+    return 0, 0
+
+
+def test_exhaustive_search_returns_the_first_zero_of_the_scan():
+    rng = random.Random(4099)
+    hits = 0
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for extra_gens in (0, 1):
+                bound, ed = _scan_bounds(p, n, extra_gens)
+                for _ in range(3):
+                    k = field_fpa(p, depth=rng.randrange(2))
+                    P = rand_principal_part(k, rng, nvars=n, max_exp=2, equal=rng.random() < 0.4)
+                    if rng.random() < 0.7:
+                        P = plant_zero(P, rng, bound)
+                    want = brute_force_poly_search(P, bound, extra_gens, ed)
+                    got = exhaustive_poly_search(P, bound, extra_gens, ed)
+                    assert (got is None) == (want is None), (P, bound, extra_gens)
+                    if want is not None:
+                        hits += 1
+                        assert len(got) == n
+                        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (P, got, want)
+    assert hits >= 25
+
+
+@st.composite
+def principal_parts(draw):
+    """Principal parts over F_p(a^(1/p^m)), p in {2, 3, 5, 7}, m in {0, 1, 2},
+    with 1-3 variables, exponents 0-2 and nonzero coefficients."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    field = Field(FieldSpec(p, 1, "a", draw(st.integers(0, 2))))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=1, max_size=3)
+    terms = {}
+    for i in range(draw(st.integers(1, 3))):
+        den = draw(coeffs)
+        c = field.elem(draw(coeffs), den if any(den) else (1,))
+        terms[(i, draw(st.integers(0, 2)))] = c if not c.is_zero() else field.one()
+    return PPoly(field, len(terms), terms)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(principal_parts())
+def test_decision_agrees_with_exhaustive_search(P):
+    d = decide_no_nontrivial_zero(P, search_bound=1, search_budget=500)
+    if d.verdict == "zero":
+        assert any(not w.is_zero() for w in d.witness)
+        assert P.evaluate(d.witness).is_zero()
+    else:
+        assert exhaustive_poly_search(P, 1) is None
+    if d.verdict == "no_zero":
+        assert exhaustive_poly_search(P, 3) is None
+        assert exhaustive_poly_search(P, 1, extra_gens=1) is None
 
 
 def test_params_rejected():
