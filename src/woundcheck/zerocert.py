@@ -14,14 +14,16 @@ The decision runs in three stages:
    enumerated by increasing degree.  Finding a witness settles Zero;
    exhausting the budget or the bound returns Unknown.
 
-Over a prime field, stage 3 first runs ``exhaustive_poly_search``, which
-the test suites also use as the independent confirmation search.  It
-covers every witness vector with polynomial entries up to a degree bound
-(optionally in extra transcendentals).  Such a vector is a vector of F_p
-coefficients, and the principal part is F_p-linear in them, so the search
-is one row reduction mod p of a matrix with a column per (variable,
-coefficient); it returns the first zero of a fixed scan order and
-re-verifies it exactly.
+Over every F_q, stage 3 first runs ``exhaustive_poly_search``, which the
+test suites also use as the independent confirmation search.  It covers
+every witness vector with polynomial entries up to a degree bound
+(optionally, over F_p, in extra transcendentals).  Such a vector is a
+vector of F_p digits, one per (coefficient, basis element of F_q over
+F_p), and the principal part is F_p-linear in them, so the search is one
+row reduction mod p of a matrix with a column per (variable, coefficient,
+digit); it returns the first zero of a fixed scan order and re-verifies
+it exactly.  The rational search builds each degree level only when its
+scan reaches it, so the budget bounds its work.
 """
 
 import itertools
@@ -152,12 +154,11 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
     if isinstance(res, ZeroDecision):
         return res
 
-    # polynomial witnesses first (fast exhaustive pass), then rational ones
-    if field.spec.e == 1 and len(pres) <= 3:
-        arrays = exhaustive_poly_search(P, search_bound)
-        if arrays is not None:
-            witness = tuple(field.elem(tuple(int(v) for v in w)) for w in arrays)
-            return ZeroDecision("zero", "search", witness=witness)
+    # polynomial witnesses first (one F_p-kernel), then rational ones
+    arrays = exhaustive_poly_search(P, search_bound)
+    if arrays is not None:
+        witness = tuple(field.elem(tuple(int(v) for v in w)) for w in arrays)
+        return ZeroDecision("zero", "search", witness=witness)
     found = _rational_witness_search(P, search_bound, search_budget)
     if found is not None:
         return ZeroDecision("zero", "search", witness=found)
@@ -167,13 +168,12 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
 def rational_candidates(field, max_deg):
     """Rational functions with num/den degrees <= max_deg, by level.
 
-    Level d lists the reduced candidates whose max(num, den) degree is
-    exactly d; level 0 starts with 0, 1, 2, ...
+    Yields, for d = 0 .. max_deg, the list of reduced candidates whose
+    max(num, den) degree is exactly d; level 0 starts with 0, 1, 2, ...
+    Each level is built only when the caller asks for it.
     """
-    gf = field.gf
     q = field.spec.q
     seen = set()
-    levels = []
     for d in range(max_deg + 1):
         level = []
         nums = [fq.norm(t) for t in itertools.product(range(q), repeat=d + 1)]
@@ -190,8 +190,7 @@ def rational_candidates(field, max_deg):
                     continue
                 seen.add(key)
                 level.append(x)
-        levels.append(level)
-    return levels
+        yield level
 
 
 def _rational_witness_search(P, bound, budget):
@@ -199,33 +198,25 @@ def _rational_witness_search(P, bound, budget):
 
     Term values are precomputed as raw (num, den) pairs so each combination
     costs only cross-multiplied additions, no normalization; hits are
-    re-verified through ordinary element arithmetic.
+    re-verified through ordinary element arithmetic.  A level and its term
+    values are built only when the scan reaches it, so the budget bounds
+    the work.
     """
     field = P.dom
     gf = field.gf
     pres = P.vars_present()
     exps = {i: e for (i, e), _ in P.terms.items()}
-    levels = rational_candidates(field, bound)
-    pool = [x for lv in levels for x in lv]
-    values = []  # per present variable: (num, den) of c_i * v^(p^N_i)
-    for i in pres:
-        c = P.coeff(i, exps[i])
-        q = field.p ** exps[i]
-        col = []
-        for v in pool:
-            col.append((fq.mul(gf, c.num, fq.frob(gf, v.num, exps[i])),
-                        fq.mul(gf, c.den, fq.frob(gf, v.den, exps[i]))))
-        values.append(col)
-    level_cuts = []
-    acc = 0
-    for lv in levels:
-        acc += len(lv)
-        level_cuts.append(acc)
+    terms = [(P.coeff(i, exps[i]), exps[i]) for i in pres]
+    pool = []
+    values = [[] for _ in pres]  # per present variable: (num, den) of c_i * v^(p^N_i)
     spent = 0
-    for top in range(bound + 1):
-        size = level_cuts[top]
-        cut = level_cuts[top - 1] if top else 0
-        for combo in itertools.product(range(size), repeat=len(pres)):
+    for level in rational_candidates(field, bound):
+        cut = len(pool)
+        pool += level
+        for col, (c, N) in zip(values, terms):
+            col += [(fq.mul(gf, c.num, fq.frob(gf, v.num, N)),
+                     fq.mul(gf, c.den, fq.frob(gf, v.den, N))) for v in level]
+        for combo in itertools.product(range(len(pool)), repeat=len(pres)):
             if all(c < cut for c in combo):
                 continue  # already tried at a lower level
             if all(pool[c].is_zero() for c in combo):
@@ -256,72 +247,79 @@ def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
     """Search all witness vectors with polynomial entries of degree <=
     degree_bound (in each of 1 + extra_gens transcendentals; extra_degree
     bounds the extra ones) for a zero of the principal part P.  Returns a
-    tuple of coefficient arrays (one per variable, shape (deg+1,) * gens)
+    tuple of arrays of F_q codes (one per variable, shape (deg+1,) * gens)
     or None; a hit is re-verified in exact arithmetic.
 
-    Over F_p, c * x^(p^N) is F_p-linear in the coefficients of x, so the
-    zeros are the kernel of one matrix with a column per (variable,
-    coefficient).  The hit is the first zero of the scan that lists the
-    last variable first, then the others in order, and each variable's
-    coefficients from degree 0, most significant first: with the columns
-    least significant first, that is the kernel vector of the first free
-    column.
+    Write each witness coefficient in the F_p basis 1, t, ..., t^(e-1) of
+    F_q (the digits of its ``gfq`` code).  Then c * x^(p^N) is F_p-linear
+    in those digits, so the zeros are the kernel of one matrix with a
+    column per (variable, coefficient, digit); multiplying by a coefficient
+    digit of c after N Frobenius steps is an e x e matrix over F_p.  The hit
+    is the first zero of the scan that lists the last variable first, then
+    the others in order, each variable's coefficients from degree 0, most
+    significant first, and each coefficient's code in increasing order
+    (digit e-1 most significant): with the columns least significant
+    first, that is the kernel vector of the first free column.  Extra
+    transcendentals need a prime constant field (e = 1), because their
+    hits are re-verified by integer arithmetic mod p.
     """
     field = P.dom
-    if field.spec.e != 1:
-        raise ValueError("exhaustive search supports prime constant fields only")
+    p, e = field.p, field.spec.e
+    if extra_gens and e != 1:
+        raise ValueError("extra transcendentals need a prime constant field")
     if P != P.principal_part():
         raise ValueError("input must equal its own principal part")
-    p = field.p
+    ed = degree_bound if extra_degree is None else extra_degree
+    shape = (degree_bound + 1,) + (ed + 1,) * extra_gens
     pres = P.vars_present()
     n = len(pres)
     if n < P.nvars:
         missing = next(i for i in range(P.nvars) if i not in pres)
-        out = [np.zeros((degree_bound + 1,) + (1,) * extra_gens, dtype=np.int64)
-               for _ in range(P.nvars)]
-        out[missing][(0,) * (1 + extra_gens)] = 1
+        out = [np.zeros(shape, dtype=np.int64) for _ in range(P.nvars)]
+        out[missing][(0,) * len(shape)] = 1
         return tuple(out)
-    exps = {i: e for (i, e), _ in P.terms.items()}
+    exps = {i: N for (i, N), _ in P.terms.items()}
     coeffs = clear_denominators(field, [P.coeff(i, exps[i]) for i in pres])[1]
 
-    ed = degree_bound if extra_degree is None else extra_degree
-    shape = (degree_bound + 1,) + (ed + 1,) * extra_gens
+    gf = field.gf
     ncoef = int(np.prod(shape))
-    units = np.eye(ncoef, dtype=np.int64).reshape((ncoef,) + shape)
+    units = np.eye(ncoef, dtype=np.int64).reshape((ncoef, 1) + shape + (1,))
+    ns = [exps[i] for i in pres]
+    qs = [p ** N for N in ns]
+    out_shape = ((max((shape[0] - 1) * q + len(c) for q, c in zip(qs, coeffs)),)
+                 + tuple((s - 1) * max(qs) + 1 for s in shape[1:]))
 
-    # images[k][d]: c_k * x^(p^N_k) for x the unit with coefficient d
-    images = []
-    for k, i in enumerate(pres):
-        q = p ** exps[i]
-        spread_shape = tuple((s - 1) * q + 1 for s in shape)
-        spread = np.zeros((ncoef,) + spread_shape, dtype=np.int64)
-        spread[(slice(None),) + tuple(slice(None, None, q) for _ in shape)] = units
-        c = coeffs[k]
-        tgt_shape = (spread_shape[0] + len(c) - 1,) + spread_shape[1:]
-        acc = np.zeros((ncoef,) + tgt_shape, dtype=np.int64)
-        for m, g in enumerate(c):
-            if g:
-                acc[:, m:m + spread_shape[0]] += g * spread
-        images.append(acc)
-    out_shape = tuple(map(max, zip(*(acc.shape[1:] for acc in images))))
-
-    # scan order, most significant first: variable n-1, then 0 .. n-2
+    # scan order, most significant first: variable n-1, then 0 .. n-2.
+    # Column blocks and the coefficients in them run least significant
+    # first.  block[d, j, ..., s] is digit s of c_k * x^(p^N_k) at each
+    # output coefficient, for x the unit with code p^j (the basis element
+    # t^j) at coefficient d: coefficient m of c_k times (t^j)^(p^N_k) lands
+    # at exponent d * p^N_k + m
     order = [n - 1] + list(range(n - 1))
-    columns = []
-    for k in reversed(order):
-        pad = [(0, o - s) for s, o in zip(images[k].shape[1:], out_shape)]
-        columns.append(np.pad(images[k], [(0, 0)] + pad).reshape(ncoef, -1)[::-1])
-    matrix = np.concatenate(columns).T
+    matrix = np.zeros((n, ncoef, e) + out_shape + (e,), dtype=np.int64)
+    for block, k in zip(matrix, reversed(order)):
+        q = qs[k]
+        frobs = [gf.frob_n(p ** j, ns[k]) for j in range(e)]
+        for m, g in enumerate(coeffs[k]):
+            if g:
+                # times[j, s]: digit s of g * (t^j)^(p^N)
+                times = np.array([[gf.mul(g, f) // p ** s % p for s in range(e)] for f in frobs])
+                spots = ((slice(m, m + (shape[0] - 1) * q + 1, q),)
+                         + tuple(slice(0, (s - 1) * q + 1, q) for s in shape[1:]))
+                block[::-1][(slice(None), slice(None)) + spots] += (
+                    units * times.reshape((1, e) + (1,) * len(shape) + (e,)))
+    matrix = matrix.reshape(n * ncoef * e, -1).T
     reduced, pivots = _rref(matrix[matrix.any(axis=1)], p)
-    free = next((c for c in range(n * ncoef) if c not in pivots), None)
+    free = next((c for c in range(n * ncoef * e) if c not in pivots), None)
     if free is None:
         return None
-    hit = np.zeros(n * ncoef, dtype=np.int64)
+    hit = np.zeros(n * ncoef * e, dtype=np.int64)
     hit[free] = 1
     for row, c in zip(reduced, pivots):
         hit[c] = -row[free] % p
+    codes = hit.reshape(n, ncoef, e)[::-1, ::-1] @ p ** np.arange(e)
     witness = [None] * n  # every variable is present: pres is 0 .. n-1
-    for k, d in zip(order, hit[::-1].reshape(n, ncoef)):
+    for k, d in zip(order, codes):
         witness[k] = d.reshape(shape)
     if extra_gens == 0:
         point = [field.elem(tuple(int(v) for v in w)) for w in witness]

@@ -100,12 +100,12 @@ def rand_principal_part(field, rng, nvars=3, max_exp=2, deg=2, equal=True):
 
 def plant_zero(P, rng, degree_bound):
     """P with one coefficient shifted so that P vanishes at a random point
-    whose entries are polynomials of degree <= degree_bound, one of them 1;
-    P itself when the shift would cancel that coefficient."""
+    whose entries are polynomials of degree <= degree_bound over F_q, one
+    of them 1; P itself when the shift would cancel that coefficient."""
     field = P.dom
     pres = P.vars_present()
     j = rng.choice(pres)
-    point = [field.elem(tuple(rng.randrange(field.p) for _ in range(degree_bound + 1)))
+    point = [field.elem(tuple(rng.randrange(field.spec.q) for _ in range(degree_bound + 1)))
              for _ in range(P.nvars)]
     point[j] = field.one()
     (slot,) = [s for s in P.terms if s[0] == j]
@@ -116,38 +116,42 @@ def plant_zero(P, rng, degree_bound):
 
 
 def brute_force_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
-    """The first zero of the principal part P, over a prime field and with
-    polynomial coefficients, among witness vectors with polynomial entries
-    of degree <= degree_bound in 1 + extra_gens transcendentals (extra_degree
-    in the extra ones).  The scan runs itertools.product over the entries'
-    coefficients: the last variable's first, then the other variables' in
-    order, each entry's in C order of its coefficient array, the first one
-    most significant.  Each candidate is evaluated as a sparse map from
-    monomials to coefficients.  Returns one coefficient array per variable,
-    or None."""
+    """The first zero of the principal part P, over F_q and with polynomial
+    coefficients, among witness vectors with polynomial entries of degree
+    <= degree_bound in 1 + extra_gens transcendentals (extra_degree in the
+    extra ones).  The scan runs itertools.product over the F_q codes of the
+    entries' coefficients: the last variable's first, then the other
+    variables' in order, each entry's in C order of its coefficient array,
+    the first one most significant.  Each candidate is evaluated with the
+    ``gfq`` operations as a sparse map from monomials to coefficients.
+    Returns one array of codes per variable, or None."""
     field = P.dom
-    p = field.p
+    gf = field.gf
     pres = P.vars_present()
     order = pres[-1:] + pres[:-1]
     ed = degree_bound if extra_degree is None else extra_degree
     shape = (degree_bound + 1,) + (ed + 1,) * extra_gens
     cells = list(itertools.product(*map(range, shape)))
-    terms = {i: (p ** e, c.num) for (i, e), c in P.terms.items()}
+    terms = {i: (n, c.num) for (i, n), c in P.terms.items()}
     if any(c.den != (1,) for c in P.terms.values()):
         raise ValueError("brute force needs polynomial coefficients")
-    for digits in itertools.product(range(p), repeat=len(order) * len(cells)):
-        if not any(digits):
+    for codes in itertools.product(range(gf.q), repeat=len(order) * len(cells)):
+        if not any(codes):
             continue
         value = {}
         for t, i in enumerate(order):
-            q, c = terms[i]
-            for cell, d in zip(cells, digits[t * len(cells):(t + 1) * len(cells)]):
+            n, c = terms[i]
+            q = field.p ** n
+            for cell, d in zip(cells, codes[t * len(cells):(t + 1) * len(cells)]):
+                if not d:
+                    continue
+                dq = gf.frob_n(d, n)
                 for m, g in enumerate(c):
                     key = (cell[0] * q + m,) + tuple(x * q for x in cell[1:])
-                    value[key] = (value.get(key, 0) + g * d) % p
+                    value[key] = gf.add(value.get(key, 0), gf.mul(g, dq))
         if not any(value.values()):
             arrays = [np.zeros(shape, dtype=np.int64) for _ in range(P.nvars)]
             for t, i in enumerate(order):
-                arrays[i] = np.array(digits[t * len(cells):(t + 1) * len(cells)]).reshape(shape)
+                arrays[i] = np.array(codes[t * len(cells):(t + 1) * len(cells)]).reshape(shape)
             return tuple(arrays)
     return None

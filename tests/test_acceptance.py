@@ -22,7 +22,8 @@ from woundcheck.homs import (compose_maps, derive_hom_constraints, landing_ident
                              solve_homs_bounded, verify_hom, verify_mutual_inverse)
 from woundcheck.oracle import random_point_oracle
 from woundcheck.params import flatten_ppoly
-from woundcheck.parser import parse_poly
+from woundcheck.field import Field, FieldSpec
+from woundcheck.parser import parse_element, parse_poly, parse_ppoly
 from woundcheck.polyring import Poly, RelationSet, is_identically_zero
 from woundcheck.ppoly import PPoly, reduce_mod, to_relation
 from woundcheck.zerocert import decide_no_nontrivial_zero, exhaustive_poly_search
@@ -152,6 +153,27 @@ def test_criterion_6_mixed_search_three_variables_p7():
         assert rep.wound_verdict == "refuted" and rep.wound.stage == "search"
         assert rep.wound.witness == (-a ** 3, k.zero(), a ** 3)
         assert f.principal_part().evaluate(rep.wound.witness).is_zero()
+
+
+# mixed 3-variable groups over F_9 and F_25, keyed by (p, e), with the
+# witness the F_p-kernel search returns; literals are F_q digit codes
+FQ_MIXED = {
+    (3, 2): ("(8+a)*X^(p^2) + (4+8*a)*Y^(p^0) + (7+3*a+8*a^2)*Y^(p^1)"
+             " + (6*a+2*a^2)*Z^(p^0) + (a^2)*Z^(p^1)", ("4*a", "8*a^3", "a^3")),
+    (5, 2): ("1*X^(p^0) + (12+19*a)*X^(p^2) + (18+20*a)*Y^(p^0) + (22+19*a+6*a^2)*Z^(p^1)",
+             ("4", "14+11*a", "1")),
+}
+
+
+def test_criterion_6_mixed_search_three_variables_fq():
+    for (p, e), (text, witness) in FQ_MIXED.items():
+        k = Field(FieldSpec(p, e))
+        with budget(f"6 (mixed exponents, 3 variables, F_{p ** e})", 1.0):
+            f = parse_ppoly(text, k, ("X", "Y", "Z"))
+            rep = classify(HypersurfaceGroup("G", ("X", "Y", "Z"), f, 0))
+            assert rep.wound_verdict == "refuted" and rep.wound.stage == "search"
+            assert rep.wound.witness == tuple(parse_element(k, w) for w in witness)
+            assert f.principal_part().evaluate(rep.wound.witness).is_zero()
 
 
 def _verdict_identities():

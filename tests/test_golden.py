@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import HOMS, SPLIT, WOUND, run
+from test_cli import DEMOS, HOMS, SPLIT, WOUND, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GROUPS = ("Va", "U", "W")
@@ -25,6 +25,7 @@ def _cases():
     for n in ("0", "1", "2"):
         cases[f"twist_Wa_{n}"] = ["twist", WOUND, "Wa", n]
     cases["twist_Mixed_1"] = ["twist", WOUND, "Mixed", "1"]
+    cases["classify_fq_G"] = ["classify", str(DEMOS / "fq_forms.txt"), "G"]
     cases["check_extension_Ua"] = ["check-extension", WOUND, "Ua"]
     cases["reduce_group_Va"] = ["reduce", WOUND, "1*X^(p^3) + a*Y^(p^2) + 2*X^(p^1)",
                                 "--group", "Va"]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -149,12 +150,12 @@ def test_exhaustive_search_returns_the_first_zero_of_the_scan():
 
 
 @st.composite
-def principal_parts(draw):
-    """Principal parts over F_p(a^(1/p^m)), p in {2, 3, 5, 7}, m in {0, 1, 2},
-    with 1-3 variables, exponents 0-2 and nonzero coefficients."""
+def principal_parts(draw, e=1):
+    """Principal parts over F_q(a^(1/p^m)), q = p^e, p in {2, 3, 5, 7}, m in
+    {0, 1, 2}, with 1-3 variables, exponents 0-2 and nonzero coefficients."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    field = Field(FieldSpec(p, 1, "a", draw(st.integers(0, 2))))
-    coeffs = st.lists(st.integers(0, p - 1), min_size=1, max_size=3)
+    field = Field(FieldSpec(p, e, "a", draw(st.integers(0, 2))))
+    coeffs = st.lists(st.integers(0, p ** e - 1), min_size=1, max_size=3)
     terms = {}
     for i in range(draw(st.integers(1, 3))):
         den = draw(coeffs)
@@ -175,6 +176,71 @@ def test_decision_agrees_with_exhaustive_search(P):
     if d.verdict == "no_zero":
         assert exhaustive_poly_search(P, 3) is None
         assert exhaustive_poly_search(P, 1, extra_gens=1) is None
+
+
+def test_exhaustive_search_over_fq_returns_the_first_zero_of_the_scan():
+    rng = random.Random(8111)
+    hits = 0
+    for p, e in ((2, 2), (2, 3), (3, 2), (5, 2)):
+        for n in (1, 2, 3):
+            if p ** (e * n) > 4096:
+                continue  # F_25 with 3 variables: 15625 constant vectors
+            bound, _ = _scan_bounds(p ** e, n, 0)
+            for depth in (0, 1):
+                for _ in range(2):
+                    k = field_fpa(p, depth=depth, e=e)
+                    P = rand_principal_part(k, rng, nvars=n, max_exp=2, equal=rng.random() < 0.4)
+                    if rng.random() < 0.7:
+                        P = plant_zero(P, rng, bound)
+                    want = brute_force_poly_search(P, bound)
+                    got = exhaustive_poly_search(P, bound)
+                    assert (got is None) == (want is None), (P, bound)
+                    if want is not None:
+                        hits += 1
+                        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (P, got, want)
+                        point = [k.elem(tuple(int(v) for v in w)) for w in got]
+                        assert P.evaluate(point).is_zero()
+    assert hits >= 20
+
+
+def test_absent_variable_arrays_have_the_search_shape():
+    k = field_fpa(3)
+    P = ppoly(k, 2, (1, 0, 1))  # Y
+    got = exhaustive_poly_search(P, 1, extra_gens=1)
+    assert [a.shape for a in got] == [(2, 2), (2, 2)]
+    assert got[0][0, 0] == 1 and np.count_nonzero(got[0]) == 1 and not got[1].any()
+
+
+def test_extra_transcendentals_need_a_prime_constant_field():
+    k = field_fpa(3, e=2)
+    P = ppoly(k, 2, (0, 1, 1), (1, 1, k.base_gen()))
+    with pytest.raises(ValueError):
+        exhaustive_poly_search(P, 1, extra_gens=1)
+
+
+def test_rational_search_budget_bounds_the_levels():
+    # over F_9 no polynomial witness of degree <= 3 exists, so the rational
+    # search runs; level 2 alone has ~59k candidates and is never built
+    k = field_fpa(3, e=2)
+    a = k.base_gen()
+    P = ppoly(k, 3, (0, 2, 1), (1, 1, a), (2, 3, a ** 3))  # X^9 + a Y^3 + a^3 Z^27
+    start = time.perf_counter()
+    d = decide_no_nontrivial_zero(P, search_bound=3, search_budget=2000)
+    assert time.perf_counter() - start < 1.0
+    assert d.verdict == "unknown" and d.stage == "search" and d.search_bound == 3
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(principal_parts(e=2))
+def test_decision_agrees_with_exhaustive_search_over_fq(P):
+    d = decide_no_nontrivial_zero(P, search_bound=1, search_budget=500)
+    if d.verdict == "zero":
+        assert any(not w.is_zero() for w in d.witness)
+        assert P.evaluate(d.witness).is_zero()
+    else:
+        assert exhaustive_poly_search(P, 1) is None
+    if d.verdict == "no_zero":
+        assert exhaustive_poly_search(P, 3) is None
 
 
 def test_params_rejected():
