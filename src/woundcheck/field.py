@@ -9,6 +9,11 @@ rational function in b over F_q:
 
 That normal form is canonical, so equality is tuple equality.  All values
 are immutable; every operation returns a fresh normalized element.
+
+In characteristic p the map x -> x^p is a ring homomorphism, so x^(p^k)
+is digit spreading of num and den and needs no product; powers are taken
+digit by digit in base p on top of it.  Normalization takes its gcd from
+fqpoly, which strips the common power of b before any Euclid.
 """
 
 from dataclasses import dataclass
@@ -232,16 +237,22 @@ class FieldElem:
         return self * other.inverse()
 
     def __pow__(self, n):
+        """self ** n as the product over the base-p digits d_k of n of
+        frobenius(k) ** d_k.  The Frobenius powers cost no product, so
+        self ** (p^k) multiplies nothing; only each digit power d_k < p
+        runs square-and-multiply."""
         if n < 0:
             return self.inverse() ** (-n)
-        r = self.field.one()
-        x = self
+        p = self.field.p
+        r = None
+        k = 0
         while n:
-            if n & 1:
-                r = r * x
-            x = x * x
-            n >>= 1
-        return r
+            n, d = divmod(n, p)
+            if d:
+                y = _digit_pow(self.frobenius(k), d)
+                r = y if r is None else r * y
+            k += 1
+        return self.field.one() if r is None else r
 
     # -- Frobenius structure ------------------------------------------------
 
@@ -270,6 +281,18 @@ class FieldElem:
     def __repr__(self):
         from .parser import render_elem
         return f"<{render_elem(self)}>"
+
+
+def _digit_pow(x, d):
+    """x ** d for d >= 1 by square-and-multiply."""
+    r = None
+    while True:
+        if d & 1:
+            r = x if r is None else r * x
+        d >>= 1
+        if not d:
+            return r
+        x = x * x
 
 
 def clear_denominators(field, elems):

@@ -6,6 +6,13 @@ the field handle as first argument and return canonical tuples.
 
 Multiplication over prime fields uses Kronecker substitution: pack the
 coefficients into one big integer, multiply natively, and unpack digits.
+
+The generator x is prime in F_q[x], and in a tower every denominator that
+comes from a coefficient a^(-1/p^m) is a power of it.  So gcd first takes
+out the common power x^min(order f, order g) and runs Euclid only on
+operands that are not constants after their own x-power is stripped, and
+divmod_ by a monomial c*x^k is a slice.  Both are exact: the results are
+the same canonical tuples that plain Euclid and long division return.
 """
 
 import numpy as np
@@ -23,6 +30,15 @@ def norm(v):
 def degree(f):
     """Degree, with -1 for the zero polynomial."""
     return len(f) - 1
+
+
+def order(f):
+    """The x-adic valuation: the index of the lowest nonzero coefficient;
+    f must be nonzero."""
+    for i, c in enumerate(f):
+        if c:
+            return i
+    raise ValueError("the zero polynomial has no finite order")
 
 
 def add(gf, f, g):
@@ -84,6 +100,9 @@ def divmod_(gf, f, g):
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return (), f
+    k = len(g) - 1
+    if order(g) == k:  # g = c * x^k
+        return smul(gf, gf.inv(g[-1]), f[k:]), norm(f[:k])
     inv_lead = gf.inv(g[-1])
     rem = list(f)
     quo = [0] * (len(f) - len(g) + 1)
@@ -101,10 +120,21 @@ def rem(gf, f, g):
 
 
 def gcd(gf, f, g):
-    """Monic gcd; gcd(0, 0) = 0."""
+    """Monic gcd; gcd(0, 0) = 0.
+
+    x is prime, so gcd(x^i f', x^j g') = x^min(i, j) gcd(f', g') where
+    neither f' nor g' is divisible by x; Euclid runs only when neither of
+    them is a constant, since otherwise gcd(f', g') = 1.
+    """
+    if not f or not g:
+        return monic(gf, f or g)[0]
+    i, j = order(f), order(g)
+    f, g = f[i:], g[j:]
+    if len(f) == 1 or len(g) == 1:
+        return shift(ONE, min(i, j))
     while g:
         f, g = g, rem(gf, f, g)
-    return monic(gf, f)[0]
+    return shift(monic(gf, f)[0], min(i, j))
 
 
 def monic(gf, f):

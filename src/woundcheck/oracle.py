@@ -17,7 +17,7 @@ sample refutes the identity conclusively; all-zero samples are evidence.
 
 import random
 
-from .polyring import Poly
+from .polyring import Poly, _add_terms
 from .ppoly import PPoly
 
 
@@ -42,12 +42,8 @@ def parametrize_relation(f, pivot, field):
         free = [i for i in block if i != pivot]
         slot = {v: s for s, v in enumerate(free)}
         coords = {v: PPoly.variable(field, len(free), slot[v]) for v in free}
-        solved = {}
-        for (i, e), c in f.terms.items():
-            if i == pivot:
-                continue
-            key = (slot[i], e)
-            solved[key] = -(uinv * c)
+        solved = _add_terms({}, (((slot[i], e), -(uinv * c))
+                                 for (i, e), c in f.terms.items() if i != pivot))
         coords[pivot] = PPoly(field, len(free), solved)
         return 0, free, coords
 
@@ -62,15 +58,16 @@ def parametrize_relation(f, pivot, field):
     free = [i for i in block if i != y]
     slot = {v: s for s, v in enumerate(free)}
     coords = {v: PPoly.variable(deeper, len(free), slot[v], r) for v in free}
-    y_terms = {}
-    for (i, e), coef in f.terms.items():
-        if i == y:
-            continue
-        ratio = field.embed(coef * c.inverse(), deeper)
+    cinv = c.inverse()
+
+    def root_ratio(coef):
+        ratio = field.embed(coef * cinv, deeper)
         for _ in range(r):
             ratio = ratio.pth_root()
-        key = (slot[i], e)
-        y_terms[key] = -ratio if key not in y_terms else y_terms[key] - ratio
+        return ratio
+
+    y_terms = _add_terms({}, (((slot[i], e), -root_ratio(coef))
+                              for (i, e), coef in f.terms.items() if i != y))
     coords[y] = PPoly(deeper, len(free), y_terms)
 
     # sanity: the parametrized point satisfies the relation identically

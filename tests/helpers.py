@@ -1,6 +1,6 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
-instances for the division and decision property suites, and a brute-force
-witness scan."""
+instances for the division and decision property suites, a brute-force
+witness scan and a square-and-multiply power."""
 
 import itertools
 
@@ -51,6 +51,20 @@ def w2_poly(field):
     """X^(p^2) + X + aY^p + a^2 Z^(p^3), the p = 2 hom-scheme group."""
     a = field.base_gen()
     return ppoly(field, 3, (0, 2, 1), (0, 0, 1), (1, 1, a), (2, 3, a * a))
+
+
+def pow_by_squaring(x, n):
+    """x ** n by binary square-and-multiply from one, inverting first when
+    n < 0: the reference for the Frobenius-digit power."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    r = x.field.one()
+    while n:
+        if n & 1:
+            r = r * x
+        x = x * x
+        n >>= 1
+    return r
 
 
 def rand_elem(field, rng, deg=2, rational=False):

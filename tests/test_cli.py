@@ -1,10 +1,13 @@
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from woundcheck.cli import main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SRC = Path(__file__).resolve().parents[1] / "src"
 WOUND = str(DEMOS / "wound_forms.txt")
 HOMS = str(DEMOS / "hom_scheme.txt")
 SPLIT = str(DEMOS / "splitting_tower.txt")
@@ -233,3 +236,12 @@ def test_classify_three_variable_mixed_group_at_p11(tmp_path):
     code, out, err = run(["classify", _mixed_three_variables(tmp_path, 11), "M"])
     assert code == 1 and "Traceback" not in err
     assert out.endswith("wound: refuted\nwitness: (10*a^3, 0, a^3)\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "woundcheck", "selftest-paper", "3"],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest: pass" in proc.stdout

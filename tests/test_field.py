@@ -128,3 +128,48 @@ def test_gfq_extension_tables():
     # additive group has exponent 2
     for x in range(8):
         assert gf.add(x, x) == 0
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one entry per call of fqpoly.<name>."""
+    calls = []
+    real = getattr(fq, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fq, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,e,depth", [(2, 1, 0), (3, 1, 1), (3, 2, 2), (5, 2, 1), (7, 1, 2)])
+def test_frobenius_power_makes_no_product(monkeypatch, p, e, depth):
+    k = Field(FieldSpec(p, e, "a", depth))
+    rng = random.Random(p * 10 + e)
+    elems = [rand_elem(k, rng) for _ in range(8)] + [k.gen_elem(), k.one() / k.gen_elem()]
+    muls = _count_calls(monkeypatch, "mul")
+    for x in elems:
+        for n in range(4):
+            assert x ** p ** n == x.frobenius(n)
+    assert muls == []
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2), (7, 1)])
+def test_power_of_b_denominator_needs_no_division(monkeypatch, p, e):
+    """An oracle coordinate u / b^i times v / b^j: the gcd against b^(i+j)
+    is read off the x-adic order, with no Euclid and no division."""
+    k = Field(FieldSpec(p, e, "a", 2))
+    rng = random.Random(p + e)
+    elems = []
+    for i in range(1, 6):
+        num = (rng.randrange(1, k.spec.q),) + tuple(rng.randrange(k.spec.q) for _ in range(4))
+        elems.append((num, fq.shift(fq.ONE, i)))
+    divisions = _count_calls(monkeypatch, "divmod_")
+    for num, den in elems:
+        x = k.elem(num, den)
+        assert (x.num, x.den) == (fq.norm(num), den)
+    for (n1, d1), (n2, d2) in zip(elems, elems[1:]):
+        y = k.elem(n1, d1) * k.elem(n2, d2)
+        assert y.den == fq.shift(fq.ONE, len(d1) + len(d2) - 2)
+    assert divisions == []
