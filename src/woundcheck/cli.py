@@ -16,7 +16,8 @@ from .homs import (EnumerationBudgetError, default_exponent_caps, derive_hom_con
                    landing_identity, relative_frobenius, solve_homs_bounded, verify_hom,
                    verify_mutual_inverse)
 from .oracle import UnsupportedRelationError, random_point_oracle
-from .parser import ParseError, parse_ppoly, render_elem, render_poly, render_ppoly
+from .parser import (ParseError, check_ppower, parse_ppoly, render_elem, render_poly,
+                     render_ppoly)
 from .ppoly import reduce_mod
 from .session import parse_session, render_extension, render_group, render_map
 
@@ -258,6 +259,9 @@ def cmd_twist(args):
     g = _group(s, args.group)
     if args.n < 0:
         raise ParseError(f"twist exponent {args.n} is negative")
+    # the twist raises variables and coefficients (a = b^(p^depth)) to p^n
+    top = max([s.field.spec.depth] + [e for _, e in g.f.terms])
+    check_ppower(s.field.p, args.n + top, "twisted exponent")
     search_bound = _search_bound(args)
     tw = twist_group(g, args.n)
     m = relative_frobenius(g, args.n)

@@ -29,6 +29,19 @@ class ParseError(ValueError):
     pass
 
 
+# Elements are dense in the working generator b, and a = b^(p^depth), so a
+# tower depth or a p-power exponent e of a variable scales degrees in b by
+# p^e; inputs may scale them by at most this much.
+MAX_PPOWER = 4096
+
+
+def check_ppower(p, e, what):
+    """ParseError unless p^e <= MAX_PPOWER (p >= 2, so a large e is
+    refused before p^e is formed)."""
+    if e >= MAX_PPOWER.bit_length() or p ** e > MAX_PPOWER:
+        raise ParseError(f"{what} p^{e} exceeds the supported degree scale {MAX_PPOWER}")
+
+
 def tokenize(text):
     out, pos = [], 0
     while pos < len(text):
@@ -272,6 +285,7 @@ def parse_ppoly(text, dom, var_names, nvars=None):
             stream.expect("name", "p")
             e = stream.expect("int") if stream.accept("op", "^") else 1
             stream.expect("op", ")")
+            check_ppower(field.p, e, "exponent")
         return index[name], e
 
     def term():

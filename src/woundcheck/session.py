@@ -21,7 +21,7 @@ from .field import Field, FieldSpec
 from .groups import AffineLine, CocycleExtension, HypersurfaceGroup
 from .homs import PPolyMap
 from .params import ParamRing
-from .parser import ParseError, parse_poly, parse_ppoly
+from .parser import ParseError, check_ppower, parse_poly, parse_ppoly
 
 
 class Session:
@@ -106,9 +106,10 @@ def _statement(s, line):
         try:
             spec = FieldSpec(int(kv.get("p", "0")), int(kv.get("e", "1")),
                              kv.get("gen", "a"), int(kv.get("depth", "0")))
+            check_ppower(spec.p, spec.depth, "tower depth")
+            s.field = Field(spec)  # a table-based F_q refuses a large q
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        s.field = Field(spec)
     elif kind == "params":
         _require_field(s)
         names = head[len(kind):].replace(" ", "")

@@ -11,8 +11,9 @@ The decision runs in three stages:
    equal-exponent relaxation.  NoZero for the relaxation is sound for the
    original; a relaxation zero decides nothing.
 3. Budgeted witness search over rational entries of bounded degree,
-   enumerated by increasing degree.  Finding a witness settles Zero;
-   exhausting the budget or the bound returns Unknown.
+   enumerated by increasing degree and joined on the last variable.
+   Finding a witness settles Zero; exhausting the budget or the bound
+   returns Unknown.
 
 Over every F_q, stage 3 first runs ``exhaustive_poly_search``, which the
 test suites also use as the independent confirmation search.  It covers
@@ -22,8 +23,12 @@ vector of F_p digits, one per (coefficient, basis element of F_q over
 F_p), and the principal part is F_p-linear in them, so the search is one
 row reduction mod p of a matrix with a column per (variable, coefficient,
 digit); it returns the first zero of a fixed scan order and re-verifies
-it exactly.  The rational search builds each degree level only when its
-scan reaches it, so the budget bounds its work.
+it exactly.  The rational search then scans vectors of rational entries,
+charging the budget one unit per vector, as a lookup join on the last
+variable: for each prefix of the other entries, the one last entry that
+can cancel it is the p^N-th root of -(prefix sum) / c_last, found by a
+dict lookup.  It builds each degree level only when its scan reaches it,
+so the budget bounds its work.
 """
 
 import itertools
@@ -194,48 +199,68 @@ def rational_candidates(field, max_deg):
 
 
 def _rational_witness_search(P, bound, budget):
-    """Enumerate rational candidate vectors by increasing degree level.
+    """The first zero among rational candidate vectors, by degree level.
 
-    Term values are precomputed as raw (num, den) pairs so each combination
-    costs only cross-multiplied additions, no normalization; hits are
-    re-verified through ordinary element arithmetic.  A level and its term
-    values are built only when the scan reaches it, so the budget bounds
-    the work.
+    The scan runs itertools.product over the candidate pool, the last
+    present variable fastest.  At each level it covers the vectors with an
+    entry of that level, skips the zero vector, and charges one unit of the
+    budget per vector; the budget spent or the levels done, it returns None.
+
+    It runs as a lookup join on the last variable.  A vector vanishes iff
+    its last entry v satisfies v^(p^N) = t, where t = -s / c for the prefix
+    sum s of the other variables' terms and the last coefficient c.  So v
+    is the p^N-th root of t: unique, since Frobenius is injective, and
+    canonical when t is.  One dict lookup from canonical (num, den) forms to
+    pool indices finds it, and a prefix is charged the number of last
+    entries it pairs with.  The dict holds only the entries that a hit can
+    reach within the budget, and prefix terms are built lazily and
+    memoized, so the budget bounds the work.  A hit is re-verified through
+    P.evaluate.
     """
     field = P.dom
     gf = field.gf
     pres = P.vars_present()
     exps = {i: e for (i, e), _ in P.terms.items()}
     terms = [(P.coeff(i, exps[i]), exps[i]) for i in pres]
+    c_last, n_last = terms[-1]
+    scales = [-c / c_last for c, _ in terms[:-1]]
     pool = []
-    values = [[] for _ in pres]  # per present variable: (num, den) of c_i * v^(p^N_i)
+    memo = [{} for _ in scales]  # per prefix variable: j -> -c_k / c_last * pool[j]^(p^N_k)
+    index = {}  # (num, den) of pool[j] -> j
+
+    def term(k, j):
+        if j not in memo[k]:
+            memo[k][j] = scales[k] * pool[j].frobenius(terms[k][1])
+        return memo[k][j]
+
     spent = 0
     for level in rational_candidates(field, bound):
         cut = len(pool)
         pool += level
-        for col, (c, N) in zip(values, terms):
-            col += [(fq.mul(gf, c.num, fq.frob(gf, v.num, N)),
-                     fq.mul(gf, c.den, fq.frob(gf, v.den, N))) for v in level]
-        for combo in itertools.product(range(len(pool)), repeat=len(pres)):
-            if all(c < cut for c in combo):
-                continue  # already tried at a lower level
-            if all(pool[c].is_zero() for c in combo):
-                continue
-            spent += 1
-            if spent > budget:
+        m = len(pool)
+        for j in range(len(index), min(m, cut + budget - spent + 1)):
+            index[(pool[j].num, pool[j].den)] = j
+        for prefix in itertools.product(range(m), repeat=len(scales)):
+            if spent >= budget:
                 return None
-            num, den = (), fq.ONE
-            for col, c in zip(values, combo):
-                n2, d2 = col[c]
-                num = fq.add(gf, fq.mul(gf, num, d2), fq.mul(gf, n2, den))
-                den = fq.mul(gf, den, d2)
-            if not num:
+            # last entries below cut pair with an all-below-cut prefix at a
+            # lower level; pool[0] is the only zero candidate
+            lo = cut if all(i < cut for i in prefix) else 0
+            skip = lo == 0 and not any(prefix)
+            ts = [term(k, i) for k, i in enumerate(prefix)]
+            t = sum(ts[1:], ts[0])
+            root = (fq.proot(gf, t.num, n_last), fq.proot(gf, t.den, n_last))
+            j = index.get(root)
+            if j is not None and j >= lo and not (skip and j == 0):
+                if spent + j - lo + 1 - skip > budget:
+                    return None
                 point = [field.zero()] * P.nvars
-                for slot, c in zip(pres, combo):
-                    point[slot] = pool[c]
+                for slot, i in zip(pres, prefix + (j,)):
+                    point[slot] = pool[i]
                 if not P.evaluate(point).is_zero():
                     raise RuntimeError("search witness does not vanish")
                 return tuple(point)
+            spent += m - lo - skip
     return None
 
 

@@ -1,13 +1,16 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
 instances for the division and decision property suites, a brute-force
-witness scan and a square-and-multiply power."""
+witness scan, a one-by-one rational witness scan and a square-and-multiply
+power."""
 
 import itertools
 
 import numpy as np
 
+from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldSpec
 from woundcheck.ppoly import PPoly
+from woundcheck.zerocert import rational_candidates
 
 
 def field_fpa(p=3, depth=0, e=1):
@@ -168,4 +171,45 @@ def brute_force_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
             for t, i in enumerate(order):
                 arrays[i] = np.array(codes[t * len(cells):(t + 1) * len(cells)]).reshape(shape)
             return tuple(arrays)
+    return None
+
+
+def enumerated_rational_search(P, bound, budget):
+    """The reference for ``zerocert._rational_witness_search``: every
+    candidate vector of the scan is summed in raw (num, den) arithmetic,
+    one at a time, in the same order and under the same budget."""
+    field = P.dom
+    gf = field.gf
+    pres = P.vars_present()
+    exps = {i: e for (i, e), _ in P.terms.items()}
+    terms = [(P.coeff(i, exps[i]), exps[i]) for i in pres]
+    pool = []
+    values = [[] for _ in pres]  # per present variable: (num, den) of c_i * v^(p^N_i)
+    spent = 0
+    for level in rational_candidates(field, bound):
+        cut = len(pool)
+        pool += level
+        for col, (c, N) in zip(values, terms):
+            col += [(fq.mul(gf, c.num, fq.frob(gf, v.num, N)),
+                     fq.mul(gf, c.den, fq.frob(gf, v.den, N))) for v in level]
+        for combo in itertools.product(range(len(pool)), repeat=len(pres)):
+            if all(c < cut for c in combo):
+                continue  # already tried at a lower level
+            if all(pool[c].is_zero() for c in combo):
+                continue
+            spent += 1
+            if spent > budget:
+                return None
+            num, den = (), fq.ONE
+            for col, c in zip(values, combo):
+                n2, d2 = col[c]
+                num = fq.add(gf, fq.mul(gf, num, d2), fq.mul(gf, n2, den))
+                den = fq.mul(gf, den, d2)
+            if not num:
+                point = [field.zero()] * P.nvars
+                for slot, c in zip(pres, combo):
+                    point[slot] = pool[c]
+                if not P.evaluate(point).is_zero():
+                    raise RuntimeError("search witness does not vanish")
+                return tuple(point)
     return None

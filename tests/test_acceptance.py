@@ -92,6 +92,14 @@ def test_criterion_3_p2_item():
         assert verify_hom(corpus.b2_induced_map(k))
 
 
+def test_criterion_3_paper_corpus_p2():
+    # W2's rational search ends in unknown at its default budget
+    with budget("3 (paper corpus, p=2)", 1.0):
+        code, out = run_cli(["selftest-paper", "2"])
+        assert code == 0, out
+        assert "selftest: pass" in out
+
+
 def test_criterion_4_frobenius_isogeny():
     with budget("4 (Frobenius isogeny)", 2.0):
         k = corpus.base_field(3)

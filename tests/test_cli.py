@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from woundcheck.cli import main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -245,3 +249,70 @@ def test_python_dash_m_runs_the_cli():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("field_line,group_line,argv", [
+    # a tower of depth 17 makes every `a` a dense polynomial of degree 3^17
+    ("field p=3 e=1 gen=a depth=17", "group G vars=X,Y pivot=X : 1*X^(p^1) + a*Y^(p^1)",
+     ["classify"]),
+    # a table-based F_q refuses q = 3^71
+    ("field p=3 e=71 gen=a depth=0", "group G vars=X,Y pivot=X : 1*X^(p^1) + a*Y^(p^1)",
+     ["classify"]),
+    # mixed exponents: the polynomial search is dense in the degree p^61
+    ("field p=3 e=1 gen=a depth=0", "group G vars=X,Y pivot=X : 1*X^(p^0) + a*Y^(p^61)",
+     ["classify"]),
+    ("field p=3 e=1 gen=a depth=0", "group G vars=X,Y pivot=X : 1*X^(p^1) + a*Y^(p^1)",
+     ["twist", "99"]),
+])
+def test_oversized_field_or_exponent_is_input_error(tmp_path, field_line, group_line, argv):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{field_line}\n{group_line}\n", encoding="utf-8")
+    code, out, err = run([argv[0], str(path), "G"] + argv[1:])
+    assert code == 3 and out == "" and _one_error_line(err)
+
+
+# (demo file, command and its arguments after the file)
+MUTATED_RUNS = [
+    ("wound_forms.txt", ["classify", "Wa"]), ("wound_forms.txt", ["classify", "Mixed"]),
+    ("wound_forms.txt", ["derive", "Va", "U"]), ("wound_forms.txt", ["check-extension", "Ua"]),
+    ("hom_scheme.txt", ["classify", "W"]), ("hom_scheme.txt", ["derive", "Va", "U"]),
+    ("hom_scheme.txt", ["verify-hom", "phi_b"]), ("splitting_tower.txt", ["classify", "Wa"]),
+    ("splitting_tower.txt", ["verify-hom", "unsplit"]), ("fq_forms.txt", ["classify", "G"]),
+]
+MUTATION_CHARS = "0123456789aXYZTdep^()*+-/=:;,. \n#"
+
+
+def _statement_positions(text):
+    """Offsets of the characters outside comment lines."""
+    out, pos = [], 0
+    for line in text.splitlines(keepends=True):
+        if not line.startswith("#"):
+            out += range(pos, pos + len(line))
+        pos += len(line)
+    return out
+
+
+@st.composite
+def mutated_demos(draw):
+    """A demo file with one character replaced, inserted or deleted outside
+    its comments, and a command to run on it."""
+    name, argv = draw(st.sampled_from(MUTATED_RUNS))
+    text = (DEMOS / name).read_text(encoding="utf-8")
+    i = draw(st.sampled_from(_statement_positions(text)))
+    c = draw(st.sampled_from(MUTATION_CHARS))
+    cut = draw(st.sampled_from((0, 1)))  # 0 inserts c, 1 replaces or deletes
+    if cut and draw(st.booleans()):
+        c = ""
+    return name, argv, text[:i] + c + text[i + cut:]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(mutated_demos())
+def test_mutated_demo_never_tracebacks(tmp_path_factory, case):
+    name, argv, text = case
+    path = tmp_path_factory.mktemp("mutated") / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run([argv[0], str(path)] + argv[1:])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code == 3:
+        assert out == "" and _one_error_line(err)
