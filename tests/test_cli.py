@@ -261,6 +261,7 @@ def test_python_dash_m_runs_the_cli():
     # mixed exponents: the polynomial search is dense in the degree p^61
     ("field p=3 e=1 gen=a depth=0", "group G vars=X,Y pivot=X : 1*X^(p^0) + a*Y^(p^61)",
      ["classify"]),
+    # twisting by 99 spreads the coefficients to degree p^99
     ("field p=3 e=1 gen=a depth=0", "group G vars=X,Y pivot=X : 1*X^(p^1) + a*Y^(p^1)",
      ["twist", "99"]),
 ])
