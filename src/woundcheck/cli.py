@@ -3,7 +3,8 @@
 Reports are machine-parseable `key: value` lines on stdout, byte-identical
 across runs for identical inputs and seeds; elapsed time goes to stderr.
 Exit codes: 0 verified/certified, 1 refuted, 2 unknown, 3 input error
-(one `error:` line on stderr, also for a `--max-enum` refusal).
+(one `error:` line on stderr, also for a `--max-enum` refusal and for a
+command line that argparse rejects).
 """
 
 import argparse
@@ -25,6 +26,15 @@ EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is an input error: it raises ParseError, which main
+    reports as one `error:` line with exit 3, instead of argparse's usage
+    text and exit 2, the code for `unknown`."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 class Report:
@@ -282,6 +292,8 @@ def cmd_verify_iso(args):
         if name not in s.maps:
             raise ParseError(f"unknown map {name!r}")
     f, g = s.maps[args.f], s.maps[args.g]
+    if not (f.target == g.source and g.target == f.source):
+        raise ParseError(f"maps {args.f!r} and {args.g!r} do not compose in both orders")
     ok = verify_mutual_inverse(f, g)
     rep = Report("verify-iso")
     rep.add("f", render_map(f))
@@ -325,8 +337,8 @@ def _add_common(sp):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="woundcheck",
-                                 description="certificates for additive-polynomial groups")
+    ap = _ArgumentParser(prog="woundcheck",
+                         description="certificates for additive-polynomial groups")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("classify", help="smooth/connected/wound report")
@@ -396,7 +408,11 @@ def main(argv=None):
     _add_common(sp)
     sp.set_defaults(fn=cmd_selftest)
 
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     t0 = time.perf_counter()
     try:
         code = args.fn(args)

@@ -4,7 +4,13 @@ A polynomial is a tuple of field elements (ints), lowest degree first,
 with no trailing zeros; () is the zero polynomial.  All functions take
 the field handle as first argument and return canonical tuples.
 
-Multiplication over prime fields uses Kronecker substitution: pack the
+Tuples stay dense, but the kernels cost work in proportion to nonzero
+coefficients, not to length: in a tower, x^(p^k) and the embeddings
+spread coefficients p^k apart, and denominators are powers of x.  add
+and smul touch only nonzero coefficients, and mul takes a monomial
+operand c*x^k as one scaling plus a shift.  Other products pair only
+nonzero coefficients, or over prime fields, when the shorter operand
+has more than four of them, use Kronecker substitution: pack the
 coefficients into one big integer, multiply natively, and unpack digits.
 
 The generator x is prime in F_q[x], and in a tower every denominator that
@@ -42,11 +48,13 @@ def order(f):
 
 
 def add(gf, f, g):
+    """f + g, touching only the nonzero coefficients of the shorter one."""
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
     for i, c in enumerate(g):
-        out[i] = gf.add(out[i], c)
+        if c:
+            out[i] = gf.add(out[i], c) if out[i] else c
     return norm(out)
 
 
@@ -59,24 +67,37 @@ def sub(gf, f, g):
 
 
 def smul(gf, c, f):
+    """c * f; zero coefficients are left alone."""
     if c == 0:
         return ()
     if c == 1:
         return f
-    return tuple(gf.mul(c, x) for x in f)
+    return tuple([gf.mul(c, x) if x else 0 for x in f])
 
 
 def mul(gf, f, g):
+    """f * g, with work in proportion to nonzero coefficients.
+
+    A monomial operand c*x^k, of either length, costs one scaling plus a
+    shift.  Otherwise, over F_p, a shorter operand g with more than four
+    nonzero coefficients goes to Kronecker substitution, and the
+    schoolbook loop pairs only nonzero coefficients."""
     if not f or not g:
         return ()
-    if gf.e == 1 and min(len(f), len(g)) > 4:
+    if len(f) < len(g):
+        f, g = g, f
+    if not any(g[:-1]):
+        return shift(smul(gf, g[-1], f), len(g) - 1)
+    if not any(f[:-1]):
+        return shift(smul(gf, f[-1], g), len(f) - 1)
+    if gf.e == 1 and len(g) - g.count(0) > 4:
         return _mul_kronecker(gf.p, f, g)
+    ft = [(i, a) for i, a in enumerate(f) if a]
     out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = gf.add(out[i + j], gf.mul(a, b))
+    for j, b in enumerate(g):
+        if b:
+            for i, a in ft:
+                out[i + j] = gf.add(out[i + j], gf.mul(a, b))
     return norm(out)
 
 

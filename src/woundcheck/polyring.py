@@ -161,15 +161,20 @@ class Poly:
         return out
 
     def evaluate(self, point):
-        """Evaluate at field elements."""
+        """Evaluate at field elements.  Each power point[i] ** e is taken
+        once per evaluation and shared by every monomial that uses it."""
         if len(point) != self.nvars:
             raise ValueError("wrong point length")
+        powers = {}
         acc = self.field.zero()
         for m, c in self.terms.items():
             v = c
             for i, e in enumerate(m):
                 if e:
-                    v = v * point[i] ** e
+                    x = powers.get((i, e))
+                    if x is None:
+                        x = powers[i, e] = point[i] ** e
+                    v = v * x
             acc = acc + v
         return acc
 

@@ -1,7 +1,7 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
 instances for the division and decision property suites, a brute-force
-witness scan, a one-by-one rational witness scan and a square-and-multiply
-power."""
+witness scan, a one-by-one rational witness scan, a square-and-multiply
+power and dense fqpoly kernels."""
 
 import itertools
 
@@ -54,6 +54,34 @@ def w2_poly(field):
     """X^(p^2) + X + aY^p + a^2 Z^(p^3), the p = 2 hom-scheme group."""
     a = field.base_gen()
     return ppoly(field, 3, (0, 2, 1), (0, 0, 1), (1, 1, a), (2, 3, a * a))
+
+
+def dense_add(gf, f, g):
+    """f + g coefficient by coefficient over the full length: the
+    reference for fqpoly.add."""
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] = gf.add(out[i], c)
+    return fq.norm(out)
+
+
+def dense_smul(gf, c, f):
+    """c * f coefficient by coefficient: the reference for fqpoly.smul."""
+    return fq.norm([gf.mul(c, x) for x in f])
+
+
+def dense_mul(gf, f, g):
+    """f * g by the schoolbook loop over every pair of coefficients: the
+    reference for fqpoly.mul."""
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = gf.add(out[i + j], gf.mul(a, b))
+    return fq.norm(out)
 
 
 def pow_by_squaring(x, n):

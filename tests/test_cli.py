@@ -180,6 +180,35 @@ def test_non_positive_trials_are_input_errors():
             assert code == 3 and out == "" and _one_error_line(err)
 
 
+def test_verify_iso_of_maps_that_do_not_compose_is_input_error():
+    code, out, err = run(["verify-iso", SPLIT, "split", "split"])
+    assert code == 3 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", HOMS, "Va", "Ga", "--domain", "deg9"],
+    ["selftest-paper", "7"],
+    ["classify", WOUND],
+    ["verify-hom", HOMS, "phi_b", "--trials", "x"],
+    ["classify", WOUND, "Wa", "--no-such-flag"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_are_input_errors(argv):
+    """Exit 2 means unknown, so a command line argparse rejects exits 3
+    with one `error:` line and no usage text."""
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+
+
 def test_verify_hom_oracle_unsupported_relation(tmp_path):
     path = tmp_path / "unsampled.txt"
     path.write_text("field p=3 e=1 gen=a depth=0\n"

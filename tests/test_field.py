@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from woundcheck.field import Field, FieldSpec
+from helpers import dense_add, dense_mul, pow_by_squaring
+from woundcheck.field import Field, FieldElem, FieldSpec
 from woundcheck.gfq import GFq
 from woundcheck import fqpoly as fq
 from woundcheck.parser import parse_element, render_elem
+from woundcheck.polyring import Poly
 
 
 def F3a(depth=0):
@@ -173,3 +175,48 @@ def test_power_of_b_denominator_needs_no_division(monkeypatch, p, e):
         y = k.elem(n1, d1) * k.elem(n2, d2)
         assert y.den == fq.shift(fq.ONE, len(d1) + len(d2) - 2)
     assert divisions == []
+
+
+@pytest.mark.parametrize("p,depth", [(2, 1), (3, 2), (5, 1), (7, 0)])
+def test_product_by_a_power_of_b_is_a_shift(monkeypatch, p, depth):
+    """Numerators long enough for the Kronecker product, times c*b^k of any
+    length and over denominators b^i: each product is one scaling and a
+    shift, so no Kronecker product runs."""
+    k = Field(FieldSpec(p, 1, "a", depth))
+    gf, rng = k.gf, random.Random(p)
+    nums = [tuple(rng.randrange(1, p) for _ in range(rng.randrange(6, 12))) for _ in range(6)]
+    elems = [k.elem(num, fq.shift(fq.ONE, i)) for i, num in enumerate(nums)]
+    monomials = [k.elem(fq.shift((rng.randrange(1, p),), j)) for j in (0, 1, 5, 9, 27, 40)]
+    kronecker = _count_calls(monkeypatch, "_mul_kronecker")
+    for x in elems:
+        for m in monomials:
+            assert x * m == k.elem(dense_mul(gf, x.num, m.num), x.den)
+        for y in elems:
+            num = dense_add(gf, dense_mul(gf, x.num, y.den), dense_mul(gf, y.num, x.den))
+            assert x + y == k.elem(num, dense_mul(gf, x.den, y.den))
+    assert kronecker == []
+    fq.mul(gf, nums[0], nums[1])
+    assert len(kronecker) == 1
+
+
+@pytest.mark.parametrize("p,e,depth", [(2, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 0)])
+def test_evaluate_takes_each_power_once(monkeypatch, p, e, depth):
+    k = Field(FieldSpec(p, e, "a", depth))
+    b = k.gen_elem()
+    point = (b + 1, k.one() / (b * b + b))
+    terms = {(3, 0): 1, (3, 2): 2, (0, 2): 1, (1, 1): 1, (3, 1): b, (p, p * p): 1, (0, 0): b}
+    h = Poly(k, 2, {m: k.coerce(c) for m, c in terms.items()})
+    want = k.zero()
+    for (i, j), c in h.terms.items():
+        want = want + c * pow_by_squaring(point[0], i) * pow_by_squaring(point[1], j)
+    powers = []
+    real = FieldElem.__pow__
+
+    def counted(x, n):
+        powers.append(n)
+        return real(x, n)
+
+    monkeypatch.setattr(FieldElem, "__pow__", counted)
+    assert h.evaluate(point) == want
+    distinct = {(i, n) for m in h.terms for i, n in enumerate(m) if n}
+    assert len(powers) == len(distinct)

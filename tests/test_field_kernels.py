@@ -1,14 +1,15 @@
 """Properties of the field-layer kernels that have exact characteristic-p
-shortcuts: the Frobenius-digit power FieldElem.__pow__, and the x-adic
-fqpoly.gcd and fqpoly.divmod_.  Over p in {2, 3, 5, 7}, e in {1, 2} and
-tower depth 0-2; operands are drawn mostly as monomials c*x^k and as
-multiples of x^j, the shapes the shortcuts take."""
+shortcuts: the Frobenius-digit power FieldElem.__pow__, the x-adic
+fqpoly.gcd and fqpoly.divmod_, and the zero-skipping fqpoly.add, smul and
+mul.  Over p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands
+are drawn mostly as monomials c*x^k, multiples of x^j and Frobenius
+images, the shapes the shortcuts take."""
 
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import pow_by_squaring
+from helpers import dense_add, dense_mul, dense_smul, pow_by_squaring
 from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldSpec
 from woundcheck.gfq import GFq
@@ -89,3 +90,45 @@ def test_extension_field_division_and_gcd(case):
     quo, rem = fq.divmod_(gf, f, g)
     assert fq.add(gf, fq.mul(gf, quo, g), rem) == f
     assert len(rem) < len(g)
+
+
+@st.composite
+def spread_operand(draw, gf):
+    """c*x^k, the image of a short polynomial under fq.frob or fq.spread
+    (coefficients p^n apart), or a dense polynomial long enough for the
+    Kronecker product."""
+    q = gf.q
+    kind = draw(st.sampled_from(("monomial", "frob", "spread", "dense")))
+    if kind == "monomial":
+        return fq.shift((draw(st.integers(1, q - 1)),), draw(st.integers(0, 30)))
+    size = 12 if kind == "dense" else 4
+    f = fq.norm(tuple(draw(st.lists(st.integers(0, q - 1), max_size=size))))
+    n = draw(st.integers(0, 2))
+    if kind == "frob":
+        return fq.frob(gf, f, n)
+    if kind == "spread":
+        return fq.spread(f, gf.p ** n)
+    return f
+
+
+@st.composite
+def kernel_operands(draw):
+    """(gf, f, g, c); g cancels the top of f a quarter of the time."""
+    gf = GFq(draw(PRIMES), draw(st.integers(1, 2)))
+    f, g = draw(spread_operand(gf)), draw(spread_operand(gf))
+    if draw(st.integers(0, 3)) == 0:
+        g = dense_add(gf, fq.neg(gf, f), fq.norm(g[:len(f) // 2]))
+    return gf, f, g, draw(st.integers(0, gf.q - 1))
+
+
+@given(kernel_operands())
+@PROPERTY
+def test_sparse_kernels_match_the_dense_loops(case):
+    gf, f, g, c = case
+    assert fq.add(gf, f, g) == dense_add(gf, f, g)
+    assert fq.smul(gf, c, f) == dense_smul(gf, c, f)
+    product = fq.mul(gf, f, g)
+    assert product == dense_mul(gf, f, g) == fq.mul(gf, g, f)
+    if gf.e == 1:
+        p = gf.p
+        assert product == _tuple(_sympy(f, p) * _sympy(g, p), p)

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import field_fpa, ppoly, rand_division_pair, rand_elem, rand_ppoly, va_poly, wa_poly, w2_poly
+from helpers import field_fpa, ppoly, rand_elem, rand_ppoly, va_poly, wa_poly, w2_poly
+from woundcheck.field import Field, FieldSpec
 from woundcheck.params import ParamRing
 from woundcheck.ppoly import PPoly, is_smooth, reduce_mod
 
@@ -165,23 +168,43 @@ def test_reduce_mod_errors():
         reduce_mod(fv, PPoly.zero(k, 2), 0)
 
 
-def test_division_properties_random():
-    k = field_fpa(3)
-    rng = random.Random(99)
-    for _ in range(120):
-        h, f, pivot = rand_division_pair(k, rng)
-        tr = reduce_mod(h, f, pivot)
-        n0 = f.max_exp(pivot)
-        # remainder degree bound, exactness, p-polynomial closure
-        top = tr.remainder.max_exp(pivot)
-        assert top is None or top < n0
-        assert isinstance(tr.remainder, PPoly)
-        assert tr.replay() == h
-        # idempotence
-        again = reduce_mod(tr.remainder, f, pivot)
-        assert again.remainder == tr.remainder and not again.steps
-        # uniqueness under adding explicit multiples of f
-        c = rand_elem(k, rng)
-        j = rng.randrange(3)
-        shifted = h + f.frob_power(j).scale(c)
-        assert reduce_mod(shifted, f, pivot).remainder == tr.remainder
+@st.composite
+def _coefficients(draw, field):
+    q = field.spec.q
+    num = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
+    den = draw(st.lists(st.integers(0, q - 1), max_size=2)) + [1]
+    c = field.elem(num, den if draw(st.booleans()) else (1,))
+    return c if c else field.one()
+
+
+@st.composite
+def _division_cases(draw):
+    """(h, f, pivot, c, j) over F_q(a^(1/p^m)), p in {2, 3, 5, 7},
+    e in {1, 2}, m in {0, 1, 2}; exponents p^i up to p^3 for p <= 3 and
+    p^2 above."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k = Field(FieldSpec(p, draw(st.integers(1, 2)), "a", draw(st.integers(0, 2))))
+    nvars = draw(st.integers(1, 3))
+    slots = st.tuples(st.integers(0, nvars - 1), st.integers(0, 3 if p <= 3 else 2))
+    f = PPoly(k, nvars, draw(st.dictionaries(slots, _coefficients(k), min_size=1, max_size=4)))
+    h = PPoly(k, nvars, draw(st.dictionaries(slots, _coefficients(k), min_size=1, max_size=5)))
+    pivot = draw(st.sampled_from(sorted(f.vars_present())))
+    return h, f, pivot, draw(_coefficients(k)), draw(st.integers(0, 2))
+
+
+@given(_division_cases())
+@settings(max_examples=100, deadline=None, database=None)
+def test_division_properties_random(case):
+    h, f, pivot, c, j = case
+    tr = reduce_mod(h, f, pivot)
+    # remainder degree bound, p-polynomial closure, exact replay
+    top = tr.remainder.max_exp(pivot)
+    assert top is None or top < f.max_exp(pivot)
+    assert isinstance(tr.remainder, PPoly)
+    assert tr.replay() == h
+    # idempotence
+    again = reduce_mod(tr.remainder, f, pivot)
+    assert again.remainder == tr.remainder and not again.steps
+    # uniqueness under adding explicit multiples of f
+    shifted = h + f.frob_power(j).scale(c)
+    assert reduce_mod(shifted, f, pivot).remainder == tr.remainder
