@@ -2,9 +2,13 @@
 
 Reports are machine-parseable `key: value` lines on stdout, byte-identical
 across runs for identical inputs and seeds; elapsed time goes to stderr.
-Exit codes: 0 verified/certified, 1 refuted, 2 unknown, 3 input error
-(one `error:` line on stderr, also for a `--max-enum` refusal and for a
-command line that argparse rejects).
+Exit codes: 0 verified/certified, 1 refuted, 2 unknown, 3 input error.
+Every refused input exits 3 with empty stdout and one `error:` line on
+stderr: a file statement that the parser or a constructor refuses, a name
+or argument the command cannot use, a `--max-enum` refusal, and a command
+line that argparse rejects.  Each command takes only the flags it reads:
+`--search-bound` (classify, twist), `--trials` and `--seed` (verify-hom,
+selftest-paper), `--max-enum` (solve); any other is a usage error.
 """
 
 import argparse
@@ -62,18 +66,6 @@ def _field_line(field):
     return f"field p={s.p} e={s.e} gen={s.gen} depth={s.depth}"
 
 
-def _trials(args):
-    if args.trials < 1:
-        raise ParseError(f"--trials {args.trials} is not a positive number of oracle trials")
-    return args.trials
-
-
-def _search_bound(args):
-    if args.search_bound < 0:
-        raise ParseError(f"--search-bound {args.search_bound} is negative")
-    return args.search_bound
-
-
 def _group(s, name):
     """The named hypersurface group; the line Ga has no defining polynomial."""
     g = s.group_or_line(name)
@@ -111,12 +103,11 @@ def _classify_into(rep, g, search_bound):
 def cmd_classify(args):
     s = _load(args.file)
     g = _group(s, args.group)
-    search_bound = _search_bound(args)
     rep = Report("classify")
     rep.add("group", args.group)
     rep.add("field", _field_line(s.field))
     rep.add("defining", render_ppoly(g.f, g.vars))
-    c = _classify_into(rep, g, search_bound)
+    c = _classify_into(rep, g, args.search_bound)
     rep.emit()
     return {"no_zero": EXIT_VERIFIED, "zero": EXIT_REFUTED, "unknown": EXIT_UNKNOWN}[c.wound.verdict]
 
@@ -157,7 +148,6 @@ def cmd_verify_hom(args):
     if args.map not in s.maps:
         raise ParseError(f"unknown map {args.map!r}")
     m = s.maps[args.map]
-    trials = _trials(args)
     ok = verify_hom(m)
     rep = Report("verify-hom")
     rep.add("map", render_map(m))
@@ -166,11 +156,12 @@ def cmd_verify_hom(args):
     ident = landing_identity(m)
     if ident is not None:
         try:
-            sampled = random_point_oracle(ident[0], ident[1], seed=args.seed, trials=trials)
+            sampled = random_point_oracle(ident[0], ident[1], seed=args.seed,
+                                          trials=args.trials)
         except UnsupportedRelationError:
             rep.add("oracle.result", "unsupported")
         else:
-            rep.add("oracle.trials", trials)
+            rep.add("oracle.trials", args.trials)
             rep.add("oracle.result", "all-trials-vanish" if sampled else "nonzero-point-found")
             rep.add("oracle.agrees", str(sampled == ok).lower())
     rep.emit()
@@ -193,6 +184,8 @@ def _derive(s, args):
             cap = int(val)
         except ValueError:
             raise ParseError(f"cap {item!r} is not VAR=<integer>") from None
+        if cap < 0:
+            raise ParseError(f"cap {item!r} is negative")
         if var == src.vars[src.pivot] and cap > bound:
             raise ParseError(f"pivot cap {item!r} exceeds the canonical-form bound {bound}")
         caps[src.vars.index(var)] = cap
@@ -267,19 +260,16 @@ def cmd_check_extension(args):
 def cmd_twist(args):
     s = _load(args.file)
     g = _group(s, args.group)
-    if args.n < 0:
-        raise ParseError(f"twist exponent {args.n} is negative")
     # the twist raises variables and coefficients (a = b^(p^depth)) to p^n
     top = max([s.field.spec.depth] + [e for _, e in g.f.terms])
     check_ppower(s.field.p, args.n + top, "twisted exponent")
-    search_bound = _search_bound(args)
     tw = twist_group(g, args.n)
     m = relative_frobenius(g, args.n)
     rep = Report("twist")
     rep.add("group", render_group(g))
     rep.add("n", args.n)
     rep.add("twisted", render_group(tw))
-    _classify_into(rep, tw, search_bound)
+    _classify_into(rep, tw, args.search_bound)
     rep.add("relative_frobenius", render_map(m))
     rep.add("relative_frobenius.hom", str(verify_hom(m)).lower())
     rep.emit()
@@ -305,7 +295,7 @@ def cmd_verify_iso(args):
 
 def cmd_selftest(args):
     p = args.p
-    items = corpus.selftest_items(p, seed=args.seed, trials=_trials(args))
+    items = corpus.selftest_items(p, seed=args.seed, trials=args.trials)
     rep = Report("selftest-paper")
     rep.add("p", p)
     failures = 0
@@ -325,15 +315,36 @@ def cmd_selftest(args):
     return EXIT_VERIFIED if failures == 0 else EXIT_REFUTED
 
 
-def _add_common(sp):
-    sp.add_argument("--search-bound", type=int, default=3,
+def _at_least(low):
+    """An argparse type: an integer >= low, or a usage error."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{n} is below {low}")
+        return n
+    return parse
+
+
+def _command(sub, name, fn, summary, *positionals):
+    sp = sub.add_parser(name, help=summary)
+    for arg in positionals:
+        sp.add_argument(arg)
+    sp.set_defaults(fn=fn)
+    return sp
+
+
+def _add_search_bound(sp):
+    sp.add_argument("--search-bound", type=_at_least(0), default=3,
                     help="witness search degree bound (default 3)")
-    sp.add_argument("--trials", type=int, default=100,
+
+
+def _add_oracle(sp):
+    sp.add_argument("--trials", type=_at_least(1), default=100,
                     help="randomized oracle trials (default 100)")
     sp.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
-    sp.add_argument("--max-enum", type=int, default=10_000_000,
-                    help="solve: refuse to list a solution space whose points "
-                         "times unknowns exceed N (default 10^7)")
 
 
 def main(argv=None):
@@ -341,91 +352,64 @@ def main(argv=None):
                          description="certificates for additive-polynomial groups")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("classify", help="smooth/connected/wound report")
-    sp.add_argument("file")
-    sp.add_argument("group")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_classify)
+    sp = _command(sub, "classify", cmd_classify, "smooth/connected/wound report",
+                  "file", "group")
+    _add_search_bound(sp)
 
-    sp = sub.add_parser("reduce", help="division with remainder against a pivoted p-polynomial")
-    sp.add_argument("file")
+    sp = _command(sub, "reduce", cmd_reduce,
+                  "division with remainder against a pivoted p-polynomial", "file")
     sp.add_argument("h", help="dividend p-polynomial")
     sp.add_argument("--group", help="take divisor and pivot from this group")
     sp.add_argument("--f", help="divisor p-polynomial")
     sp.add_argument("--pivot", help="pivot variable for --f")
     sp.add_argument("--vars", help="comma-separated variables for --f")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_reduce)
 
-    sp = sub.add_parser("verify-hom", help="check the landing condition of a map")
-    sp.add_argument("file")
-    sp.add_argument("map")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_verify_hom)
+    sp = _command(sub, "verify-hom", cmd_verify_hom, "check the landing condition of a map",
+                  "file", "map")
+    _add_oracle(sp)
 
-    sp = sub.add_parser("derive", help="derive the homomorphism constraint system")
-    sp.add_argument("file")
-    sp.add_argument("source")
-    sp.add_argument("target")
+    sp = _command(sub, "derive", cmd_derive, "derive the homomorphism constraint system",
+                  "file", "source", "target")
     sp.add_argument("--cap", action="append", metavar="VAR=N",
-                    help="exponent cap for a source variable")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_derive)
+                    help="exponent cap N >= 0 for a source variable")
 
-    sp = sub.add_parser("solve", help="homomorphisms with coefficients in a finite domain: "
-                                 "the F_p-kernel over the domain's span, "
-                                 "filtered to the domain")
-    sp.add_argument("file")
-    sp.add_argument("source")
-    sp.add_argument("target")
+    sp = _command(sub, "solve", cmd_solve, "homomorphisms with coefficients in a finite "
+                  "domain: the F_p-kernel over the domain's span, filtered to the domain",
+                  "file", "source", "target")
     sp.add_argument("--domain", choices=sorted(_DOMAINS), default="fq")
     sp.add_argument("--cap", action="append", metavar="VAR=N")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_solve)
+    sp.add_argument("--max-enum", type=int, default=10_000_000,
+                    help="refuse to list a solution space whose points "
+                         "times unknowns exceed N (default 10^7)")
 
-    sp = sub.add_parser("check-extension", help="cocycle extension group axioms")
-    sp.add_argument("file")
-    sp.add_argument("extension")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_check_extension)
+    _command(sub, "check-extension", cmd_check_extension, "cocycle extension group axioms",
+             "file", "extension")
 
-    sp = sub.add_parser("twist", help="Frobenius twist and relative Frobenius")
-    sp.add_argument("file")
-    sp.add_argument("group")
-    sp.add_argument("n", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_twist)
+    sp = _command(sub, "twist", cmd_twist, "Frobenius twist and relative Frobenius",
+                  "file", "group")
+    sp.add_argument("n", type=_at_least(0))
+    _add_search_bound(sp)
 
-    sp = sub.add_parser("verify-iso", help="check mutually inverse homomorphisms")
-    sp.add_argument("file")
-    sp.add_argument("f")
-    sp.add_argument("g")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_verify_iso)
+    _command(sub, "verify-iso", cmd_verify_iso, "check mutually inverse homomorphisms",
+             "file", "f", "g")
 
-    sp = sub.add_parser("selftest-paper", help="replay the built-in worked-example corpus")
+    sp = _command(sub, "selftest-paper", cmd_selftest,
+                  "replay the built-in worked-example corpus")
     sp.add_argument("p", type=int, choices=(2, 3, 5))
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_selftest)
+    _add_oracle(sp)
 
+    t0 = None
     try:
         args = ap.parse_args(argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    t0 = time.perf_counter()
-    try:
-        code = args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except EnumerationBudgetError as exc:
+        t0 = time.perf_counter()
+        return args.fn(args)
+    except (ParseError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        print(f"elapsed_ms: {elapsed:.1f}", file=sys.stderr)
-    return code
+        if t0 is not None:
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            print(f"elapsed_ms: {elapsed:.1f}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -62,10 +62,6 @@ def neg(gf, f):
     return tuple(gf.neg(c) for c in f)
 
 
-def sub(gf, f, g):
-    return add(gf, f, neg(gf, g))
-
-
 def smul(gf, c, f):
     """c * f; zero coefficients are left alone."""
     if c == 0:

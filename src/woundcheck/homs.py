@@ -158,10 +158,6 @@ class ConstraintSystem:
     def polys(self):
         return tuple(p for _, p in self.constraints)
 
-    def normalized(self):
-        """Monic-normalized constraint polynomials (canonical comparison form)."""
-        return tuple(p.monic() for _, p in self.constraints)
-
 
 def default_exponent_caps(source, target):
     """Pivot capped by the canonical bound; elsewhere the target's maximal

@@ -12,7 +12,9 @@ live in one namespace ("Ga" is reserved for the affine line).  Statements:
     map phi from=Va to=U : X -> <p-poly> ; Y -> <p-poly>
 
 `#` starts a comment; blank lines are ignored.  Extension cocycles are
-polynomials in the base group's variables and their primed copies.
+polynomials in the base group's variables and their primed copies.  A
+statement that the parser or an object's constructor refuses raises one
+ParseError that names its line.
 """
 
 import re
@@ -82,7 +84,7 @@ def parse_session(text):
             continue
         try:
             _statement(s, line)
-        except ParseError as exc:
+        except ValueError as exc:  # a ParseError, or a constructor refusing the input
             raise ParseError(f"line {lineno}: {exc}") from None
     if s.field is None:
         raise ParseError("no field statement")
@@ -103,13 +105,10 @@ def _statement(s, line):
         if s.field is not None:
             raise ParseError("duplicate field statement")
         kv = _kvs(head)
-        try:
-            spec = FieldSpec(int(kv.get("p", "0")), int(kv.get("e", "1")),
-                             kv.get("gen", "a"), int(kv.get("depth", "0")))
-            check_ppower(spec.p, spec.depth, "tower depth")
-            s.field = Field(spec)  # a table-based F_q refuses a large q
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        spec = FieldSpec(int(kv.get("p", "0")), int(kv.get("e", "1")),
+                         kv.get("gen", "a"), int(kv.get("depth", "0")))
+        check_ppower(spec.p, spec.depth, "tower depth")
+        s.field = Field(spec)  # a table-based F_q refuses a large q
     elif kind == "params":
         _require_field(s)
         names = head[len(kind):].replace(" ", "")
@@ -136,10 +135,7 @@ def _statement(s, line):
             raise ParseError(f"pivot {pivot!r} not among vars")
         f = parse_ppoly(tail, s.field, vars_)
         s._claim(name)
-        try:
-            s.groups[name] = HypersurfaceGroup(name, vars_, f, vars_.index(pivot))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        s.groups[name] = HypersurfaceGroup(name, vars_, f, vars_.index(pivot))
     elif kind == "extension":
         _require_field(s)
         kv = _header(head, "name", "center", "base")
@@ -158,10 +154,7 @@ def _statement(s, line):
                 raise ParseError(f"extension is missing component {key}")
             h.append(parse_poly(comps[key], s.field, hvars))
         s._claim(name)
-        try:
-            s.extensions[name] = CocycleExtension(name, center, base, tuple(h))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        s.extensions[name] = CocycleExtension(name, center, base, tuple(h))
     elif kind == "map":
         _require_field(s)
         kv = _header(head, "name", "from", "to")
@@ -179,11 +172,7 @@ def _statement(s, line):
         except KeyError as exc:
             raise ParseError(f"map is missing coordinate {exc.args[0]!r}") from None
         s._claim(name)
-        try:
-            s.maps[name] = PPolyMap(name, src, tgt, ordered,
-                                    s.ring if s.param_names else None)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        s.maps[name] = PPolyMap(name, src, tgt, ordered, s.ring if s.param_names else None)
     else:
         raise ParseError(f"unknown statement {kind!r}")
 

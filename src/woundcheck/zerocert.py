@@ -51,9 +51,6 @@ class ZeroDecision:
     rank: int = None
     search_bound: int = None
 
-    def is_no_zero(self):
-        return self.verdict == "no_zero"
-
 
 def left_kernel_vector(rows, field):
     """(rank, x) for the matrix with the given rows: x is a nonzero vector

@@ -209,6 +209,69 @@ def test_help_exits_zero(argv):
     assert exc.value.code == 0
 
 
+# the four shared flags and the commands that read them; any other
+# command refuses them as usage errors
+COMMAND_FLAGS = {
+    "classify": {"--search-bound"}, "reduce": set(), "verify-hom": {"--trials", "--seed"},
+    "derive": set(), "solve": {"--max-enum"}, "check-extension": set(),
+    "twist": {"--search-bound"}, "verify-iso": set(), "selftest-paper": {"--trials", "--seed"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", WOUND, "1*X^(p^2)", "--group", "Va", "--trials", "5"],
+    ["derive", HOMS, "Va", "U", "--max-enum", "5"],
+    ["check-extension", WOUND, "Ua", "--search-bound", "1"],
+    ["classify", WOUND, "Wa", "--seed", "1"],
+    ["verify-iso", SPLIT, "split", "unsplit", "--trials", "5"],
+    ["solve", HOMS, "Va", "U", "--seed", "1"],
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(argv):
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMAND_FLAGS))
+def test_help_names_only_the_flags_of_its_command(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    shared = {flag for flags in COMMAND_FLAGS.values() for flag in flags}
+    assert {flag for flag in shared if flag in out} == COMMAND_FLAGS[cmd]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", HOMS, "Va", "Va", "--cap", "Y=-3"],
+    ["derive", HOMS, "Va", "U", "--cap", "X=-1"],
+])
+def test_negative_cap_is_input_error(argv):
+    code, out, err = run(argv)
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert "error: cap " in err and "is negative" in err
+
+
+RELATION = "relation pivot=d : 1*d^(p^2) + 2*d^(p^0) + a*e^(p^1)\n"
+
+
+@pytest.mark.parametrize("replacement,line,message", [
+    pytest.param(RELATION + RELATION, 7, "relation variable blocks overlap",
+                 id="duplicated"),
+    pytest.param("relation pivot=d : a*e^(p^1)\n", 6, "pivot does not occur in the relation",
+                 id="pivot-absent"),
+])
+@pytest.mark.parametrize("argv", [["verify-hom", "phi_b"], ["derive", "Va", "U"]])
+def test_refused_relation_is_input_error(tmp_path, replacement, line, message, argv):
+    text = (DEMOS / "hom_scheme.txt").read_text(encoding="utf-8")
+    assert RELATION in text
+    path = tmp_path / "hom_scheme.txt"
+    path.write_text(text.replace(RELATION, replacement), encoding="utf-8")
+    code, out, err = run([argv[0], str(path)] + argv[1:])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert f"error: line {line}: {message}\n" in err
+
+
 def test_verify_hom_oracle_unsupported_relation(tmp_path):
     path = tmp_path / "unsampled.txt"
     path.write_text("field p=3 e=1 gen=a depth=0\n"
@@ -346,3 +409,24 @@ def test_mutated_demo_never_tracebacks(tmp_path_factory, case):
     assert code in (0, 1, 2, 3) and "Traceback" not in err
     if code == 3:
         assert out == "" and _one_error_line(err)
+
+
+def _line_mutations(text):
+    """(label, text) for each statement line of text deleted or duplicated."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.strip() and not line.startswith("#"):
+            yield f"line {i + 1} deleted", "".join(lines[:i] + lines[i + 1:])
+            yield f"line {i + 1} duplicated", "".join(lines[:i + 1] + lines[i:])
+
+
+@pytest.mark.parametrize("name,argv", MUTATED_RUNS)
+def test_line_mutated_demo_never_tracebacks(tmp_path, name, argv):
+    """Every whole-line edit of the demo, beside the one-character edits above."""
+    path = tmp_path / name
+    for label, text in _line_mutations((DEMOS / name).read_text(encoding="utf-8")):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run([argv[0], str(path)] + argv[1:])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, label
+        if code == 3:
+            assert out == "" and _one_error_line(err), label
