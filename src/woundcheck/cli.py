@@ -210,10 +210,6 @@ _DOMAINS = {"fq": 0, "deg1": 1, "deg2": 2}
 
 def _domain_elems(field, name):
     import itertools
-    if name == "fq":
-        if field.spec.e > 1:
-            return [field.elem((c,) if c else ()) for c in range(field.spec.q)]
-        return [field.from_int(c) for c in range(field.p)]
     deg = _DOMAINS[name]
     out = []
     for coeffs in itertools.product(range(field.spec.q), repeat=deg + 1):

@@ -71,9 +71,6 @@ class HypersurfaceGroup:
     def field(self):
         return self.f.dom
 
-    def relation(self):
-        return to_relation(self.f, self.pivot)
-
     def __repr__(self):
         return f"<group {self.name}>"
 

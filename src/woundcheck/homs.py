@@ -40,8 +40,7 @@ class PPolyMap:
     params: ParamRing = None
 
     def __post_init__(self):
-        want = 1 if is_line(self.target) else self.target.nvars
-        if len(self.coords) != want:
+        if len(self.coords) != self.target.nvars:
             raise ValueError("coordinate count does not match the target")
         for c in self.coords:
             if c.nvars != self.source.nvars:
@@ -136,9 +135,8 @@ def verify_mutual_inverse(f, g):
 
 def _is_identity(m, g):
     m = canonical_form(m)
-    nv = 1 if is_line(g) else g.nvars
     dom = m.coords[0].dom
-    want = tuple(PPoly.variable(dom, nv, i) for i in range(nv))
+    want = tuple(PPoly.variable(dom, g.nvars, i) for i in range(g.nvars))
     return m.coords == want
 
 
@@ -188,9 +186,8 @@ def derive_hom_constraints(source, target, caps=None, names=None):
             if i == source.pivot and cap > defaults[source.pivot]:
                 raise ValueError("pivot cap exceeds the canonical-form bound")
             defaults[i] = cap
-    ncoords = 1 if is_line(target) else target.nvars
     slots = []
-    for j in range(ncoords):
+    for j in range(target.nvars):
         for i in range(source.nvars):
             for e in range(defaults[i] + 1):
                 if names is not None:
@@ -200,7 +197,7 @@ def derive_hom_constraints(source, target, caps=None, names=None):
                 slots.append((nm, j, i, e))
     ring = ParamRing(source.field, tuple(s[0] for s in slots))
     ansatz = []
-    for j in range(ncoords):
+    for j in range(target.nvars):
         terms = {}
         for nm, jj, i, e in slots:
             if jj == j:

@@ -1,14 +1,12 @@
 """Randomized point oracle for polynomial identities modulo relations.
 
-Sampling points on a relation variety {F = 0} uses one of two mechanisms:
-
-* if the pivot occurs only in a single linear term, the relation is solved
-  for the pivot directly over the base field;
-* otherwise a parametrization is constructed from a variable that occurs
-  in exactly one term c * Y^(p^r): draw every other block variable as
-  S^(p^r) and extract the p^r-th root of the solved equation, over the
-  tower deepened by r.  The parametrization is verified by composition
-  when it is built.
+Points on a relation variety {F = 0} are sampled from a variable Y that
+occurs in exactly one term c * Y^(p^r): draw every other block variable as
+S^(p^r) and extract the p^r-th root of the equation solved for Y, over the
+tower deepened by r.  The shallowest such Y wins, and among those at r = 0
+the pivot comes first, so a relation linear in its pivot is solved for the
+pivot over the base field.  The parametrization is verified by composition
+when it is built.
 
 Free variables are drawn as random polynomials of degree <= 3 in the
 (possibly deepened) working generator.  The oracle is one-sided: a nonzero
@@ -25,10 +23,6 @@ class UnsupportedRelationError(ValueError):
     pass
 
 
-def _single_linear_pivot(f, pivot):
-    return all(i != pivot or e == 0 for (i, e) in f.terms)
-
-
 def parametrize_relation(f, pivot, field):
     """(extra_depth, free_vars, coords) sampling the block of f.
 
@@ -36,23 +30,13 @@ def parametrize_relation(f, pivot, field):
     defined over field.extend(depth + extra_depth).
     """
     block = sorted({i for i, _ in f.terms})
-    if _single_linear_pivot(f, pivot):
-        u = f.terms[(pivot, 0)]
-        uinv = u.inverse()
-        free = [i for i in block if i != pivot]
-        slot = {v: s for s, v in enumerate(free)}
-        coords = {v: PPoly.variable(field, len(free), slot[v]) for v in free}
-        solved = _add_terms({}, (((slot[i], e), -(uinv * c))
-                                 for (i, e), c in f.terms.items() if i != pivot))
-        coords[pivot] = PPoly(field, len(free), solved)
-        return 0, free, coords
-
     single = [(next(e for (j, e) in f.terms if j == i), i) for i in block
               if sum(1 for (j, _) in f.terms if j == i) == 1]
     if not single:
         raise UnsupportedRelationError(
             "no variable occurs in exactly one term; cannot sample the variety")
-    r, y = min(single)  # shallowest tower extension wins
+    # shallowest tower extension wins; a linear pivot is solved for first
+    r, y = (0, pivot) if (0, pivot) in single else min(single)
     c = f.terms[(y, r)]
     deeper = field.extend(field.spec.depth + r)
     free = [i for i in block if i != y]

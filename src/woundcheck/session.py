@@ -166,9 +166,8 @@ def _statement(s, line):
         for piece in tail.split(";"):
             lhs, _, rhs = piece.partition("->")
             coords[lhs.strip()] = parse_ppoly(rhs.strip(), dom, src.vars)
-        names = tgt.vars if not isinstance(tgt, AffineLine) else ("T",)
         try:
-            ordered = tuple(coords[v] for v in names)
+            ordered = tuple(coords[v] for v in tgt.vars)
         except KeyError as exc:
             raise ParseError(f"map is missing coordinate {exc.args[0]!r}") from None
         s._claim(name)
@@ -186,9 +185,8 @@ def render_group(g):
 
 def render_map(m):
     from .parser import render_ppoly
-    tgt_vars = m.target.vars if not isinstance(m.target, AffineLine) else ("T",)
     body = " ; ".join(f"{v} -> {render_ppoly(c, m.source.vars)}"
-                      for v, c in zip(tgt_vars, m.coords))
+                      for v, c in zip(m.target.vars, m.coords))
     return f"map {m.name} from={m.source.name} to={m.target.name} : {body}"
 
 

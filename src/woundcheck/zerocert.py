@@ -17,18 +17,18 @@ The decision runs in three stages:
 
 Over every F_q, stage 3 first runs ``exhaustive_poly_search``, which the
 test suites also use as the independent confirmation search.  It covers
-every witness vector with polynomial entries up to a degree bound
-(optionally, over F_p, in extra transcendentals).  Such a vector is a
-vector of F_p digits, one per (coefficient, basis element of F_q over
-F_p), and the principal part is F_p-linear in them, so the search is one
-row reduction mod p of a matrix with a column per (variable, coefficient,
-digit); it returns the first zero of a fixed scan order and re-verifies
-it exactly.  The rational search then scans vectors of rational entries,
-charging the budget one unit per vector, as a lookup join on the last
-variable: for each prefix of the other entries, the one last entry that
-can cancel it is the p^N-th root of -(prefix sum) / c_last, found by a
-dict lookup.  It builds each degree level only when its scan reaches it,
-so the budget bounds its work.
+every witness vector with polynomial entries up to a degree bound in the
+tower generator.  Such a vector is a vector of F_p digits, one per
+(coefficient, basis element of F_q over F_p), and the principal part is
+F_p-linear in them, so the search is one row reduction mod p of a matrix
+with a column per (variable, coefficient, digit); it returns the first
+zero of a fixed scan order and re-verifies it exactly.  The rational
+search then scans vectors of rational entries, charging the budget one
+unit per vector, as a lookup join on the last variable: for each prefix
+of the other entries, the one last entry that can cancel it is the
+p^N-th root of -(prefix sum) / c_last, found by a dict lookup.  It builds
+each degree level only when its scan reaches it, so the budget bounds its
+work.
 """
 
 import itertools
@@ -168,11 +168,14 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
 
 
 def rational_candidates(field, max_deg):
-    """Rational functions with num/den degrees <= max_deg, by level.
+    """Rational candidates by level, for d = 0 .. max_deg.
 
-    Yields, for d = 0 .. max_deg, the list of reduced candidates whose
-    max(num, den) degree is exactly d; level 0 starts with 0, 1, 2, ...
-    Each level is built only when the caller asks for it.
+    Level d lists the reduced fractions num / den with den monic of degree
+    exactly d and num of degree <= d, each once; level 0 is the constants
+    0, 1, 2, ...  A fraction that reduces to a lower level was listed there,
+    so no level repeats one.  Fractions whose numerator has the higher
+    degree, such as b, are never candidates.  Each level is built only when
+    the caller asks for it.
     """
     q = field.spec.q
     seen = set()
@@ -187,8 +190,6 @@ def rational_candidates(field, max_deg):
                 x = FieldElem(field, num, den)
                 key = (x.num, x.den)
                 if key in seen:
-                    continue
-                if max(len(x.num) - 1, len(x.den) - 1) != d:
                     continue
                 seen.add(key)
                 level.append(x)
@@ -265,72 +266,56 @@ def _rational_witness_search(P, bound, budget):
 # exhaustive polynomial witness search (independent confirmation oracle)
 
 
-def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
+def exhaustive_poly_search(P, degree_bound):
     """Search all witness vectors with polynomial entries of degree <=
-    degree_bound (in each of 1 + extra_gens transcendentals; extra_degree
-    bounds the extra ones) for a zero of the principal part P.  Returns a
-    tuple of arrays of F_q codes (one per variable, shape (deg+1,) * gens)
-    or None; a hit is re-verified in exact arithmetic.
+    degree_bound for a zero of the principal part P.  Returns a tuple of
+    arrays of F_q codes, one of shape (degree_bound + 1,) per variable, or
+    None; a hit is re-verified in exact arithmetic.
 
     Write each witness coefficient in the F_p basis 1, t, ..., t^(e-1) of
     F_q (the digits of its ``gfq`` code).  Then c * x^(p^N) is F_p-linear
     in those digits, so the zeros are the kernel of one matrix with a
-    column per (variable, coefficient, digit); multiplying by a coefficient
-    digit of c after N Frobenius steps is an e x e matrix over F_p.  The hit
-    is the first zero of the scan that lists the last variable first, then
-    the others in order, each variable's coefficients from degree 0, most
-    significant first, and each coefficient's code in increasing order
-    (digit e-1 most significant): with the columns least significant
-    first, that is the kernel vector of the first free column.  Extra
-    transcendentals need a prime constant field (e = 1), because their
-    hits are re-verified by integer arithmetic mod p.
+    column per (variable, coefficient, digit): the unit t^j at coefficient
+    d contributes c * (t^j)^(p^N) at offset d * p^N.  The hit is the first
+    zero of the scan that lists the last variable first, then the others in
+    order, each variable's coefficients from degree 0, most significant
+    first, and each coefficient's code in increasing order (digit e-1 most
+    significant): with the columns least significant first, that is the
+    kernel vector of the first free column.
     """
     field = P.dom
     p, e = field.p, field.spec.e
-    if extra_gens and e != 1:
-        raise ValueError("extra transcendentals need a prime constant field")
     if P != P.principal_part():
         raise ValueError("input must equal its own principal part")
-    ed = degree_bound if extra_degree is None else extra_degree
-    shape = (degree_bound + 1,) + (ed + 1,) * extra_gens
+    ncoef = degree_bound + 1
     pres = P.vars_present()
     n = len(pres)
     if n < P.nvars:
         missing = next(i for i in range(P.nvars) if i not in pres)
-        out = [np.zeros(shape, dtype=np.int64) for _ in range(P.nvars)]
-        out[missing][(0,) * len(shape)] = 1
+        out = [np.zeros(ncoef, dtype=np.int64) for _ in range(P.nvars)]
+        out[missing][0] = 1
         return tuple(out)
     exps = {i: N for (i, N), _ in P.terms.items()}
     coeffs = clear_denominators(field, [P.coeff(i, exps[i]) for i in pres])[1]
 
     gf = field.gf
-    ncoef = int(np.prod(shape))
-    units = np.eye(ncoef, dtype=np.int64).reshape((ncoef, 1) + shape + (1,))
     ns = [exps[i] for i in pres]
     qs = [p ** N for N in ns]
-    out_shape = ((max((shape[0] - 1) * q + len(c) for q, c in zip(qs, coeffs)),)
-                 + tuple((s - 1) * max(qs) + 1 for s in shape[1:]))
+    out_len = max(degree_bound * q + len(c) for q, c in zip(qs, coeffs))
 
     # scan order, most significant first: variable n-1, then 0 .. n-2.
     # Column blocks and the coefficients in them run least significant
-    # first.  block[d, j, ..., s] is digit s of c_k * x^(p^N_k) at each
-    # output coefficient, for x the unit with code p^j (the basis element
-    # t^j) at coefficient d: coefficient m of c_k times (t^j)^(p^N_k) lands
-    # at exponent d * p^N_k + m
+    # first.  cols[b, d, j, m, s] is digit s, at output coefficient m, of
+    # c_k * x^(p^N_k) for x the unit t^j at coefficient degree_bound - d
     order = [n - 1] + list(range(n - 1))
-    matrix = np.zeros((n, ncoef, e) + out_shape + (e,), dtype=np.int64)
-    for block, k in zip(matrix, reversed(order)):
-        q = qs[k]
-        frobs = [gf.frob_n(p ** j, ns[k]) for j in range(e)]
-        for m, g in enumerate(coeffs[k]):
-            if g:
-                # times[j, s]: digit s of g * (t^j)^(p^N)
-                times = np.array([[gf.mul(g, f) // p ** s % p for s in range(e)] for f in frobs])
-                spots = ((slice(m, m + (shape[0] - 1) * q + 1, q),)
-                         + tuple(slice(0, (s - 1) * q + 1, q) for s in shape[1:]))
-                block[::-1][(slice(None), slice(None)) + spots] += (
-                    units * times.reshape((1, e) + (1,) * len(shape) + (e,)))
-    matrix = matrix.reshape(n * ncoef * e, -1).T
+    cols = np.zeros((n, ncoef, e, out_len, e), dtype=np.int64)
+    for block, k in zip(cols, reversed(order)):
+        for j in range(e):
+            col = np.array(fq.smul(gf, gf.frob_n(p ** j, ns[k]), coeffs[k]))
+            digits = col[:, None] // p ** np.arange(e) % p
+            for d in range(ncoef):
+                block[degree_bound - d, j, d * qs[k]:d * qs[k] + len(col)] = digits
+    matrix = cols.reshape(n * ncoef * e, -1).T
     reduced, pivots = _rref(matrix[matrix.any(axis=1)], p)
     free = next((c for c in range(n * ncoef * e) if c not in pivots), None)
     if free is None:
@@ -342,37 +327,8 @@ def exhaustive_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
     codes = hit.reshape(n, ncoef, e)[::-1, ::-1] @ p ** np.arange(e)
     witness = [None] * n  # every variable is present: pres is 0 .. n-1
     for k, d in zip(order, codes):
-        witness[k] = d.reshape(shape)
-    if extra_gens == 0:
-        point = [field.elem(tuple(int(v) for v in w)) for w in witness]
-        if not P.evaluate(point).is_zero():
-            raise RuntimeError("kernel witness does not vanish")
-    elif not _verify_multigen(P, pres, exps, coeffs, witness, p):
+        witness[k] = d
+    point = [field.elem(tuple(int(v) for v in w)) for w in witness]
+    if not P.evaluate(point).is_zero():
         raise RuntimeError("kernel witness does not vanish")
     return tuple(witness)
-
-
-def _verify_multigen(P, pres, exps, coeffs, arrays, p):
-    """Exact check of a multi-transcendental witness via numpy arithmetic."""
-    total = None
-    for k, i in enumerate(pres):
-        q = p ** exps[i]
-        a = arrays[k]
-        spread_shape = tuple((s - 1) * q + 1 for s in a.shape)
-        spread = np.zeros(spread_shape, dtype=np.int64)
-        spread[tuple(slice(None, None, q) for _ in a.shape)] = a
-        c = coeffs[k]
-        tgt = (spread_shape[0] + len(c) - 1,) + spread_shape[1:]
-        acc = np.zeros(tgt, dtype=np.int64)
-        for m, g in enumerate(c):
-            if g:
-                acc[m:m + spread_shape[0]] += g * spread
-        if total is None:
-            total = acc
-        else:
-            big = tuple(max(x, y) for x, y in zip(total.shape, acc.shape))
-            t2 = np.zeros(big, dtype=np.int64)
-            t2[tuple(slice(0, s) for s in total.shape)] += total
-            t2[tuple(slice(0, s) for s in acc.shape)] += acc
-            total = t2
-    return not np.any(total % p)

@@ -4,6 +4,7 @@ from woundcheck import corpus
 from woundcheck.groups import block_relations, landing_poly
 from woundcheck.oracle import UnsupportedRelationError, parametrize_relation, random_point_oracle
 from woundcheck.polyring import Poly, RelationSet, is_identically_zero
+from woundcheck.ppoly import PPoly
 
 
 def k3():
@@ -39,6 +40,24 @@ def test_linear_pivot_solved_in_base_field():
     extra, free, coords = parametrize_relation(line.f, line.pivot, k)
     assert extra == 0
     assert coords[1].is_zero()
+
+
+def test_sampler_solves_a_linear_pivot_first():
+    k = k3()
+    a = k.base_gen()
+    f = corpus._pp(k, 2, (0, 0, k.one()), (1, 0, a))  # X + a*Y
+    extra, free, coords = parametrize_relation(f, 1, k)
+    assert (extra, free) == (0, [0])
+    assert coords[1] == PPoly(k, 1, {(0, 0): -a.inverse()})
+    extra, free, coords = parametrize_relation(f, 0, k)
+    assert (extra, free) == (0, [1])
+
+
+def test_sampler_prefers_the_shallowest_tower_to_the_pivot():
+    k = k3()
+    f = corpus._pp(k, 2, (0, 1, k.one()), (1, 1, k.base_gen()))  # X^p + a*Y^p
+    extra, free, coords = parametrize_relation(f, 1, k)
+    assert (extra, free) == (1, [1])
 
 
 def test_unsupported_relation():
