@@ -5,10 +5,11 @@ across runs for identical inputs and seeds; elapsed time goes to stderr.
 Exit codes: 0 verified/certified, 1 refuted, 2 unknown, 3 input error.
 Every refused input exits 3 with empty stdout and one `error:` line on
 stderr: a file statement that the parser or a constructor refuses, a name
-or argument the command cannot use, a `--max-enum` refusal, and a command
-line that argparse rejects.  Each command takes only the flags it reads:
-`--search-bound` (classify, twist), `--trials` and `--seed` (verify-hom,
-selftest-paper), `--max-enum` (solve); any other is a usage error.
+or argument the command cannot use, a `solve` whose kernel points times
+unknowns exceed `homs.MAX_ENUM` (10^7), and a command line that argparse
+rejects.  Each command takes only the flags it reads: `--search-bound`
+(classify, twist), `--trials` and `--seed` (verify-hom, selftest-paper);
+any other is a usage error.
 """
 
 import argparse
@@ -48,9 +49,9 @@ class Report:
     def add(self, key, value):
         self.lines.append((key, value))
 
-    def emit(self, out=None):
+    def emit(self):
         for k, v in self.lines:
-            print(f"{k}: {v}", file=out or sys.stdout)
+            print(f"{k}: {v}")
 
 
 def _load(path):
@@ -221,7 +222,7 @@ def cmd_solve(args):
     s = _load(args.file)
     src, tgt, cs = _derive(s, args)
     domain = _domain_elems(s.field, args.domain)
-    sols = solve_homs_bounded(cs, domain, max_nodes=args.max_enum)
+    sols = solve_homs_bounded(cs, domain)
     rep = Report("solve")
     rep.add("source", render_group(src))
     rep.add("target", "Ga" if isinstance(tgt, AffineLine) else render_group(tgt))
@@ -374,9 +375,6 @@ def main(argv=None):
                   "file", "source", "target")
     sp.add_argument("--domain", choices=sorted(_DOMAINS), default="fq")
     sp.add_argument("--cap", action="append", metavar="VAR=N")
-    sp.add_argument("--max-enum", type=int, default=10_000_000,
-                    help="refuse to list a solution space whose points "
-                         "times unknowns exceed N (default 10^7)")
 
     _command(sub, "check-extension", cmd_check_extension, "cocycle extension group axioms",
              "file", "extension")

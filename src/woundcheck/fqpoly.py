@@ -8,10 +8,8 @@ Tuples stay dense, but the kernels cost work in proportion to nonzero
 coefficients, not to length: in a tower, x^(p^k) and the embeddings
 spread coefficients p^k apart, and denominators are powers of x.  add
 and smul touch only nonzero coefficients, and mul takes a monomial
-operand c*x^k as one scaling plus a shift.  Other products pair only
-nonzero coefficients, or over prime fields, when the shorter operand
-has more than four of them, use Kronecker substitution: pack the
-coefficients into one big integer, multiply natively, and unpack digits.
+operand c*x^k as one scaling plus a shift; every other product is the
+schoolbook loop over pairs of nonzero coefficients, exact for any p.
 
 The generator x is prime in F_q[x], and in a tower every denominator that
 comes from a coefficient a^(-1/p^m) is a power of it.  So gcd first takes
@@ -20,8 +18,6 @@ operands that are not constants after their own x-power is stripped, and
 divmod_ by a monomial c*x^k is a slice.  Both are exact: the results are
 the same canonical tuples that plain Euclid and long division return.
 """
-
-import numpy as np
 
 ONE = (1,)
 
@@ -75,9 +71,7 @@ def mul(gf, f, g):
     """f * g, with work in proportion to nonzero coefficients.
 
     A monomial operand c*x^k, of either length, costs one scaling plus a
-    shift.  Otherwise, over F_p, a shorter operand g with more than four
-    nonzero coefficients goes to Kronecker substitution, and the
-    schoolbook loop pairs only nonzero coefficients."""
+    shift; otherwise the schoolbook loop pairs only nonzero coefficients."""
     if not f or not g:
         return ()
     if len(f) < len(g):
@@ -86,8 +80,6 @@ def mul(gf, f, g):
         return shift(smul(gf, g[-1], f), len(g) - 1)
     if not any(f[:-1]):
         return shift(smul(gf, f[-1], g), len(f) - 1)
-    if gf.e == 1 and len(g) - g.count(0) > 4:
-        return _mul_kronecker(gf.p, f, g)
     ft = [(i, a) for i, a in enumerate(f) if a]
     out = [0] * (len(f) + len(g) - 1)
     for j, b in enumerate(g):
@@ -95,20 +87,6 @@ def mul(gf, f, g):
             for i, a in ft:
                 out[i + j] = gf.add(out[i + j], gf.mul(a, b))
     return norm(out)
-
-
-def _mul_kronecker(p, f, g):
-    # coefficient bound fixes the digit width
-    bound = (p - 1) * (p - 1) * min(len(f), len(g))
-    for width, dtype in ((2, "<u2"), (4, "<u4"), (8, "<u8")):
-        if bound < 1 << (8 * width):
-            break
-    fi = int.from_bytes(np.asarray(f, dtype=dtype).tobytes(), "little")
-    gi = int.from_bytes(np.asarray(g, dtype=dtype).tobytes(), "little")
-    nout = len(f) + len(g) - 1
-    raw = (fi * gi).to_bytes(nout * width, "little")
-    digits = np.frombuffer(raw, dtype=dtype) % p
-    return norm(digits.tolist())
 
 
 def divmod_(gf, f, g):

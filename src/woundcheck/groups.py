@@ -75,14 +75,6 @@ class HypersurfaceGroup:
         return f"<group {self.name}>"
 
 
-def default_pivot(f):
-    """Highest-index variable with unit leading coefficient."""
-    for i in sorted({j for j, _ in f.terms}, reverse=True):
-        if f.terms[(i, f.max_exp(i))].is_unit():
-            return i
-    raise ValueError("no variable has a unit leading coefficient")
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     smooth: bool

@@ -13,7 +13,8 @@ collects one vanishing condition per surviving coefficient.  Every such
 condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
 solutions are the points of an affine F_p-kernel, which it lists and
-filters to the domain.  It returns every satisfying map in canonical form.
+filters to the domain, refusing a kernel whose points times unknowns
+exceed MAX_ENUM.  It returns every satisfying map in canonical form.
 """
 
 import itertools
@@ -21,10 +22,13 @@ from dataclasses import dataclass
 
 from . import fqpoly as fq
 from .field import FieldElem, _rref, clear_denominators
-from .groups import is_line, shift_vars
+from .groups import block_relations, is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
 from .polyring import RelationSet
 from .ppoly import PPoly, reduce_mod, to_relation
+
+
+MAX_ENUM = 10_000_000  # largest p^dim(kernel) * #unknowns the solver lists
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -108,17 +112,10 @@ def landing_identity(m):
     npar = len(ring.names) if ring is not None else 0
     nsrc = m.source.nvars
     amb = nsrc + npar
-    if ring is not None:
-        fld = ring.base
-    elif not is_line(m.source):
-        fld = m.source.field
-    else:
-        fld = m.coords[0].dom
+    fld = ring.base if ring is not None else m.coords[0].dom
     composed = m.target.f.compose(m.coords)
     poly = flatten_ppoly(composed, list(range(nsrc)), list(range(nsrc, amb)), fld, amb)
-    rels = []
-    if not is_line(m.source):
-        rels.append(to_relation(shift_vars(m.source.f, 0, amb), m.source.pivot))
+    rels = list(block_relations([(m.source, 0)], amb))
     if ring is not None:
         for fp, pivot in ring.ppoly_relations:
             rels.append(to_relation(shift_vars(fp, nsrc, amb), pivot + nsrc))
@@ -259,7 +256,7 @@ def _undigits(gf, digits):
                     for i in range(0, len(digits), e)])
 
 
-def solve_homs_bounded(cs, domain, max_nodes=10_000_000):
+def solve_homs_bounded(cs, domain):
     """Every assignment of the unknowns from the finite domain that satisfies
     every constraint; deterministic order, each returned map in canonical
     form and guaranteed to verify.
@@ -269,7 +266,7 @@ def solve_homs_bounded(cs, domain, max_nodes=10_000_000):
     matrix with a column per (unknown, span basis element).  Its points are
     listed and kept when every coordinate lies in the domain, which is all
     of them for a subspace domain.  EnumerationBudgetError is raised before
-    listing when p^dim(kernel) * #unknowns exceeds max_nodes.
+    listing when p^dim(kernel) * #unknowns exceeds MAX_ENUM.
     """
     field = cs.ring.base
     p = field.p
@@ -304,9 +301,9 @@ def solve_homs_bounded(cs, domain, max_nodes=10_000_000):
     if ncols in pivots:
         return []  # inconsistent: 1 = 0
     free = [c for c in range(ncols) if c not in pivots]
-    if p ** len(free) * nunk > max_nodes:
+    if p ** len(free) * nunk > MAX_ENUM:
         raise EnumerationBudgetError(
-            f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {max_nodes}")
+            f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")
     forced = [(c, (-row[ncols]) % p, [row[f] for f in free])
               for c, row in zip(pivots, reduced)]
     solutions = []

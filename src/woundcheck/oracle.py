@@ -96,5 +96,5 @@ def random_point_oracle(h, rset, seed=0, trials=100):
     return True
 
 
-def _draw(field, rng, deg=3):
-    return field.elem(tuple(rng.randrange(field.spec.q) for _ in range(deg + 1)))
+def _draw(field, rng):
+    return field.elem(tuple(rng.randrange(field.spec.q) for _ in range(4)))

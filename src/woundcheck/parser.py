@@ -257,7 +257,7 @@ def _render_gen_poly(field, coeffs):
 # p-polynomials
 
 
-def parse_ppoly(text, dom, var_names, nvars=None):
+def parse_ppoly(text, dom, var_names):
     """Parse a p-polynomial over the given coefficient domain.
 
     dom is a Field or a ParamRing; var_names maps names to variable slots.
@@ -266,8 +266,7 @@ def parse_ppoly(text, dom, var_names, nvars=None):
 
     ring = dom if isinstance(dom, ParamRing) else None
     field = ring.base if ring is not None else dom
-    if nvars is None:
-        nvars = len(var_names)
+    nvars = len(var_names)
     index = {n: i for i, n in enumerate(var_names)}
     stream = _Stream(tokenize(text))
     if stream.toks == [("int", 0)]:
@@ -300,7 +299,7 @@ def parse_ppoly(text, dom, var_names, nvars=None):
     return _done(stream, PPoly(dom, nvars, terms))
 
 
-def render_coef(c, param_names=None):
+def render_coef(c):
     if isinstance(c, FieldElem):
         s = render_elem(c)
         if "+" in s or "-" in s or "/" in s:
@@ -324,9 +323,8 @@ def render_ppoly(f, var_names=None):
 # general polynomials
 
 
-def parse_poly(text, field, var_names, nvars=None):
-    if nvars is None:
-        nvars = len(var_names)
+def parse_poly(text, field, var_names):
+    nvars = len(var_names)
     index = {n: i for i, n in enumerate(var_names)}
     stream = _Stream(tokenize(text))
 

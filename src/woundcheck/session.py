@@ -12,9 +12,11 @@ live in one namespace ("Ga" is reserved for the affine line).  Statements:
     map phi from=Va to=U : X -> <p-poly> ; Y -> <p-poly>
 
 `#` starts a comment; blank lines are ignored.  Extension cocycles are
-polynomials in the base group's variables and their primed copies.  A
-statement that the parser or an object's constructor refuses raises one
-ParseError that names its line.
+polynomials in the base group's variables and their primed copies.  A map
+names each target variable once and an extension each center coordinate
+h1..hn once; a name outside those, a repeated one or a missing one is
+refused.  A statement that the parser or an object's constructor refuses
+raises one ParseError that names its line.
 """
 
 import re
@@ -96,6 +98,24 @@ def _require_field(s):
         raise ParseError("field must be declared first")
 
 
+def _components(tail, sep, keys, what):
+    """{key: text} for the `key sep text` pieces of a statement body split at
+    `;`; ParseError for a key outside keys, a repeated key or a missing one."""
+    out = {}
+    for piece in tail.split(";"):
+        lhs, _, rhs = piece.partition(sep)
+        key = lhs.strip()
+        if key not in keys:
+            raise ParseError(f"{what} {key!r} is not one of {', '.join(keys)}")
+        if key in out:
+            raise ParseError(f"{what} {key!r} is given twice")
+        out[key] = rhs.strip()
+    missing = [k for k in keys if k not in out]
+    if missing:
+        raise ParseError(f"missing {what} {missing[0]!r}")
+    return out
+
+
 def _statement(s, line):
     head, _, tail = line.partition(":")
     head = head.strip()
@@ -142,19 +162,12 @@ def _statement(s, line):
         name = kv["name"]
         center = s.group_or_line(kv["center"])
         base = s.group_or_line(kv["base"])
-        comps = {}
-        for piece in tail.split(";"):
-            lhs, _, rhs = piece.partition("=")
-            comps[lhs.strip()] = rhs.strip()
+        keys = tuple(f"h{i + 1}" for i in range(center.nvars))
+        comps = _components(tail, "=", keys, "extension component")
         hvars = base.vars + tuple(v + "'" for v in base.vars)
-        h = []
-        for i in range(center.nvars):
-            key = f"h{i + 1}"
-            if key not in comps:
-                raise ParseError(f"extension is missing component {key}")
-            h.append(parse_poly(comps[key], s.field, hvars))
+        h = tuple(parse_poly(comps[k], s.field, hvars) for k in keys)
         s._claim(name)
-        s.extensions[name] = CocycleExtension(name, center, base, tuple(h))
+        s.extensions[name] = CocycleExtension(name, center, base, h)
     elif kind == "map":
         _require_field(s)
         kv = _header(head, "name", "from", "to")
@@ -162,14 +175,8 @@ def _statement(s, line):
         src = s.group_or_line(kv["from"])
         tgt = s.group_or_line(kv["to"])
         dom = s.ring if s.param_names else s.field
-        coords = {}
-        for piece in tail.split(";"):
-            lhs, _, rhs = piece.partition("->")
-            coords[lhs.strip()] = parse_ppoly(rhs.strip(), dom, src.vars)
-        try:
-            ordered = tuple(coords[v] for v in tgt.vars)
-        except KeyError as exc:
-            raise ParseError(f"map is missing coordinate {exc.args[0]!r}") from None
+        coords = _components(tail, "->", tgt.vars, "map coordinate")
+        ordered = tuple(parse_ppoly(coords[v], dom, src.vars) for v in tgt.vars)
         s._claim(name)
         s.maps[name] = PPolyMap(name, src, tgt, ordered, s.ring if s.param_names else None)
     else:

@@ -8,8 +8,9 @@ The decision runs in three stages:
    nontrivial zero iff the matrix [u_ij] has rank < n over k; a left kernel
    vector is an explicit witness, a full-rank matrix is the certificate.
 2. Mixed exponents: substitute w_i = x_i^(p^(N_i - N_min)), an
-   equal-exponent relaxation.  NoZero for the relaxation is sound for the
-   original; a relaxation zero decides nothing.
+   equal-exponent relaxation, decided by the same call on the same top
+   coefficients with every N_i read as N_min.  NoZero for the relaxation
+   is sound for the original; a relaxation zero decides nothing.
 3. Budgeted witness search over rational entries of bounded degree,
    enumerated by increasing degree and joined on the last variable.
    Finding a witness settles Zero; exhausting the budget or the bound
@@ -38,7 +39,6 @@ import numpy as np
 
 from . import fqpoly as fq
 from .field import Field, FieldElem, _rref, clear_denominators
-from .ppoly import PPoly
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,15 @@ def _semilinear_rows(field, polys, N):
     return tuple(cols), rows
 
 
-def _equal_exponent(P, pres, N, stage):
-    field = P.dom
-    coeffs = [P.coeff(i, N) for i in pres]
+def _equal_exponent(field, coeffs, N, stage):
+    """The decision for sum_i coeffs[i] * x_i^(p^N): no_zero with the full-rank
+    semilinear rows, or zero with a left kernel vector as the witness."""
     polys = clear_denominators(field, coeffs)[1]
     cols, rows = _semilinear_rows(field, polys, N)
     rank, x = left_kernel_vector(rows, field)
     if x is None:
         return ZeroDecision("no_zero", stage, matrix=tuple(rows), columns=cols, rank=rank)
-    return rank, x
+    return ZeroDecision("zero", stage, witness=tuple(x), rank=rank)
 
 
 def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
@@ -134,26 +134,17 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
         w[missing] = field.one()
         return ZeroDecision("zero", "absent_variable", witness=tuple(w))
 
-    exps = {}
-    for (i, e), _ in P.terms.items():
-        exps[i] = e
-    ns = [exps[i] for i in pres]
-    nmin = min(ns)
-
-    if all(n == nmin for n in ns):
-        res = _equal_exponent(P, pres, nmin, "equal_exponent")
-        if isinstance(res, ZeroDecision):
-            return res
-        rank, x = res
-        witness = tuple(x)
-        if not P.evaluate(witness).is_zero():
+    # one term per variable; with mixed exponents this is the min-exponent
+    # relaxation w_i = x_i^(p^(N_i - nmin)), whose zeros decide nothing
+    top = sorted(P.terms.items())
+    nmin = min(e for (_, e), _ in top)
+    stage = "equal_exponent" if all(e == nmin for (_, e), _ in top) else "relaxation"
+    res = _equal_exponent(field, [c for _, c in top], nmin, stage)
+    if stage == "equal_exponent":
+        if res.witness is not None and not P.evaluate(res.witness).is_zero():
             raise RuntimeError("equal-exponent witness does not vanish")
-        return ZeroDecision("zero", "equal_exponent", witness=witness, rank=rank)
-
-    # mixed exponents: min-exponent relaxation w_i = x_i^(p^(N_i - nmin))
-    relaxed = PPoly(field, len(pres), {(k, nmin): P.coeff(i, exps[i]) for k, i in enumerate(pres)})
-    res = _equal_exponent(relaxed, list(range(len(pres))), nmin, "relaxation")
-    if isinstance(res, ZeroDecision):
+        return res
+    if res.verdict == "no_zero":
         return res
 
     # polynomial witnesses first (one F_p-kernel), then rational ones

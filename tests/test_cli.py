@@ -157,6 +157,77 @@ def test_solve_non_integer_cap_is_input_error():
     assert err.startswith("error: cap 'X=abc' is not")
 
 
+def test_valid_cap_bounds_the_ansatz():
+    code, out, _ = run(["derive", HOMS, "Va", "U", "--cap", "Y=1"])
+    assert code == 0
+    assert ("unknowns: c0_X_0, c0_X_1, c0_Y_0, c0_Y_1, c1_X_0, c1_X_1, c1_Y_0, c1_Y_1\n"
+            "constraints: 5\n") in out
+    code, out, _ = run(["solve", HOMS, "Va", "U", "--domain", "deg1", "--cap", "Y=1"])
+    assert code == 0 and "solutions: 3\n" in out
+
+
+def test_cap_for_unknown_variable_is_input_error():
+    for cmd in ("derive", "solve"):
+        code, out, err = run([cmd, HOMS, "Va", "U", "--cap", "Z=1"])
+        assert code == 3 and out == "" and _one_error_line(err)
+        assert err.startswith("error: cap for unknown variable 'Z'\n")
+
+
+def test_solve_over_the_listing_limit_is_input_error():
+    code, out, err = run(["solve", HOMS, "Va", "Ga", "--domain", "deg2"])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith("error: listing 3^15 kernel points of 5 unknowns exceeds 10000000\n")
+
+
+def test_classify_unknown_reports_the_search_bound(tmp_path):
+    path = tmp_path / "w2.txt"
+    path.write_text("field p=2 e=1 gen=a depth=0\n"
+                    "group W2 vars=X,Y,Z pivot=X : "
+                    "1*X^(p^0) + 1*X^(p^2) + a*Y^(p^1) + a^2*Z^(p^3)\n", encoding="utf-8")
+    code, out, _ = run(["classify", str(path), "W2"])
+    assert code == 2
+    assert out.endswith("wound: unknown\nsearch.bound: 3\n")
+
+
+def test_classify_over_a_prime_above_two_to_the_32(tmp_path):
+    """Coefficient products overflow 64 bits; c = (-1 - a - ... - a^4)^2 is
+    computed exactly, and (-c, 1) is the witness."""
+    n = 4_294_967_310
+    root = "(" + "+".join([str(n)] + [f"{n}*a^{i}" for i in range(1, 5)]) + ")"
+    path = tmp_path / "large.txt"
+    path.write_text("field p=4294967311 e=1 gen=a depth=0\n"
+                    f"group G vars=X,Y pivot=X : 1*X^(p^0) + {root}*{root}*Y^(p^0)\n",
+                    encoding="utf-8")
+    code, out, err = run(["classify", str(path), "G"])
+    assert code == 1 and "Traceback" not in err
+    assert "defining: 1*X^(p^0) + (1+2*a+3*a^2+4*a^3+5*a^4+4*a^5+3*a^6+2*a^7+a^8)*Y^(p^0)\n" in out
+    assert out.endswith("wound: refuted\nwitness: (4294967310+4294967309*a+4294967308*a^2"
+                        "+4294967307*a^3+4294967306*a^4+4294967307*a^5+4294967308*a^6"
+                        "+4294967309*a^7+4294967310*a^8, 1)\n")
+
+
+def test_verify_iso_unknown_map_is_input_error():
+    code, out, err = run(["verify-iso", SPLIT, "split", "nosuch"])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith("error: unknown map 'nosuch'\n")
+
+
+def test_reduce_without_a_divisor_is_input_error():
+    code, out, err = run(["reduce", WOUND, "1*X^(p^2)"])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith("error: reduce needs --group or all of --f/--pivot/--vars\n")
+
+
+def test_ppoly_term_with_two_variables_is_input_error(tmp_path):
+    path = tmp_path / "two.txt"
+    path.write_text("field p=3 e=1 gen=a depth=0\n"
+                    "group G vars=X,Y pivot=X : 1*X^(p^0) + 1*X^(p^0)*Y^(p^0)\n",
+                    encoding="utf-8")
+    code, out, err = run(["classify", str(path), "G"])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith("error: line 2: two variables in one p-polynomial term\n")
+
+
 def test_solve_line_source_is_input_error():
     code, out, err = run(["solve", HOMS, "Ga", "U"])
     assert code == 3 and out == ""
@@ -209,11 +280,11 @@ def test_help_exits_zero(argv):
     assert exc.value.code == 0
 
 
-# the four shared flags and the commands that read them; any other
+# the three shared flags and the commands that read them; any other
 # command refuses them as usage errors
 COMMAND_FLAGS = {
     "classify": {"--search-bound"}, "reduce": set(), "verify-hom": {"--trials", "--seed"},
-    "derive": set(), "solve": {"--max-enum"}, "check-extension": set(),
+    "derive": set(), "solve": set(), "check-extension": set(),
     "twist": {"--search-bound"}, "verify-iso": set(), "selftest-paper": {"--trials", "--seed"},
 }
 
@@ -225,6 +296,7 @@ COMMAND_FLAGS = {
     ["classify", WOUND, "Wa", "--seed", "1"],
     ["verify-iso", SPLIT, "split", "unsplit", "--trials", "5"],
     ["solve", HOMS, "Va", "U", "--seed", "1"],
+    ["solve", HOMS, "Va", "U", "--max-enum", "5"],
 ])
 def test_flag_the_command_does_not_read_is_a_usage_error(argv):
     code, out, err = run(argv)

@@ -48,7 +48,7 @@ def test_f9_nonprime_constant_decision():
     assert P.evaluate(d.witness).is_zero()
 
 
-def test_kronecker_vs_schoolbook():
+def test_mul_vs_schoolbook():
     gf = GFq(3)
     rng = random.Random(9)
     for _ in range(60):

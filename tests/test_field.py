@@ -179,24 +179,36 @@ def test_power_of_b_denominator_needs_no_division(monkeypatch, p, e):
 
 @pytest.mark.parametrize("p,depth", [(2, 1), (3, 2), (5, 1), (7, 0)])
 def test_product_by_a_power_of_b_is_a_shift(monkeypatch, p, depth):
-    """Numerators long enough for the Kronecker product, times c*b^k of any
-    length and over denominators b^i: each product is one scaling and a
-    shift, so no Kronecker product runs."""
+    """Numerators of 6-11 nonzero coefficients times c*b^k of any length,
+    and denominators b^i times b^j: each product is one scaling and a
+    shift, so fqpoly.mul adds no two coefficients."""
     k = Field(FieldSpec(p, 1, "a", depth))
     gf, rng = k.gf, random.Random(p)
     nums = [tuple(rng.randrange(1, p) for _ in range(rng.randrange(6, 12))) for _ in range(6)]
     elems = [k.elem(num, fq.shift(fq.ONE, i)) for i, num in enumerate(nums)]
     monomials = [k.elem(fq.shift((rng.randrange(1, p),), j)) for j in (0, 1, 5, 9, 27, 40)]
-    kronecker = _count_calls(monkeypatch, "_mul_kronecker")
     for x in elems:
         for m in monomials:
             assert x * m == k.elem(dense_mul(gf, x.num, m.num), x.den)
         for y in elems:
             num = dense_add(gf, dense_mul(gf, x.num, y.den), dense_mul(gf, y.num, x.den))
             assert x + y == k.elem(num, dense_mul(gf, x.den, y.den))
-    assert kronecker == []
+    pairs = ([(x.num, m.num) for x in elems for m in monomials]
+             + [(x.den, y.den) for x in elems for y in elems])
+    want = [dense_mul(gf, f, g) for f, g in pairs]
+    adds = []
+    real_add = type(gf).add
+
+    def counted(self, a, b):
+        adds.append((a, b))
+        return real_add(self, a, b)
+
+    monkeypatch.setattr(type(gf), "add", counted)
+    assert [fq.mul(gf, f, g) for f, g in pairs] == want
+    assert [fq.mul(gf, g, f) for f, g in pairs] == want
+    assert adds == []
     fq.mul(gf, nums[0], nums[1])
-    assert len(kronecker) == 1
+    assert adds
 
 
 @pytest.mark.parametrize("p,e,depth", [(2, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 0)])

@@ -3,7 +3,10 @@ shortcuts: the Frobenius-digit power FieldElem.__pow__, the x-adic
 fqpoly.gcd and fqpoly.divmod_, and the zero-skipping fqpoly.add, smul and
 mul.  Over p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands
 are drawn mostly as monomials c*x^k, multiples of x^j and Frobenius
-images, the shapes the shortcuts take."""
+images, the shapes the shortcuts take, plus dense products over one
+prime above 2^32."""
+
+import random
 
 import sympy
 from hypothesis import assume, given, settings
@@ -132,3 +135,15 @@ def test_sparse_kernels_match_the_dense_loops(case):
     if gf.e == 1:
         p = gf.p
         assert product == _tuple(_sympy(f, p) * _sympy(g, p), p)
+
+
+def test_product_over_a_large_prime():
+    """Over F_4294967311 a product of two coefficients exceeds 64 bits, and a
+    sum of products exceeds it further; dense operands of 5-12 nonzero
+    coefficients take the general product."""
+    gf = GFq(4_294_967_311)
+    rng = random.Random(11)
+    for _ in range(50):
+        f, g = (tuple(rng.randrange(1, gf.p) for _ in range(rng.randrange(5, 13)))
+                for _ in range(2))
+        assert fq.mul(gf, f, g) == dense_mul(gf, f, g) == fq.mul(gf, g, f)

@@ -2,7 +2,7 @@ import pytest
 
 from woundcheck import corpus
 from woundcheck.groups import (HypersurfaceGroup, check_biadditive, check_group_axioms,
-                               check_lands_in, classify, default_pivot, is_alternating,
+                               check_lands_in, classify, is_alternating,
                                is_commutative, twist_group)
 from woundcheck.homs import verify_hom, verify_mutual_inverse
 from woundcheck.polyring import Poly
@@ -42,7 +42,6 @@ def test_group_validation():
     wa = group_wa(k)
     with pytest.raises(ValueError):
         HypersurfaceGroup("bad", ("X", "Y"), wa.f, 5)
-    assert default_pivot(wa.f) == 1  # highest index with unit leading coeff
 
 
 def test_gabber_extension_p3_and_p5():

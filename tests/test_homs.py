@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
+import sympy
 
 from woundcheck import corpus
 from woundcheck.groups import AffineLine
-from woundcheck.homs import (EnumerationBudgetError, PPolyMap, canonical_form,
+from woundcheck.homs import (MAX_ENUM, EnumerationBudgetError, PPolyMap, canonical_form,
                              compose_maps, derive_hom_constraints, identity_map,
                              landing_identity, solve_homs_bounded, verify_hom,
                              verify_mutual_inverse)
@@ -175,9 +176,10 @@ def test_contradictory_system_is_empty():
 
 def test_enumeration_budget_guard():
     k = k3()
-    cs = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: 3})
-    with pytest.raises(EnumerationBudgetError):
-        solve_homs_bounded(cs, poly_elements(k, 1), max_nodes=10)
+    cs = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: 5})
+    message = rf"listing 3\^18 kernel points of 6 unknowns exceeds {MAX_ENUM}$"
+    with pytest.raises(EnumerationBudgetError, match=message):
+        solve_homs_bounded(cs, poly_elements(k, 2))
 
 
 def test_mutual_inverse_identity():
@@ -208,28 +210,42 @@ def solved_points(cs, domain):
     return [tuple(s.values[n] for n in cs.ring.names) for s in solve_homs_bounded(cs, domain)]
 
 
-def capped_system(p, s, t, pivot_cap, other_cap):
-    k = corpus.base_field(p)
+def field_of_order(q):
+    (p, e), = sympy.factorint(q).items()
+    return corpus.base_field(p, e)
+
+
+def capped_system(q, s, t, pivot_cap, other_cap):
+    k = field_of_order(q)
     src = _GROUPS[s](k)
     caps = {src.pivot: min(pivot_cap, src.f.max_exp(src.pivot) - 1), 1 - src.pivot: other_cap}
-    return derive_hom_constraints(src, _GROUPS[t](k), caps=caps)
+    tgt = AffineLine() if t == "Ga" else _GROUPS[t](k)
+    return derive_hom_constraints(src, tgt, caps=caps)
 
 
-# (p, domain degree, pivot cap, other cap): at most ~10^4 points per pair
-@pytest.mark.parametrize("p,deg,pivot_cap,other_cap,pairs", [
+# (q, domain degree, pivot cap, other cap): at most ~7 * 10^4 points per
+# pair; over F_4 and F_9 the solver reads the base-p digits of each F_q
+# coefficient as the domain's F_p-coordinates
+@pytest.mark.parametrize("q,deg,pivot_cap,other_cap,pairs", [
     (2, 0, 1, 1, _PAIRS),
     (3, 0, 0, 1, _PAIRS),
     (3, 0, 1, 1, [("Va", "U")]),
     (5, 0, 0, 0, _PAIRS),
     (2, 1, 0, 1, [("Va", "U"), ("Wa", "Wa"), ("W", "W")]),
+    (4, 0, 0, 1, _PAIRS + [("Wa", "Ga")]),
+    (4, 1, 0, 0, [("Wa", "Wa")]),
+    (9, 0, 0, 0, [("Wa", "Wa"), ("Wa", "Va"), ("U", "U"), ("Va", "Va"), ("W", "W")]),
+    (9, 1, 0, 0, [("Wa", "Ga")]),
 ])
-def test_solver_matches_brute_force_on_corpus_pairs(p, deg, pivot_cap, other_cap, pairs):
-    domain = poly_elements(corpus.base_field(p), deg)
+def test_solver_matches_brute_force_on_corpus_pairs(q, deg, pivot_cap, other_cap, pairs):
+    domain = poly_elements(field_of_order(q), deg)
     nonzero = 0
     for s, t in pairs:
-        cs = capped_system(p, s, t, pivot_cap, other_cap)
+        cs = capped_system(q, s, t, pivot_cap, other_cap)
         want = brute_force(cs, domain)
-        assert solved_points(cs, domain) == want, (s, t)
+        sols = solve_homs_bounded(cs, domain)
+        assert [tuple(sol.values[n] for n in cs.ring.names) for sol in sols] == want, (s, t)
+        assert all(verify_hom(sol.map) for sol in sols), (s, t)
         nonzero += len(want) > 1
     assert nonzero  # some pair has more than the zero map
 

@@ -124,3 +124,35 @@ def test_incomplete_statement_header_is_one_error_line(tmp_path, line):
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: line 4: ")
     assert "Traceback" not in err
+
+
+_PHI_B_Y = " ; Y -> (e)*X^(p^0) + (d)*Y^(p^1)"
+_UA_H2 = " ; h2 = 1*X*Y'^3 + 2*X'*Y^3"
+
+
+@pytest.mark.parametrize("demo,old,new,argv,message", [
+    ("hom_scheme.txt", _PHI_B_Y, _PHI_B_Y + " ; Q -> 1*X^(p^0)", ["verify-hom", "phi_b"],
+     "line 12: map coordinate 'Q' is not one of X, Y"),
+    ("hom_scheme.txt", _PHI_B_Y, " ; Y -> 0 ; Y -> 1*X^(p^0)", ["verify-hom", "phi_b"],
+     "line 12: map coordinate 'Y' is given twice"),
+    ("hom_scheme.txt", _PHI_B_Y, "", ["verify-hom", "phi_b"],
+     "line 12: missing map coordinate 'Y'"),
+    ("wound_forms.txt", _UA_H2, _UA_H2 + " ; h3 = 0", ["check-extension", "Ua"],
+     "line 11: extension component 'h3' is not one of h1, h2"),
+    ("wound_forms.txt", _UA_H2, _UA_H2 + " ; h1 = 0", ["check-extension", "Ua"],
+     "line 11: extension component 'h1' is given twice"),
+    ("wound_forms.txt", _UA_H2, "", ["check-extension", "Ua"],
+     "line 11: missing extension component 'h2'"),
+], ids=["map-unknown", "map-twice", "map-missing", "ext-unknown", "ext-twice", "ext-missing"])
+def test_statement_body_names_each_part_once(tmp_path, demo, old, new, argv, message):
+    """A map coordinate or an extension component that the target lacks, or
+    that is given twice, is refused rather than dropped or overridden."""
+    from test_cli import DEMOS, run
+    text = (DEMOS / demo).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / demo
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run([argv[0], str(path)] + argv[1:])
+    assert code == 3 and out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert errors == [f"error: {message}"] and "Traceback" not in err
