@@ -139,6 +139,8 @@ class CocycleExtension:
     h: tuple                    # one Poly per center coordinate, over 2 * base.nvars
 
     def __post_init__(self):
+        if is_line(self.center) or is_line(self.base):
+            raise ValueError("an extension's center and base must be hypersurface groups, not Ga")
         n = self.base.nvars
         if len(self.h) != self.center.nvars:
             raise ValueError("cocycle has wrong number of components")

@@ -14,7 +14,8 @@ condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
 solutions are the points of an affine F_p-kernel, which it lists and
 filters to the domain, refusing a kernel whose points times unknowns
-exceed MAX_ENUM.  It returns every satisfying map in canonical form.
+exceed MAX_ENUM.  The ansatz keeps every pivot exponent below the
+canonical bound, so each satisfying map it returns is already canonical.
 """
 
 import itertools
@@ -258,8 +259,10 @@ def _undigits(gf, digits):
 
 def solve_homs_bounded(cs, domain):
     """Every assignment of the unknowns from the finite domain that satisfies
-    every constraint; deterministic order, each returned map in canonical
-    form and guaranteed to verify.
+    every constraint; deterministic order, each returned map guaranteed to
+    verify, and canonical by construction when cs comes from
+    derive_hom_constraints (its ansatz caps each pivot exponent below the
+    source's canonical bound, so no coordinate needs dividing).
 
     Each constraint is additive in the unknowns, so over the F_p-span of the
     domain the solutions form an affine F_p-subspace: the kernel of one
@@ -325,7 +328,7 @@ def solve_homs_bounded(cs, domain):
                 terms[j][(i, e)] = v
         coords = tuple(PPoly(cs.source.field, cs.source.nvars, t) for t in terms)
         m = PPolyMap(f"sol{len(out)}", cs.source, cs.target, coords)
-        out.append(HomSolution(dict(zip(cs.ring.names, sol)), canonical_form(m)))
+        out.append(HomSolution(dict(zip(cs.ring.names, sol)), m))
     return out
 
 

@@ -68,12 +68,7 @@ def random_point_oracle(h, rset, seed=0, trials=100):
     """False as soon as a sampled relation-variety point gives h != 0;
     True when every trial vanishes."""
     field = h.field
-    samplers = []
-    for rel in rset:
-        f = rel.source
-        if not isinstance(f, PPoly):
-            raise UnsupportedRelationError("relation lacks its source p-polynomial")
-        samplers.append(parametrize_relation(f, rel.pivot, field))
+    samplers = [parametrize_relation(rel.source, rel.pivot, field) for rel in rset]
     extra = max((s[0] for s in samplers), default=0)
     deep = field.extend(field.spec.depth + extra)
     hdeep = Poly(deep, h.nvars, {m: field.embed(c, deep) for m, c in h.terms.items()})

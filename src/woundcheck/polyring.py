@@ -5,11 +5,11 @@ nonzero FieldElem coefficients.  The canonical monomial order is graded
 lexicographic on exponent vectors; serialization and leading-term
 extraction use it, while equality is plain dict equality.
 
-A Relation is a rewrite rule X_i^B -> rhs compiled from an additive
-polynomial with unit leading coefficient in its pivot variable.  Relations
-in a RelationSet must have pairwise disjoint variable blocks, which makes
-the rewriting confluent: the normal form is the iterated division
-remainder and does not depend on rewrite order.
+A Relation is a rewrite rule X_i^B -> rhs compiled from (and keeping as
+its source) an additive polynomial with unit leading coefficient in its
+pivot variable.  Relations in a RelationSet must have pairwise disjoint
+variable blocks, which makes the rewriting confluent: normal_form is the
+iterated division remainder and does not depend on rewrite order.
 """
 
 from dataclasses import dataclass
@@ -205,11 +205,12 @@ class Poly:
 
 @dataclass(frozen=True)
 class Relation:
-    """Rewrite rule X_pivot^bound -> rhs, with deg_pivot(rhs) < bound."""
+    """Rewrite rule X_pivot^bound -> rhs, with deg_pivot(rhs) < bound,
+    compiled by ppoly.to_relation from its source p-polynomial."""
     pivot: int
     bound: int
     rhs: Poly
-    source: object = None  # the additive polynomial it was compiled from
+    source: object  # the additive polynomial it was compiled from
 
     @property
     def block(self):
@@ -247,32 +248,20 @@ class RelationSet:
 
 
 def normal_form(h, rset):
-    """The unique remainder of h modulo the relation set.
+    """The unique remainder of h modulo the RelationSet rset.
 
     Monomials whose pivot degree meets a relation's bound are rewritten by
-    one application of X^B -> rhs at a time; disjoint blocks guarantee
-    termination and a rewrite-order-independent result.
+    one application of X^B -> rhs at a time.  A rewrite lowers the sum of
+    the pivot degrees, so taking monomials in descending order of that sum
+    rewrites each one once, with all of its coefficient; disjoint blocks
+    make the result independent of rewrite order.
     """
-    return _rewrite(h, rset)[0]
-
-
-def _rewrite(h, rset):
-    """(normal form of h, rewrites): each rewrite (relation, lowered, c)
-    replaced c * X^lowered * X_pivot^bound by c * X^lowered * rhs.
-
-    A rewrite lowers the sum of the pivot degrees, so taking monomials in
-    descending order of that sum rewrites each one once, with all of its
-    coefficient.
-    """
-    if isinstance(rset, Relation):
-        rset = RelationSet(rset.rhs.nvars, (rset,))
     if h.nvars != rset.nvars:
         raise ValueError("polynomial and relations disagree on variable count")
     rels = rset.relations
     if not rels:
-        return h, ()
+        return h
     work = dict(h.terms)
-    rewrites = []
     heap = []
     new = work
     while True:
@@ -282,7 +271,7 @@ def _rewrite(h, rset):
                     heappush(heap, (-sum(m[q.pivot] for q in rels), m, k))
                     break
         if not heap:
-            return Poly._raw(h.field, h.nvars, work), rewrites
+            return Poly._raw(h.field, h.nvars, work)
         _, m, k = heappop(heap)
         c = work.pop(m, None)
         if c is None:  # cancelled, or a second entry for m
@@ -291,8 +280,6 @@ def _rewrite(h, rset):
         r = rels[k]
         lowered = list(m)
         lowered[r.pivot] -= r.bound
-        lowered = tuple(lowered)
-        rewrites.append((r, lowered, c))
         new = r.rhs.mul_term(lowered, c).terms
         _add_terms(work, new.items())
 

@@ -11,16 +11,16 @@ code only relies on the shared coefficient protocol (ring operations plus
 ``frobenius``/``inverse``/``is_zero``/``is_unit``).  The canonical term
 order is (variable, exponent) ascending.
 
-``reduce_mod`` implements division with remainder against a p-polynomial
-whose leading pivot coefficient is a unit, returning a replayable trace:
-the remainder plus the exact multiples of the divisor that were
-subtracted.  On p-polynomial input the remainder is again a p-polynomial.
+``reduce_mod`` divides a p-polynomial by a p-polynomial whose leading
+pivot coefficient is a unit, returning a replayable trace: the remainder,
+again a p-polynomial, plus the exact multiples of the divisor that were
+subtracted.  General polynomials are reduced by ``polyring.normal_form``.
 """
 
 from dataclasses import dataclass
 
 from .field import Field, FieldElem
-from .polyring import Poly, Relation, _add_terms, _rewrite
+from .polyring import Poly, Relation, _add_terms
 
 
 def join_dom(d1, d2):
@@ -202,57 +202,44 @@ def to_relation(f, pivot):
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Replayable record of division by a pivoted p-polynomial.
+    """Replayable record of division of a p-polynomial by a pivoted one.
 
     Each step is (multiplier, j) and contributed multiplier * (u^-1 F)^(p^j)
     to the subtracted part, u being the divisor's leading pivot coefficient.
-    For p-polynomial input the multipliers are coefficients and j >= 0; for
-    general polynomial input the steps are the rewrites of the normal_form
-    engine against to_relation(F, pivot): monomial terms (as Poly) with
-    j = 0 and u^-1 already folded in.
     """
     divisor: PPoly
     pivot: int
     steps: tuple
-    remainder: object
+    remainder: PPoly
 
     def replay(self):
         """Reconstruct the dividend exactly from remainder and steps."""
         f = self.divisor
-        if isinstance(self.remainder, PPoly):
-            u = f.terms[(self.pivot, f.max_exp(self.pivot))]
-            uinv_f = f.scale(u.inverse())
-            acc = self.remainder
-            for c, j in self.steps:
-                acc = acc + uinv_f.frob_power(j).scale(c)
-            return acc
-        fpoly = f.to_poly()
+        u = f.terms[(self.pivot, f.max_exp(self.pivot))]
+        uinv_f = f.scale(u.inverse())
         acc = self.remainder
-        for mult, _ in self.steps:
-            acc = acc + mult * fpoly
+        for c, j in self.steps:
+            acc = acc + uinv_f.frob_power(j).scale(c)
         return acc
 
 
 def reduce_mod(h, f, pivot):
-    """Division with remainder against f, pivoted at the given variable.
+    """Division of the p-polynomial h by f, pivoted at the given variable.
 
     Returns a ReductionTrace whose remainder h' satisfies
     deg_pivot(h') < p^(n_pivot) and h = (sum of traced multiples of f) + h'.
     The remainder is unique for (f, pivot), so reduction is idempotent and
-    insensitive to adding explicit multiples of f to h.
+    insensitive to adding explicit multiples of f to h.  Each step lowers
+    the top pivot term in one Frobenius-shifted subtraction.
     """
+    if not isinstance(h, PPoly):
+        raise TypeError("reduce_mod divides p-polynomials; reduce a Poly with normal_form")
     n0 = f.max_exp(pivot)
     if n0 is None:
         raise ValueError("pivot variable does not appear in the divisor")
     u = f.terms[(pivot, n0)]
     if not u.is_unit():
         raise ValueError("leading pivot coefficient is not a unit")
-    if isinstance(h, PPoly):
-        return _reduce_ppoly(h, f, pivot, n0, u)
-    return _reduce_poly(h, f, pivot, u)
-
-
-def _reduce_ppoly(h, f, pivot, n0, u):
     neg_uinv = -u.inverse()
     rem = dict(h.terms)
     dom = join_dom(h.dom, f.dom)
@@ -267,15 +254,3 @@ def _reduce_ppoly(h, f, pivot, n0, u):
         _add_terms(rem, (((i, e + j), c * (neg_uinv * b).frobenius(j))
                          for (i, e), b in f.terms.items() if (i, e) != (pivot, n0)))
     return ReductionTrace(f, pivot, tuple(steps), PPoly._raw(dom, h.nvars, rem))
-
-
-def _reduce_poly(h, f, pivot, u):
-    """The normal_form rewrite loop against f; a rewrite of c * X^lowered
-    is the step c * u^-1 * X^lowered times f."""
-    if not isinstance(h.field, Field) or not isinstance(f.dom, Field):
-        raise TypeError("general polynomial division requires field coefficients")
-    rem, rewrites = _rewrite(h, to_relation(f, pivot))
-    uinv = u.inverse()
-    steps = tuple((Poly._raw(h.field, h.nvars, {lowered: c * uinv}), 0)
-                  for _, lowered, c in rewrites)
-    return ReductionTrace(f, pivot, steps, rem)

@@ -1,8 +1,9 @@
 """Line-oriented input files: field, params, relations, groups, extensions,
 maps.
 
-A file declares exactly one field; every later object shares it.  Names
-live in one namespace ("Ga" is reserved for the affine line).  Statements:
+A file declares exactly one field and at most one params list; every
+later object shares them.  Names live in one namespace ("Ga" is reserved
+for the affine line).  Statements:
 
     field p=3 e=1 gen=a depth=0
     params d,e
@@ -131,6 +132,8 @@ def _statement(s, line):
         s.field = Field(spec)  # a table-based F_q refuses a large q
     elif kind == "params":
         _require_field(s)
+        if s.param_names:
+            raise ParseError("duplicate params statement")
         names = head[len(kind):].replace(" ", "")
         s.param_names = tuple(n for n in names.split(",") if n)
         for n in s.param_names:

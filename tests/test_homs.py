@@ -246,6 +246,8 @@ def test_solver_matches_brute_force_on_corpus_pairs(q, deg, pivot_cap, other_cap
         sols = solve_homs_bounded(cs, domain)
         assert [tuple(sol.values[n] for n in cs.ring.names) for sol in sols] == want, (s, t)
         assert all(verify_hom(sol.map) for sol in sols), (s, t)
+        # canonical as built: the ansatz caps the pivot below the bound
+        assert all(sol.map == canonical_form(sol.map) for sol in sols), (s, t)
         nonzero += len(want) > 1
     assert nonzero  # some pair has more than the zero map
 

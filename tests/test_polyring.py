@@ -27,8 +27,24 @@ def gabber_setup(p=3):
 def test_normal_form_relation_itself():
     k = field_fpa(3)
     fv = va_poly(k)
-    rel = to_relation(fv, 0)
-    assert normal_form(fv.to_poly(), rel).is_zero()
+    rset = RelationSet(2, [to_relation(fv, 0)])
+    assert normal_form(fv.to_poly(), rset).is_zero()
+
+
+def test_normal_form_divides_a_general_polynomial():
+    # division lemma (i): a general polynomial has a unique remainder too
+    k = field_fpa(3)
+    a = k.base_gen()
+    fv = ppoly(k, 2, (0, 2, 1), (0, 0, -k.one()), (1, 2, a))
+    rset = RelationSet(2, [to_relation(fv, 0)])
+    h = Poly(k, 2, {(10, 1): k.one(), (2, 0): a})  # x^(p^2+1) y + a x^2
+    nf = normal_form(h, rset)
+    assert nf.deg_in(0) < 9
+    assert nf != h
+    assert normal_form(nf, rset) == nf
+    # adding a polynomial multiple of f does not change the remainder
+    mult = Poly(k, 2, {(1, 2): a + 1})
+    assert normal_form(h + mult * fv.to_poly(), rset) == nf
 
 
 def test_normal_form_one_rewrite():

@@ -142,23 +142,6 @@ def test_reduce_mod_degree_zero_pivot():
     assert tr.replay() == h
 
 
-def test_reduce_mod_general_polynomial_input():
-    # division also applies to non-additive polynomials, per the lemma's (i)
-    from woundcheck.polyring import Poly
-    k = field_fpa(3)
-    a = k.base_gen()
-    fv = ppoly(k, 2, (0, 2, 1), (0, 0, -k.one()), (1, 2, a))
-    h = Poly(k, 2, {(10, 1): k.one(), (2, 0): a})  # x^(p^2+1) y + a x^2
-    tr = reduce_mod(h, fv, 0)
-    assert tr.remainder.deg_in(0) < 9
-    assert tr.replay() == h
-    again = reduce_mod(tr.remainder, fv, 0)
-    assert again.remainder == tr.remainder and not again.steps
-    # adding a polynomial multiple of f does not change the remainder
-    mult = Poly(k, 2, {(1, 2): a + 1})
-    assert reduce_mod(h + mult * fv.to_poly(), fv, 0).remainder == tr.remainder
-
-
 def test_reduce_mod_errors():
     k = field_fpa(3)
     fv = va_poly(k)
@@ -166,6 +149,8 @@ def test_reduce_mod_errors():
         reduce_mod(fv, fv, 5)
     with pytest.raises(ValueError):
         reduce_mod(fv, PPoly.zero(k, 2), 0)
+    with pytest.raises(TypeError, match="normal_form"):
+        reduce_mod(fv.to_poly(), fv, 0)
 
 
 @st.composite

@@ -156,3 +156,56 @@ def test_statement_body_names_each_part_once(tmp_path, demo, old, new, argv, mes
     assert code == 3 and out == ""
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert errors == [f"error: {message}"] and "Traceback" not in err
+
+
+_VA_LINE = "group Va vars=X,Y pivot=X : 2*X^(p^0) + 1*X^(p^2) + a*Y^(p^2)\n"
+
+
+@pytest.mark.parametrize("line", [
+    "extension E center=Ga base=Va : h1 = X*X'^3",
+    "extension E center=Va base=Ga : h1 = T*T'^3 ; h2 = T",
+], ids=["center-Ga", "base-Ga"])
+def test_extension_over_the_line_is_input_error(tmp_path, line):
+    """An extension whose center or base is Ga is refused at its line, and
+    by the CocycleExtension constructor itself."""
+    from test_cli import run
+    from woundcheck.groups import AffineLine, CocycleExtension
+    path = tmp_path / "ext.txt"
+    path.write_text("field p=3 e=1 gen=a depth=0\n" + _VA_LINE + line + "\n", encoding="utf-8")
+    code, out, err = run(["check-extension", str(path), "E"])
+    assert code == 3 and out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert errors == ["error: line 3: an extension's center and base must be "
+                      "hypersurface groups, not Ga"]
+    assert "Traceback" not in err
+    va = parse_session("field p=3 e=1 gen=a depth=0\n" + _VA_LINE).groups["Va"]
+    center, base = (AffineLine(), va) if "center=Ga" in line else (va, AffineLine())
+    with pytest.raises(ValueError, match="not Ga"):
+        CocycleExtension("E", center, base, ())
+
+
+_PARAMS_HEAD = """field p=3 e=1 gen=a depth=0
+params d,e
+relation pivot=d : 1*d^(p^2) + 2*d^(p^0) + a*e^(p^1)
+"""
+_PARAMS_TAIL = """group Va vars=X,Y pivot=X : 2*X^(p^0) + 1*X^(p^2) + a*Y^(p^2)
+group U vars=X,Y pivot=X : 2*X^(p^0) + 1*X^(p^1) + a*Y^(p^1)
+"""
+
+
+@pytest.mark.parametrize("second,map_line", [
+    # the relation on d would silently apply to f
+    ("params f,g", "map m from=Va to=U : X -> (f)*X^(p^0) ; Y -> 0"),
+    # the error would name the map's line
+    ("params f", "map m from=Va to=U : X -> (f)*X^(p^0) ; Y -> (f)*Y^(p^1)"),
+], ids=["same-length", "shorter"])
+def test_second_params_statement_is_input_error(tmp_path, second, map_line):
+    from test_cli import run
+    path = tmp_path / "params.txt"
+    path.write_text(_PARAMS_HEAD + second + "\n" + _PARAMS_TAIL + map_line + "\n",
+                    encoding="utf-8")
+    code, out, err = run(["verify-hom", str(path), "m"])
+    assert code == 3 and out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert errors == ["error: line 4: duplicate params statement"]
+    assert "Traceback" not in err
