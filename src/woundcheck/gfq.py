@@ -5,12 +5,17 @@ the residue class sum(d_i * t**i) modulo a fixed monic irreducible f(t) of
 degree e over F_p; for e = 1 this is plain arithmetic mod p.  The modulus
 is chosen deterministically from (p, e): the lexicographically smallest
 monic irreducible of degree e, scanning coefficient vectors low-to-high.
+digits/undigits are the one place where a code is read as its base-p
+digits.  The modulus search (Ben-Or's test) and the exp/log tables run on
+fqpoly over F_p = GFq(p).
 
 Field handles are cached by (p, e).  Elements carry no field pointer, so
 callers must keep operands inside one field.
 """
 
 import functools
+
+from . import fqpoly as fq
 
 _TABLE_LIMIT = 4096  # largest q for which e > 1 lookup tables are built
 
@@ -50,44 +55,34 @@ class _GFq:
         else:
             if self.q > _TABLE_LIMIT:
                 raise ValueError(f"q = {self.q} too large for table-based extension field")
-            self.modulus = _smallest_irreducible(p, e)
+            self.modulus = self._smallest_irreducible()
             self._build_tables()
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
-    # -- digit helpers (e > 1) ------------------------------------------
+    # -- digits, and the tables built on fqpoly over F_p --------------
 
-    def _digits(self, x):
+    def digits(self, x):
+        """The e base-p digits of the code x, lowest first: the coefficients
+        of the residue class that x stands for."""
         p, out = self.p, []
         for _ in range(self.e):
             out.append(x % p)
             x //= p
         return out
 
-    def _undigits(self, ds):
+    def undigits(self, ds):
+        """The code whose base-p digits, lowest first, are ds."""
         x = 0
         for d in reversed(ds):
             x = x * self.p + d
         return x
 
     def _mul_raw(self, a, b):
-        # polynomial product of digit vectors reduced mod self.modulus
-        p, e = self.p, self.e
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self._digits(self.modulus) + [1]
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return self._undigits(prod[:e])
+        fp = GFq(self.p)
+        da, db = fq.norm(self.digits(a)), fq.norm(self.digits(b))
+        return self.undigits(fq.rem(fp, fq.mul(fp, da, db), self.digits(self.modulus) + [1]))
 
     def _build_tables(self):
         # discrete-log tables over a primitive element, found by scanning
@@ -119,6 +114,22 @@ class _GFq:
             a = self._mul_raw(a, a)
             n >>= 1
         return r
+
+    def _smallest_irreducible(self):
+        """Code of the sub-leading digits of the smallest monic irreducible
+        of degree e, scanning codes low-to-high.  Ben-Or's test: f is
+        irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= e/2, with
+        x^(p^i) mod f taken by one Frobenius step from x^(p^(i-1)) mod f."""
+        fp, x = GFq(self.p), (0, 1)
+        for code in range(self.q):
+            f = tuple(self.digits(code)) + (1,)
+            h = x
+            for _ in range(self.e // 2):
+                h = fq.rem(fp, fq.frob(fp, h, 1), f)
+                if fq.gcd(fp, fq.add(fp, h, fq.neg(fp, x)), f) != fq.ONE:
+                    break
+            else:
+                return code
 
     # -- arithmetic ------------------------------------------------------
 
@@ -169,12 +180,6 @@ class _GFq:
             return 0 if n else 1
         return self._exp[(self._log[a] * n) % (self.q - 1)]
 
-    def frob(self, a):
-        """a ** p (identity on prime fields)."""
-        if self.e == 1:
-            return a
-        return self.pow_(a, self.p)
-
     def frob_n(self, a, n):
         if self.e == 1 or a == 0:
             return a
@@ -203,45 +208,3 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _smallest_irreducible(p, e):
-    """Integer code of the smallest monic irreducible of degree e over F_p."""
-    # low-degree irreducibles first, for trial division
-    small = []
-    for deg in range(1, e // 2 + 1):
-        for code in range(p ** deg, 2 * p ** deg):
-            poly = _decode(code, p)
-            if len(poly) != deg + 1 or poly[-1] != 1:
-                continue
-            if all(not _poly_divides(q, poly, p) for q in small):
-                small.append(poly)
-    for code in range(p ** e, 2 * p ** e):
-        poly = _decode(code, p)
-        if len(poly) != e + 1 or poly[-1] != 1:
-            continue
-        if all(not _poly_divides(q, poly, p) for q in small):
-            return code - p ** e  # store only the sub-leading digits
-    raise RuntimeError("no irreducible found")  # unreachable
-
-
-def _decode(code, p):
-    out = []
-    while code:
-        out.append(code % p)
-        code //= p
-    return out
-
-
-def _poly_divides(d, n, p):
-    n = list(n)
-    inv_lead = pow(d[-1], p - 2, p)
-    while len(n) >= len(d):
-        c = (n[-1] * inv_lead) % p
-        for i in range(len(d)):
-            n[len(n) - len(d) + i] = (n[len(n) - len(d) + i] - c * d[i]) % p
-        while n and n[-1] == 0:
-            n.pop()
-        if not n:
-            return True
-    return False

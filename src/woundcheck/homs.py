@@ -234,27 +234,25 @@ def _additive_slot(m, p):
 
 def _fp_vectors(field, elems):
     """F_p coordinates of elems over one common denominator D: the base-p
-    digits of every GF(q) coefficient of the numerators.  Returns (D,
-    vectors); the vectors share one length."""
+    digits, from gfq, of every GF(q) coefficient of the numerators.  Returns
+    (D, vectors); the vectors share one length."""
     gf = field.gf
     den, nums = clear_denominators(field, elems)
     width = max(map(len, nums), default=0)
-    p, e = gf.p, gf.e
     vectors = []
     for num in nums:
         num = num + (0,) * (width - len(num))
-        if e == 1:
+        if gf.e == 1:
             vectors.append(list(num))
         else:
-            vectors.append([c // p ** t % p for c in num for t in range(e)])
+            vectors.append([d for c in num for d in gf.digits(c)])
     return den, vectors
 
 
 def _undigits(gf, digits):
     """The numerator whose coordinates _fp_vectors reads as digits."""
     e = gf.e
-    return fq.norm([sum(d * gf.p ** t for t, d in enumerate(digits[i:i + e]))
-                    for i in range(0, len(digits), e)])
+    return fq.norm([gf.undigits(digits[i:i + e]) for i in range(0, len(digits), e)])
 
 
 def solve_homs_bounded(cs, domain):

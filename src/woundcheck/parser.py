@@ -207,6 +207,16 @@ def _done(stream, value):
     return value
 
 
+def _slots(var_names):
+    """{name: slot}; an empty name, or one given twice, is an input error."""
+    index = {}
+    for i, n in enumerate(var_names):
+        if not n or n in index:
+            raise ParseError(f"variable {n!r} is named twice" if n else "empty variable name")
+        index[n] = i
+    return index
+
+
 def parse_element(field, text):
     """Parse `<poly in gen>` or `<poly in gen>/<poly in gen>`."""
     stream = _Stream(tokenize(text))
@@ -267,7 +277,7 @@ def parse_ppoly(text, dom, var_names):
     ring = dom if isinstance(dom, ParamRing) else None
     field = ring.base if ring is not None else dom
     nvars = len(var_names)
-    index = {n: i for i, n in enumerate(var_names)}
+    index = _slots(var_names)
     stream = _Stream(tokenize(text))
     if stream.toks == [("int", 0)]:
         return PPoly.zero(dom, nvars)
@@ -325,7 +335,7 @@ def render_ppoly(f, var_names=None):
 
 def parse_poly(text, field, var_names):
     nvars = len(var_names)
-    index = {n: i for i, n in enumerate(var_names)}
+    index = _slots(var_names)
     stream = _Stream(tokenize(text))
 
     def var(stream):

@@ -502,3 +502,21 @@ def test_line_mutated_demo_never_tracebacks(tmp_path, name, argv):
         assert code in (0, 1, 2, 3) and "Traceback" not in err, label
         if code == 3:
             assert out == "" and _one_error_line(err), label
+
+
+def test_variable_named_twice_is_input_error(tmp_path):
+    """derive and solve used to end in a ParamRing traceback (exit 1), and
+    reduce --vars let the last slot of a repeated name win."""
+    path = tmp_path / "twice.txt"
+    path.write_text("field p=3 e=1 gen=a depth=0\n"
+                    "group G vars=X,Y,X pivot=Y : X + Y^(p) + a*X^(p)\n"
+                    "group U vars=X,Y pivot=X : X + X^(p) + a*Y^(p)\n", encoding="utf-8")
+    for argv in (["classify", str(path), "G"], ["derive", str(path), "G", "U"],
+                 ["solve", str(path), "G", "U"]):
+        code, out, err = run(argv)
+        assert code == 3 and out == "" and _one_error_line(err)
+        assert err.startswith("error: line 2: variable 'X' is named twice\n")
+    code, out, err = run(["reduce", WOUND, "1*X^(p^2)", "--f", "X + Y^(p) + a*X^(p)",
+                          "--pivot", "Y", "--vars", "X,Y,X"])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith("error: variable 'X' is named twice\n")

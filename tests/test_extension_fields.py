@@ -1,9 +1,11 @@
 """Coverage for non-prime constant fields F_q, q = p^e with e > 1."""
 
+import hashlib
 import random
 
+import sympy
 from helpers import field_fpa, ppoly, rand_elem
-from woundcheck.gfq import GFq
+from woundcheck.gfq import GFq, is_prime
 from woundcheck import fqpoly as fq
 from woundcheck.zerocert import decide_no_nontrivial_zero
 
@@ -15,6 +17,36 @@ def test_modulus_is_deterministic_smallest():
     gf2 = GFq(2, 3)
     # over F_2 the smallest of degree 3 is x^3 + x + 1 -> digits (1, 1, 0)
     assert gf2.modulus == 3
+
+
+def _table_fields(q_max):
+    """Every GF(p^e) with e >= 2 and p^e <= q_max."""
+    return [GFq(p, e) for p in range(2, 65) if is_prime(p)
+            for e in range(2, 13) if p ** e <= q_max]
+
+
+def test_extension_tables_are_pinned():
+    """The moduli and exp tables of all 40 table-based fields with q <= 4096
+    hash to the digest of the trial-division build they replaced, so every
+    field element code means what it meant before."""
+    fields = _table_fields(4096)
+    assert len(fields) == 40
+    h = hashlib.sha256()
+    for gf in fields:
+        h.update(repr((gf.p, gf.e, gf.modulus, gf._exp[:gf.q - 1])).encode())
+    assert h.hexdigest() == "b5fb5d334e86a3b695d948a989712b1635cfe2b12929f049bf28b0ce09340299"
+
+
+def test_modulus_is_the_smallest_irreducible():
+    x = sympy.Symbol("x")
+    for gf in _table_fields(729):
+        p, e = gf.p, gf.e
+
+        def poly(code):
+            return sympy.Poly([1] + gf.digits(code)[::-1], x, modulus=p)
+
+        assert poly(gf.modulus).is_irreducible, gf
+        assert not any(poly(code).is_irreducible for code in range(gf.modulus)), gf
 
 
 def test_f9_field_arithmetic_and_decision():

@@ -210,38 +210,47 @@ def solved_points(cs, domain):
     return [tuple(s.values[n] for n in cs.ring.names) for s in solve_homs_bounded(cs, domain)]
 
 
-def field_of_order(q):
+def field_of_order(q, depth=0):
     (p, e), = sympy.factorint(q).items()
-    return corpus.base_field(p, e)
+    return corpus.base_field(p, e, depth)
 
 
-def capped_system(q, s, t, pivot_cap, other_cap):
-    k = field_of_order(q)
+def capped_system(q, s, t, pivot_cap, other_cap, depth=0):
+    k = field_of_order(q, depth)
     src = _GROUPS[s](k)
     caps = {src.pivot: min(pivot_cap, src.f.max_exp(src.pivot) - 1), 1 - src.pivot: other_cap}
     tgt = AffineLine() if t == "Ga" else _GROUPS[t](k)
     return derive_hom_constraints(src, tgt, caps=caps)
 
 
-# (q, domain degree, pivot cap, other cap): at most ~7 * 10^4 points per
-# pair; over F_4 and F_9 the solver reads the base-p digits of each F_q
-# coefficient as the domain's F_p-coordinates
-@pytest.mark.parametrize("q,deg,pivot_cap,other_cap,pairs", [
-    (2, 0, 1, 1, _PAIRS),
-    (3, 0, 0, 1, _PAIRS),
-    (3, 0, 1, 1, [("Va", "U")]),
-    (5, 0, 0, 0, _PAIRS),
-    (2, 1, 0, 1, [("Va", "U"), ("Wa", "Wa"), ("W", "W")]),
-    (4, 0, 0, 1, _PAIRS + [("Wa", "Ga")]),
-    (4, 1, 0, 0, [("Wa", "Wa")]),
-    (9, 0, 0, 0, [("Wa", "Wa"), ("Wa", "Va"), ("U", "U"), ("Va", "Va"), ("W", "W")]),
-    (9, 1, 0, 0, [("Wa", "Ga")]),
-])
-def test_solver_matches_brute_force_on_corpus_pairs(q, deg, pivot_cap, other_cap, pairs):
-    domain = poly_elements(field_of_order(q), deg)
+# (q, domain degree, pivot cap, other cap, pairs, tower depth): at most
+# ~7 * 10^4 points per pair; over F_4 and F_9 the solver reads the base-p
+# digits of each F_q coefficient as the domain's F_p-coordinates, and at
+# depth d the domain degree counts powers of b = a^(1/p^d)
+_SOLVER_ROWS = [
+    (2, 0, 1, 1, _PAIRS, 0),
+    (3, 0, 0, 1, _PAIRS, 0),
+    (3, 0, 1, 1, [("Va", "U")], 0),
+    (5, 0, 0, 0, _PAIRS, 0),
+    (2, 1, 0, 1, [("Va", "U"), ("Wa", "Wa"), ("W", "W")], 0),
+    (4, 0, 0, 1, _PAIRS + [("Wa", "Ga")], 0),
+    (4, 1, 0, 0, [("Wa", "Wa")], 0),
+    (9, 0, 0, 0, [("Wa", "Wa"), ("Wa", "Va"), ("U", "U"), ("Va", "Va"), ("W", "W")], 0),
+    (9, 1, 0, 0, [("Wa", "Ga")], 0),
+    (3, 0, 0, 1, _PAIRS + [(s, "Ga") for s in _GROUPS], 1),
+    (2, 1, 0, 1, [("Wa", "U"), ("U", "W"), ("W", "W")] + [(s, "Ga") for s in _GROUPS], 1),
+    (2, 1, 0, 0, _PAIRS + [(s, "Ga") for s in _GROUPS], 2),
+]
+
+
+@pytest.mark.parametrize("q,deg,pivot_cap,other_cap,pairs,depth", _SOLVER_ROWS, ids=[
+    "-".join(map(str, row[:4])) + f"-pairs{i}" + (f"-depth{row[5]}" if row[5] else "")
+    for i, row in enumerate(_SOLVER_ROWS)])
+def test_solver_matches_brute_force_on_corpus_pairs(q, deg, pivot_cap, other_cap, pairs, depth):
+    domain = poly_elements(field_of_order(q, depth), deg)
     nonzero = 0
     for s, t in pairs:
-        cs = capped_system(q, s, t, pivot_cap, other_cap)
+        cs = capped_system(q, s, t, pivot_cap, other_cap, depth)
         want = brute_force(cs, domain)
         sols = solve_homs_bounded(cs, domain)
         assert [tuple(sol.values[n] for n in cs.ring.names) for sol in sols] == want, (s, t)

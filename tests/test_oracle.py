@@ -1,10 +1,13 @@
+import random
+
 import pytest
+from helpers import rand_elem
 
 from woundcheck import corpus
 from woundcheck.groups import block_relations, landing_poly
 from woundcheck.oracle import UnsupportedRelationError, parametrize_relation, random_point_oracle
 from woundcheck.polyring import Poly, RelationSet, is_identically_zero
-from woundcheck.ppoly import PPoly
+from woundcheck.ppoly import PPoly, to_relation
 
 
 def k3():
@@ -97,3 +100,35 @@ def test_oracle_deterministic_for_seed():
     # x alone does not vanish on the variety
     x = Poly.variable(k, 2, 0)
     assert not random_point_oracle(x, rset, seed=3, trials=10)
+
+
+def _seeded_relation(k, rng):
+    """X0 in two terms (the pivot), X1 in exactly one term c*X1^(p^r) with
+    r in {0, 1}, and X2 in zero to two terms; coefficients are random
+    nonzero elements of degree <= 1 in the working generator, some rational."""
+    def coef():
+        c = rand_elem(k, rng, deg=1, rational=True)
+        return k.one() if c.is_zero() else c
+    terms = {(0, 1): coef(), (0, 0): coef(), (1, rng.randrange(2)): coef()}
+    for e in rng.sample(range(2), rng.randrange(3)):
+        terms[(2, e)] = coef()
+    return PPoly(k, 3, terms)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_oracle_on_seeded_relations(p, e, depth):
+    """Multiples of the relation vanish at every sampled point, and every
+    variable the sampler draws freely is refuted."""
+    k = corpus.base_field(p, e, depth)
+    rng = random.Random(1000 * p + 10 * e + depth)
+    f = _seeded_relation(k, rng)
+    rset = RelationSet(3, [to_relation(f, 0)])
+    g = Poly(k, 3, {(rng.randrange(2), rng.randrange(2), 0): rand_elem(k, rng, deg=1),
+                    (0, 0, 0): k.one()})
+    assert random_point_oracle(f.to_poly() * g, rset, seed=p, trials=20)
+    _, free, _ = parametrize_relation(f, 0, k)
+    assert free
+    for v in free:
+        assert not random_point_oracle(Poly.variable(k, 3, v), rset, seed=p, trials=20)

@@ -209,3 +209,40 @@ def test_second_params_statement_is_input_error(tmp_path, second, map_line):
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert errors == ["error: line 4: duplicate params statement"]
     assert "Traceback" not in err
+
+
+def test_parsers_refuse_a_variable_named_twice():
+    """Both term readers build {name: slot}; a repeated name would let the
+    last slot win, so it is refused instead."""
+    from woundcheck.parser import parse_poly
+    k = parse_session(WOUND).field
+    with pytest.raises(ParseError, match="variable 'X' is named twice"):
+        parse_ppoly("X + Y^(p)", k, ("X", "Y", "X"))
+    with pytest.raises(ParseError, match="variable \"X'\" is named twice"):
+        parse_poly("X*X'", k, ("X", "X'", "X'", "X''"))
+
+
+_TWICE_HEAD = "field p=3 e=1 gen=a depth=0\n"
+
+
+@pytest.mark.parametrize("body,argv,message", [
+    # principal part aX^p + Y^p is wound, but the last X slot used to win
+    ("group G vars=X,Y,X pivot=Y : X + Y^(p) + a*X^(p)\n", ["classify", "G"],
+     "line 2: variable 'X' is named twice"),
+    # the empty name used to be a third variable, refuted by (0, 1, 0)
+    ("group G vars=X,,Y pivot=X : X + X^(p) + a*Y^(p)\n", ["classify", "G"],
+     "line 2: empty variable name"),
+    # the base's X' used to be read as the primed copy of X
+    ("group C vars=Z,W pivot=Z : Z + Z^(p) + a*W^(p)\n"
+     "group B vars=X,X' pivot=X : X + X^(p) + a*X'^(p)\n"
+     "extension E center=C base=B : h1 = X*X' ; h2 = 0\n", ["check-extension", "E"],
+     "line 4: variable \"X'\" is named twice"),
+], ids=["group-vars", "group-empty-name", "extension-base"])
+def test_variable_named_twice_is_one_error_line(tmp_path, body, argv, message):
+    from test_cli import run
+    path = tmp_path / "twice.txt"
+    path.write_text(_TWICE_HEAD + body, encoding="utf-8")
+    code, out, err = run([argv[0], str(path)] + argv[1:])
+    assert code == 3 and out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert errors == [f"error: {message}"] and "Traceback" not in err
