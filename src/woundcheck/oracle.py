@@ -9,12 +9,17 @@ pivot over the base field.  The parametrization is verified by composition
 when it is built.
 
 Free variables are drawn as random polynomials of degree <= 3 in the
-(possibly deepened) working generator.  The oracle is one-sided: a nonzero
-sample refutes the identity conclusively; all-zero samples are evidence.
+(possibly deepened) working generator.  Before any draw the identity is
+composed with the samplers once: substituting and then evaluating is a
+ring homomorphism, so a zero composite proves that every trial vanishes,
+for every seed and trial count, and no trial is run.  Otherwise the
+oracle is one-sided: a nonzero sample refutes the identity conclusively;
+all-zero samples are evidence.
 """
 
 import random
 
+from .params import flatten_ppoly
 from .polyring import Poly, _add_terms
 from .ppoly import PPoly
 
@@ -66,7 +71,16 @@ def parametrize_relation(f, pivot, field):
 
 def random_point_oracle(h, rset, seed=0, trials=100):
     """False as soon as a sampled relation-variety point gives h != 0;
-    True when every trial vanishes."""
+    True when every trial vanishes.
+
+    The composite H of h with the sampler coordinates is built first.  A
+    zero H proves that every trial vanishes, so True is returned without
+    a draw; a nonzero H leaves the trials, and the first refuting one,
+    unchanged.  Building H takes each power of a coordinate once: a
+    p-power costs one Frobenius step, so additive and bi-additive
+    identities give small composites, but an h of high degree that is
+    not a p-power can expand multinomially.
+    """
     field = h.field
     samplers = [parametrize_relation(rel.source, rel.pivot, field) for rel in rset]
     extra = max((s[0] for s in samplers), default=0)
@@ -74,6 +88,8 @@ def random_point_oracle(h, rset, seed=0, trials=100):
     hdeep = Poly(deep, h.nvars, {m: field.embed(c, deep) for m, c in h.terms.items()})
     in_block = {v for s in samplers for v in s[2]}
     loose = [i for i in range(h.nvars) if i not in in_block]
+    if _composite(hdeep, samplers, loose, field).is_zero():
+        return True
 
     for t in range(trials):
         rng = random.Random((seed << 20) ^ (t * 0x9E3779B1))
@@ -89,6 +105,28 @@ def random_point_oracle(h, rset, seed=0, trials=100):
         if not hdeep.evaluate(point).is_zero():
             return False
     return True
+
+
+def _composite(hdeep, samplers, loose, field):
+    """hdeep with each block variable replaced by its sampler coordinate
+    and each loose variable kept: a Poly over hdeep's field whose variables
+    are every sampler's free slots in order, then the loose variables.
+    Evaluating it at a trial's draws gives hdeep at that trial's point."""
+    deep = hdeep.field
+    nv = sum(len(free) for _, free, _ in samplers) + len(loose)
+    args = [None] * hdeep.nvars
+    offset = 0
+    for extra_r, free, coords in samplers:
+        own = field.extend(field.spec.depth + extra_r)
+        slots = range(offset, offset + len(free))
+        for v, fp in coords.items():
+            fdeep = PPoly(deep, fp.nvars, {k: own.embed(c, deep) for k, c in fp.terms.items()})
+            args[v] = flatten_ppoly(fdeep, slots, (), deep, nv)
+        offset += len(free)
+    for i in loose:
+        args[i] = Poly.variable(deep, nv, offset)
+        offset += 1
+    return hdeep.substitute(args)
 
 
 def _draw(field, rng):

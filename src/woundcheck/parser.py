@@ -60,6 +60,12 @@ def tokenize(text):
     return out
 
 
+def _shown(token):
+    """A token as the text it was read from, for error messages."""
+    kind, value = token
+    return "end of input" if kind == "end" else repr(str(value))
+
+
 class _Stream:
     def __init__(self, tokens):
         self.toks = tokens
@@ -83,7 +89,7 @@ class _Stream:
     def expect(self, kind, value=None):
         v = self.accept(kind, value)
         if v is None:
-            raise ParseError(f"expected {value or kind}, got {self.peek()!r}")
+            raise ParseError(f"expected {value or kind}, got {_shown(self.peek())}")
         return v
 
     def done(self):
@@ -141,7 +147,6 @@ def _term(field, ring, stream, var=None):
     """
     acc = ring.one() if ring is not None else field.one()
     factors = []
-    first = True
     while True:
         kind, val = stream.peek()
         if kind == "int":
@@ -159,11 +164,10 @@ def _term(field, ring, stream, var=None):
             stream.next()
             e = stream.expect("int") if stream.accept("op", "^") else 1
             acc = acc * _param_power(ring, val, e)
+        elif kind == "name":
+            raise ParseError(f"unknown name {val!r}")
         else:
-            if first:
-                raise ParseError(f"unexpected token {stream.peek()!r}")
-            break
-        first = False
+            raise ParseError(f"expected a factor, got {_shown(stream.peek())}")
         if not stream.accept("op", "*"):
             break
     return factors, acc
@@ -203,7 +207,7 @@ def _coef(field, ring, stream):
 
 def _done(stream, value):
     if not stream.done():
-        raise ParseError(f"trailing input at {stream.peek()!r}")
+        raise ParseError(f"trailing input at {_shown(stream.peek())}")
     return value
 
 

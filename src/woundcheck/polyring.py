@@ -142,10 +142,9 @@ class Poly:
         """Evaluate at a tuple of Polys (the evaluation homomorphism)."""
         if len(args) != self.nvars:
             raise ValueError("wrong number of substitution arguments")
+        nv = args[0].nvars if args else self.nvars
         if not self.terms:
-            nv = args[0].nvars if args else self.nvars
             return Poly.zero(self.field, nv)
-        nv = args[0].nvars
         out = Poly.zero(self.field, nv)
         cache = {}
         for m, c in self.terms.items():

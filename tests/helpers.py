@@ -1,14 +1,17 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
 instances for the division and decision property suites, a brute-force
 witness scan, a one-by-one rational witness scan, a square-and-multiply
-power and dense fqpoly kernels."""
+power, dense fqpoly kernels and the point oracle's bare trial loop."""
 
 import itertools
+import random
 
 import numpy as np
 
 from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldSpec
+from woundcheck.oracle import parametrize_relation
+from woundcheck.polyring import Poly
 from woundcheck.ppoly import PPoly
 from woundcheck.zerocert import rational_candidates
 
@@ -241,3 +244,35 @@ def enumerated_rational_search(P, bound, budget):
                     raise RuntimeError("search witness does not vanish")
                 return tuple(point)
     return None
+
+
+def first_refuting_trial(h, rset, seed=0, trials=100):
+    """The reference for ``random_point_oracle``: its trial loop alone,
+    with no composite, returning the index of the first trial whose point
+    gives h != 0, or None when every trial vanishes."""
+    field = h.field
+    samplers = [parametrize_relation(rel.source, rel.pivot, field) for rel in rset]
+    extra = max((s[0] for s in samplers), default=0)
+    deep = field.extend(field.spec.depth + extra)
+    hdeep = Poly(deep, h.nvars, {m: field.embed(c, deep) for m, c in h.terms.items()})
+    in_block = {v for s in samplers for v in s[2]}
+    loose = [i for i in range(h.nvars) if i not in in_block]
+
+    for t in range(trials):
+        rng = random.Random((seed << 20) ^ (t * 0x9E3779B1))
+        point = [deep.zero()] * h.nvars
+        for i in loose:
+            point[i] = _draw(deep, rng)
+        for extra_r, free, coords in samplers:
+            own = field.extend(field.spec.depth + extra_r)
+            draws = [_draw(own, rng) for _ in free]
+            for v, fp in coords.items():
+                val = fp.evaluate(draws)
+                point[v] = own.embed(val, deep) if own.spec.depth < deep.spec.depth else val
+        if not hdeep.evaluate(point).is_zero():
+            return t
+    return None
+
+
+def _draw(field, rng):
+    return field.elem(tuple(rng.randrange(field.spec.q) for _ in range(4)))

@@ -520,3 +520,28 @@ def test_variable_named_twice_is_input_error(tmp_path):
                           "--pivot", "Y", "--vars", "X,Y,X"])
     assert code == 3 and out == "" and _one_error_line(err)
     assert err.startswith("error: variable 'X' is named twice\n")
+
+
+WA_HEAD = ("field p=3 e=1 gen=a depth=0\n"
+           "group Wa vars=X,Y pivot=X : 1*X^(p^0) + 1*X^(p^1) + a*Y^(p^1)\n"
+           "group Va vars=X,Y pivot=X : 2*X^(p^0) + 1*X^(p^2) + a*Y^(p^2)\n")
+
+
+@pytest.mark.parametrize("statement,argv,message", [
+    pytest.param("group G vars=X,Y pivot=X : 1*X^(p^0) + 1*X^(p^1) Y", ["classify", "G"],
+                 "trailing input at 'Y'", id="trailing"),
+    pytest.param("group G vars=X,Y pivot=X : 1*X^(q^1)", ["classify", "G"],
+                 "expected p, got 'q'", id="not-p"),
+    pytest.param("group G vars=X,Y pivot=X : 1*Z^(p^1)", ["classify", "G"],
+                 "unknown name 'Z'", id="unknown-variable"),
+    pytest.param("extension E center=Wa base=Va : h1 = 1*X*Q^3 ; h2 = 1*X*Y'^3",
+                 ["check-extension", "E"], "unknown name 'Q'", id="unknown-factor"),
+    pytest.param("group G vars=X,Y pivot=X : 1*X^(p^0)*", ["classify", "G"],
+                 "expected a factor, got end of input", id="dangling-product"),
+])
+def test_parse_errors_name_the_token_text(tmp_path, statement, argv, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(WA_HEAD + statement + "\n", encoding="utf-8")
+    code, out, err = run([argv[0], str(path)] + argv[1:])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith(f"error: line 4: {message}\n")

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from helpers import rand_elem
+from helpers import first_refuting_trial, rand_elem
 
 from woundcheck import corpus
 from woundcheck.groups import block_relations, landing_poly
+from woundcheck.homs import landing_identity, relative_frobenius
 from woundcheck.oracle import UnsupportedRelationError, parametrize_relation, random_point_oracle
 from woundcheck.polyring import Poly, RelationSet, is_identically_zero
 from woundcheck.ppoly import PPoly, to_relation
@@ -115,12 +116,28 @@ def _seeded_relation(k, rng):
     return PPoly(k, 3, terms)
 
 
+def _assert_matches_trial_loop(h, rset, name):
+    """For seeds 0-2 the oracle answers as the bare trial loop does; on a
+    refuted input the loop's first refuting trial t is the oracle's: t
+    trials pass and t + 1 refute.  Returns how many seeds refuted."""
+    refuted = 0
+    for seed in range(3):
+        t = first_refuting_trial(h, rset, seed=seed, trials=10)
+        assert random_point_oracle(h, rset, seed=seed, trials=10) == (t is None), name
+        if t is not None:
+            refuted += 1
+            assert random_point_oracle(h, rset, seed=seed, trials=t), name
+            assert not random_point_oracle(h, rset, seed=seed, trials=t + 1), name
+    return refuted
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2])
 @pytest.mark.parametrize("e", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_oracle_on_seeded_relations(p, e, depth):
     """Multiples of the relation vanish at every sampled point, and every
-    variable the sampler draws freely is refuted."""
+    variable the sampler draws freely is refuted, at the trial loop's
+    first refuting trial."""
     k = corpus.base_field(p, e, depth)
     rng = random.Random(1000 * p + 10 * e + depth)
     f = _seeded_relation(k, rng)
@@ -128,7 +145,74 @@ def test_oracle_on_seeded_relations(p, e, depth):
     g = Poly(k, 3, {(rng.randrange(2), rng.randrange(2), 0): rand_elem(k, rng, deg=1),
                     (0, 0, 0): k.one()})
     assert random_point_oracle(f.to_poly() * g, rset, seed=p, trials=20)
+    assert _assert_matches_trial_loop(f.to_poly() * g, rset, "multiple") == 0
     _, free, _ = parametrize_relation(f, 0, k)
     assert free
     for v in free:
         assert not random_point_oracle(Poly.variable(k, 3, v), rset, seed=p, trials=20)
+        assert _assert_matches_trial_loop(Poly.variable(k, 3, v), rset, f"X{v}") == 3
+
+
+def _commutator(k):
+    ext = corpus.gabber_extension(k)
+    n = ext.base.nvars
+    swap = [Poly.variable(k, 2 * n, (i + n) % (2 * n)) for i in range(2 * n)]
+    return ext.h[0] - ext.h[0].substitute(swap), ext.pair_relations()
+
+
+def _corpus_inputs():
+    """(name, h, relations) of every oracle input the corpus builds."""
+    k, k2 = k3(), corpus.base_field(2)
+    ext = corpus.gabber_extension(k)
+    yield "gabber.landing", landing_poly(ext.h, ext.center), ext.pair_relations()
+    yield ("b.landing", landing_poly(corpus.b_map_polys(k), corpus.group_u(k)),
+           block_relations([(corpus.group_w(k), 0), (corpus.group_va(k), 2)], 4))
+    yield ("b2.landing", landing_poly(corpus.b2_polys(k2), corpus.group_u(k2)),
+           block_relations([(corpus.group_w2(k2), 0), (corpus.group_va(k2), 3)], 5))
+    yield ("phi_b",) + landing_identity(corpus.phi_b_map(k))
+    for field in (k2, k):
+        for build in (corpus.group_wa, corpus.group_va, corpus.group_u, corpus.group_w):
+            g = build(field)
+            yield ((f"frobenius {g.name} p={field.p}",)
+                   + landing_identity(relative_frobenius(g, 1)))
+    for p in (3, 5):
+        yield (f"commutator p={p}",) + _commutator(corpus.base_field(p))
+
+
+def test_oracle_matches_its_trial_loop_on_the_corpus():
+    refuted = sum(_assert_matches_trial_loop(h, rset, name) for name, h, rset in _corpus_inputs())
+    assert refuted == 6  # the two commutators, at every seed
+
+
+def test_oracle_matches_its_trial_loop_on_loose_variables():
+    """Variables no relation constrains, at p = 3: the freshman's dream
+    holds, and two variables are drawn apart."""
+    k = k3()
+    x, y = Poly.variable(k, 2, 0), Poly.variable(k, 2, 1)
+    free = RelationSet(2, ())
+    assert _assert_matches_trial_loop((x + y).pow_(3) - x.pow_(3) - y.pow_(3), free, "dream") == 0
+    assert _assert_matches_trial_loop(x - y, free, "difference") == 3
+
+
+def _trials_run(monkeypatch, h, rset, **kw):
+    """(oracle answer, number of Poly.evaluate calls it made): each trial
+    evaluates the identity once, and nothing else in the oracle does."""
+    calls = []
+    evaluate = Poly.evaluate
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "evaluate", lambda self, point: calls.append(1) or evaluate(self, point))
+        answer = random_point_oracle(h, rset, **kw)
+    return answer, len(calls)
+
+
+def test_zero_composite_runs_no_trial(monkeypatch):
+    k = k3()
+    _, unsplit = corpus.wa_splitting_pair(k)
+    empty = landing_identity(unsplit)
+    assert empty[0].is_zero()
+    true = [(h, rset) for name, h, rset in _corpus_inputs()
+            if name in ("gabber.landing", "b.landing", "b2.landing", "phi_b")]
+    assert len(true) == 4
+    for h, rset in true + [empty]:
+        assert _trials_run(monkeypatch, h, rset, seed=0, trials=1000) == (True, 0)
+    assert _trials_run(monkeypatch, *_commutator(k), seed=0, trials=1000) == (False, 1)

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from helpers import field_fpa, ppoly, va_poly
+from helpers import field_fpa, ppoly, rand_elem, va_poly
 from woundcheck.polyring import Poly, RelationSet, is_identically_zero, normal_form
 from woundcheck.ppoly import to_relation
 
@@ -118,3 +120,41 @@ def test_non_unit_pivot_rejected():
     f = PPoly(ring, 1, {(0, 1): ring.param("d"), (0, 0): ring.one()})
     with pytest.raises(ValueError):
         to_relation(f, 0)
+
+
+def _rand_poly(k, rng, nvars, nterms, exps, rational):
+    """Up to nterms monomials with exponents drawn from exps and random
+    coefficients of degree <= 1, some rational when rational is set."""
+    terms = {tuple(rng.choice(exps) for _ in range(nvars)):
+             rand_elem(k, rng, deg=1, rational=rational) for _ in range(nterms)}
+    return Poly(k, nvars, terms)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_substitute_is_the_evaluation_homomorphism(p, e, depth):
+    """Substituting and then evaluating is evaluating at the substituted
+    values, for exponents that are p-powers and others."""
+    k = field_fpa(p, depth, e)
+    rng = random.Random(100 * p + 10 * e + depth)
+    for _ in range(3):
+        h = _rand_poly(k, rng, 2, 3, (0, 1, 2, p, p + 1), rational=True)
+        args = [_rand_poly(k, rng, 3, 2, (0, 1, 2), rational=False) for _ in range(2)]
+        x = [rand_elem(k, rng, rational=True) for _ in range(3)]
+        assert h.substitute(args).evaluate(x) == h.evaluate([a.evaluate(x) for a in args])
+    one = Poly.constant(k, 0, k.one())
+    assert one.substitute([]) == one
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pow_is_the_repeated_product(p, e, depth):
+    k = field_fpa(p, depth, e)
+    rng = random.Random(100 * p + 10 * e + depth)
+    g = _rand_poly(k, rng, 2, 2, (0, 1, 2), rational=True)
+    acc = Poly.constant(k, 2, k.one())
+    for n in range(2 * p + 2):
+        assert g.pow_(n) == acc, n
+        acc = acc * g
