@@ -14,6 +14,18 @@ In characteristic p the map x -> x^p is a ring homomorphism, so x^(p^k)
 is digit spreading of num and den and needs no product; powers are taken
 digit by digit in base p on top of it.  Normalization takes its gcd from
 fqpoly, which strips the common power of b before any Euclid.
+
+Sums and products of reduced fractions use Henrici's formulas (Knuth,
+TAOCP vol. 2, 4.5.1), which run Euclid on factors instead of on the full
+num*den products and need no normalization afterwards:
+
+    a/b + c/d = (t/h) / ((b/g)(d/h)),  g = gcd(b, d),
+                t = a(d/g) + c(b/g),   h = gcd(t, g);
+    (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)),
+                g1 = gcd(a, d),        g2 = gcd(c, b).
+
+Both results are reduced, and their denominators are monic as products
+of monic quotients.
 """
 
 from dataclasses import dataclass
@@ -188,10 +200,23 @@ class FieldElem:
         if not isinstance(other, FieldElem):
             return NotImplemented
         f, gf = self.field, self.field.gf
-        if self.den == fq.ONE and other.den == fq.ONE:
+        b, d = self.den, other.den
+        if b == fq.ONE and d == fq.ONE:
             return FieldElem._raw(f, fq.add(gf, self.num, other.num), fq.ONE)
-        num = fq.add(gf, fq.mul(gf, self.num, other.den), fq.mul(gf, other.num, self.den))
-        return FieldElem(f, num, fq.mul(gf, self.den, other.den))
+        a, c = self.num, other.num
+        g = fq.gcd(gf, b, d)
+        if g != fq.ONE:
+            b, d = _exact_div(gf, b, g), _exact_div(gf, d, g)
+        t = fq.add(gf, fq.mul(gf, a, d), fq.mul(gf, c, b))
+        if not t:
+            return f.zero()
+        den = fq.mul(gf, b, d)
+        if g != fq.ONE:
+            h = fq.gcd(gf, t, g)
+            if h != fq.ONE:
+                t, g = _exact_div(gf, t, h), _exact_div(gf, g, h)
+            den = fq.mul(gf, den, g)
+        return FieldElem._raw(f, t, den)
 
     __radd__ = __add__
 
@@ -214,11 +239,18 @@ class FieldElem:
         if not isinstance(other, FieldElem):
             return NotImplemented
         f, gf = self.field, self.field.gf
-        if not self.num or not other.num:
+        a, c = self.num, other.num
+        if not a or not c:
             return f.zero()
-        if self.den == fq.ONE and other.den == fq.ONE:
-            return FieldElem._raw(f, fq.mul(gf, self.num, other.num), fq.ONE)
-        return FieldElem(f, fq.mul(gf, self.num, other.num), fq.mul(gf, self.den, other.den))
+        b, d = self.den, other.den
+        if b == fq.ONE and d == fq.ONE:
+            return FieldElem._raw(f, fq.mul(gf, a, c), fq.ONE)
+        g1, g2 = fq.gcd(gf, a, d), fq.gcd(gf, c, b)
+        if g1 != fq.ONE:
+            a, d = _exact_div(gf, a, g1), _exact_div(gf, d, g1)
+        if g2 != fq.ONE:
+            c, b = _exact_div(gf, c, g2), _exact_div(gf, b, g2)
+        return FieldElem._raw(f, fq.mul(gf, a, c), fq.mul(gf, b, d))
 
     __rmul__ = __mul__
 
@@ -281,6 +313,11 @@ class FieldElem:
     def __repr__(self):
         from .parser import render_elem
         return f"<{render_elem(self)}>"
+
+
+def _exact_div(gf, f, g):
+    """f / g for a g that divides f."""
+    return fq.divmod_(gf, f, g)[0]
 
 
 def _digit_pow(x, d):

@@ -6,10 +6,14 @@ the field handle as first argument and return canonical tuples.
 
 Tuples stay dense, but the kernels cost work in proportion to nonzero
 coefficients, not to length: in a tower, x^(p^k) and the embeddings
-spread coefficients p^k apart, and denominators are powers of x.  add
-and smul touch only nonzero coefficients, and mul takes a monomial
-operand c*x^k as one scaling plus a shift; every other product is the
-schoolbook loop over pairs of nonzero coefficients, exact for any p.
+spread coefficients p^k apart, and denominators are powers of x.  add,
+smul and neg touch only nonzero coefficients, and mul takes a monomial
+operand c*x^k as one scaling plus a shift.  Every other product is the
+schoolbook loop, and long division the quotient loop; both run through
+gfq's multiply-add kernel axpy, one call per row, over the nonzero
+coefficients of one operand only, so division skips zero divisor
+coefficients as the product skips zero factor coefficients.  Both are
+exact for any p.
 
 The generator x is prime in F_q[x], and in a tower every denominator that
 comes from a coefficient a^(-1/p^m) is a power of it.  So gcd first takes
@@ -55,7 +59,7 @@ def add(gf, f, g):
 
 
 def neg(gf, f):
-    return tuple(gf.neg(c) for c in f)
+    return smul(gf, gf.neg(1), f)
 
 
 def smul(gf, c, f):
@@ -82,10 +86,10 @@ def mul(gf, f, g):
         return shift(smul(gf, f[-1], g), len(f) - 1)
     ft = [(i, a) for i, a in enumerate(f) if a]
     out = [0] * (len(f) + len(g) - 1)
+    axpy = gf.axpy
     for j, b in enumerate(g):
         if b:
-            for i, a in ft:
-                out[i + j] = gf.add(out[i + j], gf.mul(a, b))
+            axpy(out, j, b, ft)
     return norm(out)
 
 
@@ -98,16 +102,20 @@ def divmod_(gf, f, g):
     k = len(g) - 1
     if order(g) == k:  # g = c * x^k
         return smul(gf, gf.inv(g[-1]), f[k:]), norm(f[:k])
+    # each step cancels rem[j + k] against c * x^j * g; only the terms of
+    # g below its lead are added, negated once here, so rem[j + k] is
+    # left stale and never read again
     inv_lead = gf.inv(g[-1])
+    minus_g = [(i, gf.neg(c)) for i, c in enumerate(g[:k]) if c]
     rem = list(f)
-    quo = [0] * (len(f) - len(g) + 1)
-    for k in range(len(f) - len(g), -1, -1):
-        c = gf.mul(rem[k + len(g) - 1], inv_lead)
+    quo = [0] * (len(f) - k)
+    axpy = gf.axpy
+    for j in range(len(f) - k - 1, -1, -1):
+        c = gf.mul(rem[j + k], inv_lead)
         if c:
-            quo[k] = c
-            for i, gc in enumerate(g):
-                rem[k + i] = gf.sub(rem[k + i], gf.mul(c, gc))
-    return norm(quo), norm(rem)
+            quo[j] = c
+            axpy(rem, j, c, minus_g)
+    return norm(quo), norm(rem[:k])
 
 
 def rem(gf, f, g):

@@ -6,8 +6,15 @@ degree e over F_p; for e = 1 this is plain arithmetic mod p.  The modulus
 is chosen deterministically from (p, e): the lexicographically smallest
 monic irreducible of degree e, scanning coefficient vectors low-to-high.
 digits/undigits are the one place where a code is read as its base-p
-digits.  The modulus search (Ben-Or's test) and the exp/log tables run on
-fqpoly over F_p = GFq(p).
+digits.  The modulus search (Ben-Or's test) and the tables run on fqpoly
+over F_p = GFq(p).
+
+For e > 1 every operation is a table lookup over a primitive element g:
+exp/log tables for products, and a Zech table zech[i] = log(1 + g^i)
+(None where 1 + g^i = 0) for sums, since a + b = a * (1 + b/a).  The
+tables are built once per field: adding 1 to a code raises only its
+lowest digit.  axpy is the one multiply-add loop of fqpoly's product and
+division, so a row of coefficients costs one call.
 
 Field handles are cached by (p, e).  Elements carry no field pointer, so
 callers must keep operands inside one field.
@@ -39,7 +46,7 @@ def GFq(p, e=1):
 
 
 class _GFq:
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_log_minus_one")
 
     def __init__(self, p, e):
         if not is_prime(p):
@@ -51,7 +58,7 @@ class _GFq:
         self.q = p ** e
         if e == 1:
             self.modulus = None
-            self._exp = self._log = None
+            self._exp = self._log = self._zech = self._log_minus_one = None
         else:
             if self.q > _TABLE_LIMIT:
                 raise ValueError(f"q = {self.q} too large for table-based extension field")
@@ -85,7 +92,9 @@ class _GFq:
         return self.undigits(fq.rem(fp, fq.mul(fp, da, db), self.digits(self.modulus) + [1]))
 
     def _build_tables(self):
-        # discrete-log tables over a primitive element, found by scanning
+        # discrete-log and Zech tables over a primitive element, found by
+        # scanning; exp and zech are stored twice over so that a sum of two
+        # logs, or a difference of two, indexes them without a reduction
         q = self.q
         order = q - 1
         factors = _prime_factors(order)
@@ -103,8 +112,15 @@ class _GFq:
             x = self._mul_raw(x, g)
         for i in range(order, 2 * order):
             exp[i] = exp[i - order]
+        p = self.p
+        zech = []
+        for x in exp[:order]:
+            one_plus = x - x % p + (x + 1) % p
+            zech.append(log[one_plus] if one_plus else None)
         self._exp = exp
         self._log = log
+        self._zech = zech + zech
+        self._log_minus_one = 0 if p == 2 else order // 2
 
     def _pow_raw(self, a, n):
         r = 1
@@ -134,30 +150,43 @@ class _GFq:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a, b):
-        p = self.p
         if self.e == 1:
-            return (a + b) % p
-        x, y, out, mult = a, b, 0, 1
-        for _ in range(self.e):
-            out += ((x + y) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a):
-        p = self.p
         if self.e == 1:
-            return (-a) % p
-        x, out, mult = a, 0, 1
-        for _ in range(self.e):
-            out += ((-x) % p) * mult
-            x //= p
-            mult *= p
-        return out
+            return (-a) % self.p
+        if not a:
+            return 0
+        return self._exp[self._log[a] + self._log_minus_one]
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+    def axpy(self, out, k, c, terms):
+        """out[k + i] += c * t for every (i, t) in terms, in place; c and
+        every t are nonzero."""
+        if self.e == 1:
+            p = self.p
+            for i, t in terms:
+                out[k + i] = (out[k + i] + c * t) % p
+            return
+        exp, log, zech = self._exp, self._log, self._zech
+        lc = log[c]
+        for i, t in terms:
+            j = k + i
+            lt = lc + log[t]
+            o = out[j]
+            if o:
+                lo = log[o]
+                z = zech[lt - lo]
+                out[j] = 0 if z is None else exp[lo + z]
+            else:
+                out[j] = exp[lt]
 
     def mul(self, a, b):
         if self.e == 1:
@@ -187,14 +216,10 @@ class _GFq:
 
     def proot(self, a):
         """The unique p-th root (Frobenius is bijective on F_q)."""
-        if self.e == 1:
-            return a
-        return self.pow_(a, self.p ** (self.e - 1))
+        return self.proot_n(a, 1)
 
     def proot_n(self, a, n):
-        for _ in range(n % self.e if self.e > 1 else 0):
-            a = self.proot(a)
-        return a
+        return self.frob_n(a, -n)
 
 
 def _prime_factors(n):

@@ -10,6 +10,7 @@ import numpy as np
 
 from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldSpec
+from woundcheck.gfq import GFq, is_prime
 from woundcheck.oracle import parametrize_relation
 from woundcheck.polyring import Poly
 from woundcheck.ppoly import PPoly
@@ -18,6 +19,12 @@ from woundcheck.zerocert import rational_candidates
 
 def field_fpa(p=3, depth=0, e=1):
     return Field(FieldSpec(p, e, "a", depth))
+
+
+def table_fields(q_max):
+    """Every GF(p^e) with e >= 2 and p^e <= q_max."""
+    return [GFq(p, e) for p in range(2, 65) if is_prime(p)
+            for e in range(2, 13) if p ** e <= q_max]
 
 
 def ppoly(field, nvars, *terms):
@@ -85,6 +92,21 @@ def dense_mul(gf, f, g):
         for j, b in enumerate(g):
             out[i + j] = gf.add(out[i + j], gf.mul(a, b))
     return fq.norm(out)
+
+
+def dense_divmod(gf, f, g):
+    """Quotient and remainder by long division that subtracts c * g over
+    every coefficient of g, zeros and lead included: the reference for
+    fqpoly.divmod_."""
+    rem = list(f)
+    quo = [0] * max(len(f) - len(g) + 1, 0)
+    inv_lead = gf.inv(g[-1])
+    for k in range(len(quo) - 1, -1, -1):
+        c = gf.mul(rem[k + len(g) - 1], inv_lead)
+        quo[k] = c
+        for i, gc in enumerate(g):
+            rem[k + i] = gf.add(rem[k + i], gf.neg(gf.mul(c, gc)))
+    return fq.norm(quo), fq.norm(rem)
 
 
 def pow_by_squaring(x, n):

@@ -4,8 +4,8 @@ import hashlib
 import random
 
 import sympy
-from helpers import field_fpa, ppoly, rand_elem
-from woundcheck.gfq import GFq, is_prime
+from helpers import field_fpa, ppoly, rand_elem, table_fields
+from woundcheck.gfq import GFq
 from woundcheck import fqpoly as fq
 from woundcheck.zerocert import decide_no_nontrivial_zero
 
@@ -19,17 +19,11 @@ def test_modulus_is_deterministic_smallest():
     assert gf2.modulus == 3
 
 
-def _table_fields(q_max):
-    """Every GF(p^e) with e >= 2 and p^e <= q_max."""
-    return [GFq(p, e) for p in range(2, 65) if is_prime(p)
-            for e in range(2, 13) if p ** e <= q_max]
-
-
 def test_extension_tables_are_pinned():
     """The moduli and exp tables of all 40 table-based fields with q <= 4096
     hash to the digest of the trial-division build they replaced, so every
     field element code means what it meant before."""
-    fields = _table_fields(4096)
+    fields = table_fields(4096)
     assert len(fields) == 40
     h = hashlib.sha256()
     for gf in fields:
@@ -39,7 +33,7 @@ def test_extension_tables_are_pinned():
 
 def test_modulus_is_the_smallest_irreducible():
     x = sympy.Symbol("x")
-    for gf in _table_fields(729):
+    for gf in table_fields(729):
         p, e = gf.p, gf.e
 
         def poly(code):

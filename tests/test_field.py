@@ -181,7 +181,7 @@ def test_power_of_b_denominator_needs_no_division(monkeypatch, p, e):
 def test_product_by_a_power_of_b_is_a_shift(monkeypatch, p, depth):
     """Numerators of 6-11 nonzero coefficients times c*b^k of any length,
     and denominators b^i times b^j: each product is one scaling and a
-    shift, so fqpoly.mul adds no two coefficients."""
+    shift, so fqpoly.mul runs no multiply-add row (gfq.axpy)."""
     k = Field(FieldSpec(p, 1, "a", depth))
     gf, rng = k.gf, random.Random(p)
     nums = [tuple(rng.randrange(1, p) for _ in range(rng.randrange(6, 12))) for _ in range(6)]
@@ -196,19 +196,19 @@ def test_product_by_a_power_of_b_is_a_shift(monkeypatch, p, depth):
     pairs = ([(x.num, m.num) for x in elems for m in monomials]
              + [(x.den, y.den) for x in elems for y in elems])
     want = [dense_mul(gf, f, g) for f, g in pairs]
-    adds = []
-    real_add = type(gf).add
+    rows = []
+    real_axpy = type(gf).axpy
 
-    def counted(self, a, b):
-        adds.append((a, b))
-        return real_add(self, a, b)
+    def counted(self, out, shift, c, terms):
+        rows.append((shift, c))
+        return real_axpy(self, out, shift, c, terms)
 
-    monkeypatch.setattr(type(gf), "add", counted)
+    monkeypatch.setattr(type(gf), "axpy", counted)
     assert [fq.mul(gf, f, g) for f, g in pairs] == want
     assert [fq.mul(gf, g, f) for f, g in pairs] == want
-    assert adds == []
+    assert rows == []
     fq.mul(gf, nums[0], nums[1])
-    assert adds
+    assert rows
 
 
 @pytest.mark.parametrize("p,e,depth", [(2, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 0)])

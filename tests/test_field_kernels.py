@@ -1,10 +1,15 @@
-"""Properties of the field-layer kernels that have exact characteristic-p
-shortcuts: the Frobenius-digit power FieldElem.__pow__, the x-adic
-fqpoly.gcd and fqpoly.divmod_, and the zero-skipping fqpoly.add, smul and
-mul.  Over p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands
-are drawn mostly as monomials c*x^k, multiples of x^j and Frobenius
-images, the shapes the shortcuts take, plus dense products over one
-prime above 2^32."""
+"""Properties of the field-layer kernels that have exact shortcuts: the
+Zech-table sum and negation of gfq, in every field with e >= 2 and
+q <= 4096, against digit-wise arithmetic mod p; the multiply-add row
+gfq.axpy that runs fqpoly's product and division; the Frobenius-digit
+power FieldElem.__pow__; Henrici's reduced sum and product of FieldElem;
+the x-adic fqpoly.gcd; fqpoly.divmod_ on sparse divisors; and the
+zero-skipping fqpoly.add, smul and mul.  The property suites run over
+p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands are drawn
+mostly as monomials c*x^k, multiples of x^j, Frobenius images and
+x^o*g(x^s), the shapes the shortcuts take, plus dense products over one
+prime above 2^32.  The references are the dense loops of
+tests/helpers.py and, at e = 1, sympy."""
 
 import random
 
@@ -12,7 +17,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_add, dense_mul, dense_smul, pow_by_squaring
+from helpers import (dense_add, dense_divmod, dense_mul, dense_smul, pow_by_squaring,
+                     table_fields)
 from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldSpec
 from woundcheck.gfq import GFq
@@ -147,3 +153,135 @@ def test_product_over_a_large_prime():
         f, g = (tuple(rng.randrange(1, gf.p) for _ in range(rng.randrange(5, 13)))
                 for _ in range(2))
         assert fq.mul(gf, f, g) == dense_mul(gf, f, g) == fq.mul(gf, g, f)
+
+
+def _digitwise(gf, a, b):
+    return gf.undigits([(x + y) % gf.p for x, y in zip(gf.digits(a), gf.digits(b))])
+
+
+def test_zech_sum_and_negation_match_the_digits_on_every_pair():
+    """Every pair of codes in every field with e >= 2 and q <= 256."""
+    for gf in table_fields(256):
+        p = gf.p
+        for a in range(gf.q):
+            assert gf.neg(a) == gf.undigits([-d % p for d in gf.digits(a)]), (gf, a)
+            assert gf.add(a, gf.neg(a)) == 0
+            assert [gf.add(a, b) for b in range(gf.q)] == [
+                _digitwise(gf, a, b) for b in range(gf.q)], (gf, a)
+
+
+def test_zech_sum_and_negation_match_the_digits_on_sampled_pairs():
+    rng = random.Random(15)
+    for gf in table_fields(4096):
+        p = gf.p
+        for _ in range(500):
+            a, b = rng.randrange(gf.q), rng.randrange(gf.q)
+            assert gf.add(a, b) == _digitwise(gf, a, b), (gf, a, b)
+            assert gf.neg(a) == gf.undigits([-d % p for d in gf.digits(a)]), (gf, a)
+            assert gf.add(a, gf.neg(a)) == 0
+
+
+@given(kernel_operands(), st.data())
+@PROPERTY
+def test_axpy_rows_add_the_dense_product(case, data):
+    """Rows out[j + i] += g_j * f_i over the nonzero f_i, onto an
+    accumulator h that cancels the product's top half a quarter of the
+    time, sum to h + f * g."""
+    gf, f, g, _ = case
+    product = dense_mul(gf, f, g)
+    if data.draw(st.integers(0, 3)) == 0:
+        h = fq.shift(dense_smul(gf, gf.neg(1), product[len(product) // 2:]), len(product) // 2)
+    else:
+        h = fq.norm(tuple(data.draw(st.lists(st.integers(0, gf.q - 1), max_size=8))))
+    out = list(h) + [0] * max(len(f) + len(g) - 1 - len(h), 0)
+    terms = [(i, a) for i, a in enumerate(f) if a]
+    for j, b in enumerate(g):
+        if b:
+            gf.axpy(out, j, b, terms)
+    assert fq.norm(out) == dense_add(gf, h, product)
+
+
+@st.composite
+def sparse_division(draw):
+    """(gf, f, x^o * g(x^s)); f is a multiple of the divisor plus a short
+    remainder half the time."""
+    gf = GFq(draw(PRIMES), draw(st.integers(1, 2)))
+    q = gf.q
+    g = fq.norm(tuple(draw(st.lists(st.integers(0, q - 1), max_size=4)))) or fq.ONE
+    divisor = fq.shift(fq.spread(g, draw(st.integers(1, 9))), draw(st.integers(0, 3)))
+    f = fq.norm(tuple(draw(st.lists(st.integers(0, q - 1), max_size=40))))
+    if draw(st.booleans()):
+        f = dense_add(gf, dense_mul(gf, f[:12], divisor), f[:len(divisor) - 1])
+    return gf, f, divisor
+
+
+@given(sparse_division())
+@PROPERTY
+def test_division_by_a_sparse_divisor_matches_long_division(case):
+    gf, f, g = case
+    assert fq.divmod_(gf, f, g) == dense_divmod(gf, f, g)
+
+
+def test_sparse_division_makes_one_row_per_quotient_term(monkeypatch):
+    """Over F_9, dividing by 1 + x^9 runs one multiply-add row per nonzero
+    quotient coefficient, over the divisor's one nonzero term below the
+    lead, and calls no gfq.add."""
+    gf = GFq(3, 2)
+    rng = random.Random(9)
+    f = tuple(rng.randrange(9) for _ in range(59)) + (1,)
+    g = fq.spread((1, 1), 9)
+    want = dense_divmod(gf, f, g)
+    rows, adds = [], []
+    cls = type(gf)
+    real_axpy, real_add = cls.axpy, cls.add
+    monkeypatch.setattr(cls, "axpy", lambda self, *args: rows.append(args) or real_axpy(self, *args))
+    monkeypatch.setattr(cls, "add", lambda self, *args: adds.append(args) or real_add(self, *args))
+    assert fq.divmod_(gf, f, g) == want
+    assert len(rows) == sum(1 for c in want[0] if c) > 0
+    assert all(len(terms) == 1 for _, _, _, terms in rows)
+    assert adds == []
+
+
+@st.composite
+def fraction_pair(draw):
+    """Two elements whose denominators share the factors b^j and
+    (1 + b)^(p^k), in different powers, and whose numerators may carry
+    the other's factors."""
+    field = Field(FieldSpec(draw(PRIMES), draw(st.integers(1, 2)), "a", draw(st.integers(0, 2))))
+    gf, q = field.gf, field.spec.q
+    k = draw(st.integers(0, 2))
+
+    def factor():
+        f = fq.shift(fq.ONE, draw(st.integers(0, 3)))
+        return fq.mul(gf, f, fq.frob(gf, (1, 1), k)) if draw(st.booleans()) else f
+
+    def elem():
+        num = fq.mul(gf, draw(polys(q, 3)), factor())
+        den = fq.mul(gf, factor(), fq.mul(gf, factor(), draw(polys(q, 2)) or fq.ONE))
+        return field.elem(num, den)
+
+    return elem(), elem()
+
+
+def _canonical(x):
+    gf = x.field.gf
+    return x.den[-1] == 1 and (x.num or x.den == fq.ONE) and fq.gcd(gf, x.num, x.den) == fq.ONE
+
+
+@given(fraction_pair())
+@PROPERTY
+def test_henrici_sum_and_product_match_the_normalized_fraction(pair):
+    x, y = pair
+    k, gf = x.field, x.field.gf
+    a, b, c, d = x.num, x.den, y.num, y.den
+    ad, cb, bd = dense_mul(gf, a, d), dense_mul(gf, c, b), dense_mul(gf, b, d)
+    results = [
+        (x + y, k.elem(dense_add(gf, ad, cb), bd)),
+        (x - y, k.elem(dense_add(gf, ad, dense_smul(gf, gf.neg(1), cb)), bd)),
+        (x * y, k.elem(dense_mul(gf, a, c), bd)),
+    ]
+    if c:
+        results.append((x / y, k.elem(ad, dense_mul(gf, b, c))))
+    for got, want in results:
+        assert got == want
+        assert _canonical(got), got
