@@ -30,8 +30,6 @@ of monic quotients.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fqpoly as fq
 from .gfq import GFq, is_prime
 
@@ -344,23 +342,28 @@ def clear_denominators(field, elems):
     return den, [fq.mul(gf, x.num, fq.divmod_(gf, den, x.den)[0]) for x in elems]
 
 
-def _rref(rows, p):
-    """Reduced row echelon form mod p of a matrix with entries in [0, p):
-    (nonzero rows, pivot columns)."""
-    a = np.array(rows, dtype=np.int64 if p < 1 << 31 else object)
+def rref(rows, p):
+    """Reduced row echelon form mod p, by Gauss-Jordan elimination on lists
+    of Python ints, of a matrix with entries in [0, p): (nonzero rows,
+    pivot columns).  Each pivot updates only the rows with a nonzero entry
+    in its column, and a pivot row already led by 1 is not scaled."""
+    a = [list(row) for row in rows]
     pivots = []
-    for c in range(a.shape[1] if a.ndim == 2 else 0):
+    for c in range(len(a[0]) if a else 0):
         rank = len(pivots)
-        live = np.flatnonzero(a[rank:, c])
-        if not live.size:
+        r = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if r is None:
             continue
-        r = rank + int(live[0])
-        a[[rank, r]] = a[[r, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
-        col = a[:, c].copy()
-        col[rank] = 0
-        a = (a - np.outer(col, a[rank])) % p
+        a[rank], a[r] = a[r], a[rank]
+        top = a[rank]
+        if top[c] != 1:
+            inv = pow(top[c], p - 2, p)
+            top = a[rank] = [v * inv % p for v in top]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != rank:
+                a[i] = [(v - f * t) % p for v, t in zip(row, top)]
         pivots.append(c)
-        if len(pivots) == a.shape[0]:
+        if len(pivots) == len(a):
             break
-    return a[:len(pivots)].tolist(), pivots
+    return a[:len(pivots)], pivots

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import fqpoly as fq
-from .field import FieldElem, _rref, clear_denominators
+from .field import FieldElem, clear_denominators, rref
 from .groups import block_relations, is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
 from .polyring import RelationSet
@@ -275,7 +275,7 @@ def solve_homs_bounded(cs, domain):
     domain = list(domain)
     # span basis d_1..d_r, and each domain element keyed by its coordinates
     den, vecs = _fp_vectors(field, domain)
-    rows, dpiv = _rref(vecs, p)
+    rows, dpiv = rref(vecs, p)
     r = len(dpiv)
     by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
     basis = [FieldElem(field, _undigits(field.gf, row), den) for row in rows]
@@ -298,7 +298,7 @@ def solve_homs_bounded(cs, domain):
                 cols[u * r + j] = cols[u * r + j] + c * frob[(j, e)]
         _, vals = _fp_vectors(field, cols)
         matrix.extend(row for row in zip(*vals) if any(row))
-    reduced, pivots = _rref(matrix, p)
+    reduced, pivots = rref(matrix, p)
     if ncols in pivots:
         return []  # inconsistent: 1 = 0
     free = [c for c in range(ncols) if c not in pivots]

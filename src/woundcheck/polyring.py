@@ -124,16 +124,17 @@ class Poly:
         """General power, split along base-p digits so p-power parts are cheap."""
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.constant(self.field, self.nvars, self.field.one())
-        base = self
+        if n == 0:
+            return Poly.constant(self.field, self.nvars, self.field.one())
+        result = None
         p = self.field.p
         level = 0
         while n:
             d = n % p
             if d:
-                piece = base.frob_pow(level)
+                piece = self.frob_pow(level)
                 for _ in range(d):
-                    result = result * piece
+                    result = piece if result is None else result * piece
             n //= p
             level += 1
         return result
@@ -148,14 +149,18 @@ class Poly:
         out = Poly.zero(self.field, nv)
         cache = {}
         for m, c in self.terms.items():
-            piece = Poly.constant(self.field, nv, c)
+            piece = None
             for i, e in enumerate(m):
                 if e:
                     key = (i, e)
                     pw = cache.get(key)
                     if pw is None:
                         pw = cache[key] = args[i].pow_(e)
-                    piece = piece * pw
+                    piece = pw if piece is None else piece * pw
+            if piece is None:
+                piece = Poly.constant(self.field, nv, c)
+            elif not c.is_one():
+                piece = piece.scale(c)
             out = out + piece
         return out
 

@@ -35,10 +35,8 @@ work.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fqpoly as fq
-from .field import Field, FieldElem, _rref, clear_denominators
+from .field import Field, FieldElem, clear_denominators, rref
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,9 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
         return res
 
     # polynomial witnesses first (one F_p-kernel), then rational ones
-    arrays = exhaustive_poly_search(P, search_bound)
-    if arrays is not None:
-        witness = tuple(field.elem(tuple(int(v) for v in w)) for w in arrays)
+    codes = exhaustive_poly_search(P, search_bound)
+    if codes is not None:
+        witness = tuple(field.elem(w) for w in codes)
         return ZeroDecision("zero", "search", witness=witness)
     found = _rational_witness_search(P, search_bound, search_budget)
     if found is not None:
@@ -260,8 +258,8 @@ def _rational_witness_search(P, bound, budget):
 def exhaustive_poly_search(P, degree_bound):
     """Search all witness vectors with polynomial entries of degree <=
     degree_bound for a zero of the principal part P.  Returns a tuple of
-    arrays of F_q codes, one of shape (degree_bound + 1,) per variable, or
-    None; a hit is re-verified in exact arithmetic.
+    tuples of F_q codes, degree_bound + 1 coefficients from degree 0 per
+    variable, or None; a hit is re-verified in exact arithmetic.
 
     Write each witness coefficient in the F_p basis 1, t, ..., t^(e-1) of
     F_q (the digits of its ``gfq`` code).  Then c * x^(p^N) is F_p-linear
@@ -283,43 +281,45 @@ def exhaustive_poly_search(P, degree_bound):
     n = len(pres)
     if n < P.nvars:
         missing = next(i for i in range(P.nvars) if i not in pres)
-        out = [np.zeros(ncoef, dtype=np.int64) for _ in range(P.nvars)]
-        out[missing][0] = 1
-        return tuple(out)
+        return tuple((int(i == missing),) + (0,) * degree_bound for i in range(P.nvars))
     exps = {i: N for (i, N), _ in P.terms.items()}
     coeffs = clear_denominators(field, [P.coeff(i, exps[i]) for i in pres])[1]
 
     gf = field.gf
     ns = [exps[i] for i in pres]
     qs = [p ** N for N in ns]
-    out_len = max(degree_bound * q + len(c) for q, c in zip(qs, coeffs))
 
     # scan order, most significant first: variable n-1, then 0 .. n-2.
     # Column blocks and the coefficients in them run least significant
-    # first.  cols[b, d, j, m, s] is digit s, at output coefficient m, of
-    # c_k * x^(p^N_k) for x the unit t^j at coefficient degree_bound - d
+    # first: block b holds variable order[n-1-b], and its column
+    # (D * e + j) is the unit t^j at coefficient degree_bound - D.  Row
+    # m * e + s is digit s of output coefficient m; zero rows are never
+    # made, and the row order does not change the reduced form.
     order = [n - 1] + list(range(n - 1))
-    cols = np.zeros((n, ncoef, e, out_len, e), dtype=np.int64)
-    for block, k in zip(cols, reversed(order)):
+    width = n * ncoef * e
+    rows = {}
+    for b, k in enumerate(reversed(order)):
         for j in range(e):
-            col = np.array(fq.smul(gf, gf.frob_n(p ** j, ns[k]), coeffs[k]))
-            digits = col[:, None] // p ** np.arange(e) % p
+            col = fq.smul(gf, gf.frob_n(p ** j, ns[k]), coeffs[k])
             for d in range(ncoef):
-                block[degree_bound - d, j, d * qs[k]:d * qs[k] + len(col)] = digits
-    matrix = cols.reshape(n * ncoef * e, -1).T
-    reduced, pivots = _rref(matrix[matrix.any(axis=1)], p)
-    free = next((c for c in range(n * ncoef * e) if c not in pivots), None)
+                c = (b * ncoef + degree_bound - d) * e + j
+                for m, x in enumerate(col, d * qs[k]):
+                    for s, digit in enumerate(gf.digits(x)):
+                        if digit:
+                            rows.setdefault(m * e + s, [0] * width)[c] = digit
+    reduced, pivots = rref(rows.values(), p)
+    free = next((c for c in range(width) if c not in pivots), None)
     if free is None:
         return None
-    hit = np.zeros(n * ncoef * e, dtype=np.int64)
+    hit = [0] * width
     hit[free] = 1
     for row, c in zip(reduced, pivots):
         hit[c] = -row[free] % p
-    codes = hit.reshape(n, ncoef, e)[::-1, ::-1] @ p ** np.arange(e)
+    codes = [gf.undigits(hit[i:i + e]) for i in range(0, width, e)]
     witness = [None] * n  # every variable is present: pres is 0 .. n-1
-    for k, d in zip(order, codes):
-        witness[k] = d
-    point = [field.elem(tuple(int(v) for v in w)) for w in witness]
+    for b, k in enumerate(reversed(order)):
+        witness[k] = tuple(reversed(codes[b * ncoef:(b + 1) * ncoef]))
+    point = [field.elem(w) for w in witness]
     if not P.evaluate(point).is_zero():
         raise RuntimeError("kernel witness does not vanish")
     return tuple(witness)

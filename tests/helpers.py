@@ -1,12 +1,11 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
 instances for the division and decision property suites, a brute-force
 witness scan, a one-by-one rational witness scan, a square-and-multiply
-power, dense fqpoly kernels and the point oracle's bare trial loop."""
+power, dense fqpoly kernels, a dense F_p elimination and the point
+oracle's bare trial loop."""
 
 import itertools
 import random
-
-import numpy as np
 
 from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldSpec
@@ -109,6 +108,40 @@ def dense_divmod(gf, f, g):
     return fq.norm(quo), fq.norm(rem)
 
 
+def dense_rref(rows, p):
+    """Reduced row echelon form mod p in two passes over every row: forward
+    elimination to an echelon form, then back substitution from the last
+    pivot up, with inverses from the extended Euclidean algorithm.  The
+    reference for field.rref: (nonzero rows, pivot columns)."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        below = [r for r in range(top, len(a)) if a[r][c]]
+        if not below:
+            continue
+        a[top], a[below[0]] = a[below[0]], a[top]
+        inv = _inverse_mod(a[top][c], p)
+        a[top] = [x * inv % p for x in a[top]]
+        for r in range(top + 1, len(a)):
+            f = a[r][c]
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[top])]
+        pivots.append(c)
+    for i in reversed(range(len(pivots))):
+        for r in range(i):
+            f = a[r][pivots[i]]
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[i])]
+    return a[:len(pivots)], pivots
+
+
+def _inverse_mod(x, p):
+    r0, r1, s0, s1 = p, x, 0, 1
+    while r1:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    return s0 % p
+
+
 def pow_by_squaring(x, n):
     """x ** n by binary square-and-multiply from one, inverting first when
     n < 0: the reference for the Frobenius-digit power."""
@@ -194,7 +227,8 @@ def brute_force_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
     variables' in order, each entry's in C order of its coefficient array,
     the first one most significant.  Each candidate is evaluated with the
     ``gfq`` operations as a sparse map from monomials to coefficients.
-    Returns one array of codes per variable, or None."""
+    Returns, per variable, its codes as nested tuples of that shape, or
+    None."""
     field = P.dom
     gf = field.gf
     pres = P.vars_present()
@@ -220,11 +254,19 @@ def brute_force_poly_search(P, degree_bound, extra_gens=0, extra_degree=None):
                     key = (cell[0] * q + m,) + tuple(x * q for x in cell[1:])
                     value[key] = gf.add(value.get(key, 0), gf.mul(g, dq))
         if not any(value.values()):
-            arrays = [np.zeros(shape, dtype=np.int64) for _ in range(P.nvars)]
+            flat = [(0,) * len(cells)] * P.nvars
             for t, i in enumerate(order):
-                arrays[i] = np.array(codes[t * len(cells):(t + 1) * len(cells)]).reshape(shape)
-            return tuple(arrays)
+                flat[i] = codes[t * len(cells):(t + 1) * len(cells)]
+            return tuple(_nest(f, shape) for f in flat)
     return None
+
+
+def _nest(flat, shape):
+    """The sequence flat, in C order, as nested tuples of the given shape."""
+    if len(shape) == 1:
+        return tuple(flat)
+    step = len(flat) // shape[0]
+    return tuple(_nest(flat[i:i + step], shape[1:]) for i in range(0, len(flat), step))
 
 
 def enumerated_rational_search(P, bound, budget):

@@ -415,6 +415,19 @@ def test_python_dash_m_runs_the_cli():
     assert "selftest: pass" in proc.stdout
 
 
+def test_the_cli_imports_only_the_standard_library():
+    # the package has no runtime dependency: importing the CLI loads no
+    # module outside the standard library and woundcheck itself
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    script = ("import sys; before = set(sys.modules); import woundcheck.cli; "
+              "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] "
+              "not in sys.stdlib_module_names | {'woundcheck'}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("field_line,group_line,argv", [
     # a tower of depth 17 makes every `a` a dense polynomial of degree 3^17
     ("field p=3 e=1 gen=a depth=17", "group G vars=X,Y pivot=X : 1*X^(p^1) + a*Y^(p^1)",

@@ -8,19 +8,20 @@ zero-skipping fqpoly.add, smul and mul.  The property suites run over
 p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands are drawn
 mostly as monomials c*x^k, multiples of x^j, Frobenius images and
 x^o*g(x^s), the shapes the shortcuts take, plus dense products over one
-prime above 2^32.  The references are the dense loops of
-tests/helpers.py and, at e = 1, sympy."""
+prime above 2^32, over which rref runs too.  The references are the
+dense loops of tests/helpers.py and, at e = 1, sympy."""
 
 import random
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_add, dense_divmod, dense_mul, dense_smul, pow_by_squaring,
-                     table_fields)
+from helpers import (dense_add, dense_divmod, dense_mul, dense_rref, dense_smul,
+                     pow_by_squaring, table_fields)
 from woundcheck import fqpoly as fq
-from woundcheck.field import Field, FieldSpec
+from woundcheck.field import Field, FieldSpec, rref
 from woundcheck.gfq import GFq
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -285,3 +286,68 @@ def test_henrici_sum_and_product_match_the_normalized_fraction(pair):
     for got, want in results:
         assert got == want
         assert _canonical(got), got
+
+
+@st.composite
+def fp_matrices(draw, p, shape):
+    """Matrices mod p of the named shape: "empty" (no rows, or rows of
+    width 0), "zero" (every row zero), "tall" (more rows than columns),
+    "full_rank" (an echelon form with random pivot columns, mixed by a unit
+    lower-triangular matrix and shuffled) or "deficient" (an r x k times a
+    k x c product with k < r)."""
+    entries = st.integers(0, p - 1)
+
+    def block(nrows, ncols):
+        return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+
+    if shape == "empty":
+        return [[] for _ in range(draw(st.integers(0, 3)))]
+    if shape == "zero":
+        ncols = draw(st.integers(1, 6))
+        return [[0] * ncols for _ in range(draw(st.integers(1, 5)))]
+    if shape == "tall":
+        ncols = draw(st.integers(1, 5))
+        return block(draw(st.integers(ncols + 1, ncols + 6)), ncols)
+    ncols = draw(st.integers(1, 8))
+    if shape == "full_rank":
+        cols = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+        rows = [[0] * c + [draw(st.integers(1, p - 1))] + block(1, ncols - c - 1)[0] for c in cols]
+        for i in range(1, len(rows)):
+            for j in range(i):
+                f = draw(entries)
+                rows[i] = [(x + f * y) % p for x, y in zip(rows[i], rows[j])]
+        return draw(st.permutations(rows))
+    nrows = draw(st.integers(2, 8))
+    k = draw(st.integers(0, min(nrows - 1, ncols)))
+    left, right = block(nrows, k), block(k, ncols)
+    return [[sum(row[t] * right[t][c] for t in range(k)) % p for c in range(ncols)]
+            for row in left]
+
+
+@pytest.mark.parametrize("shape", ("empty", "zero", "tall", "full_rank", "deficient"))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 4_294_967_311))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, database=None)
+def test_rref_is_the_reduced_form_of_the_dense_elimination(p, shape, data):
+    rows = data.draw(fp_matrices(p, shape))
+    before = [list(row) for row in rows]
+    got, pivots = rref(rows, p)
+    want, want_pivots = dense_rref(rows, p)
+    assert rows == before
+    # reduced row echelon form with unit pivots
+    ncols = len(rows[0]) if rows else 0
+    assert len(got) == len(pivots) and pivots == sorted(set(pivots))
+    for row, c in zip(got, pivots):
+        assert len(row) == ncols and all(0 <= x < p for x in row)
+        assert not any(row[:c]) and row[c] == 1
+        assert sum(1 for other in got if other[c]) == 1
+    assert pivots == want_pivots
+    # the same row space: equal ranks, and neither adds rank to the other
+    assert len(dense_rref(want + got, p)[1]) == len(want)
+    if shape == "full_rank":
+        assert len(pivots) == len(rows)
+    if shape == "deficient":
+        assert len(pivots) < len(rows)
+    if shape in ("zero", "empty"):
+        assert got == [] and pivots == []

@@ -1,7 +1,6 @@
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,7 +152,7 @@ def test_exhaustive_search_returns_the_first_zero_of_the_scan():
                         hits += 1
                         assert len(got) == n
                         if not extra_gens:
-                            assert all(map(np.array_equal, got, want)), (P, got, want)
+                            assert got == want, (P, got, want)
     assert hits >= 25
 
 
@@ -204,8 +203,8 @@ def test_exhaustive_search_over_fq_returns_the_first_zero_of_the_scan():
                     assert (got is None) == (want is None), (P, bound)
                     if want is not None:
                         hits += 1
-                        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (P, got, want)
-                        point = [k.elem(tuple(int(v) for v in w)) for w in got]
+                        assert got == want, (P, got, want)
+                        point = [k.elem(w) for w in got]
                         assert P.evaluate(point).is_zero()
     assert hits >= 20
 
@@ -214,8 +213,7 @@ def test_absent_variable_arrays_have_the_search_shape():
     k = field_fpa(3)
     P = ppoly(k, 2, (1, 0, 1))  # Y
     got = exhaustive_poly_search(P, 1)
-    assert [a.shape for a in got] == [(2,), (2,)]
-    assert got[0][0] == 1 and np.count_nonzero(got[0]) == 1 and not got[1].any()
+    assert got == ((1, 0), (0, 0))
 
 
 def test_rational_search_budget_bounds_the_levels():
