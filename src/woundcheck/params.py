@@ -147,6 +147,9 @@ class ParamElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (FieldElem, int)):
+            # a scaled normal form is already normal
+            return self._wrap(self.poly.scale(self.ring.base.coerce(other)), reduced=True)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

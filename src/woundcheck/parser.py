@@ -14,6 +14,7 @@ variables (meaning exponent p^0 resp. 1), and parenthesized coefficients,
 so every rendered form round-trips.
 """
 
+import functools
 import re
 
 from . import fqpoly as fq
@@ -228,30 +229,38 @@ def parse_element(field, text):
 
 
 def render_elem(x):
-    num = _render_gen_poly(x.field, x.num)
-    if x.den == fq.ONE:
-        return num
-    den = _render_gen_poly(x.field, x.den)
-    if "+" in num:
-        num = f"({num})"
-    if "+" in den:
-        den = f"({den})"
-    return f"{num}/{den}"
+    return _render_fraction(x.field.spec, x.num, x.den)
 
 
-def _render_gen_exp(field, i):
+@functools.lru_cache(maxsize=4096)
+def _render_fraction(spec, num, den):
+    # memoized for maps from a small domain, which repeat their
+    # coefficients; keyed by the spec rather than by the FieldElem, whose
+    # Python-level hash and equality made a hit dearer than a render
+    # (equal num/den in other towers share a hash)
+    num_s = _render_gen_poly(spec, num)
+    if den == fq.ONE:
+        return num_s
+    den_s = _render_gen_poly(spec, den)
+    if "+" in num_s:
+        num_s = f"({num_s})"
+    if "+" in den_s:
+        den_s = f"({den_s})"
+    return f"{num_s}/{den_s}"
+
+
+def _render_gen_exp(spec, i):
     """The printed form of b^i in terms of the named generator."""
-    spec = field.spec
     u, j = i, spec.depth
-    while j > 0 and u % field.p == 0:
-        u //= field.p
+    while j > 0 and u % spec.p == 0:
+        u //= spec.p
         j -= 1
     if j == 0:
         return spec.gen if u == 1 else f"{spec.gen}^{u}"
     return f"{spec.gen}^({u}/p^{j})"
 
 
-def _render_gen_poly(field, coeffs):
+def _render_gen_poly(spec, coeffs):
     if not coeffs:
         return "0"
     parts = []
@@ -261,9 +270,9 @@ def _render_gen_poly(field, coeffs):
         if i == 0:
             parts.append(str(c))
         elif c == 1:
-            parts.append(_render_gen_exp(field, i))
+            parts.append(_render_gen_exp(spec, i))
         else:
-            parts.append(f"{c}*{_render_gen_exp(field, i)}")
+            parts.append(f"{c}*{_render_gen_exp(spec, i)}")
     return "+".join(parts)
 
 

@@ -29,7 +29,12 @@ unit per vector, as a lookup join on the last variable: for each prefix
 of the other entries, the one last entry that can cancel it is the
 p^N-th root of -(prefix sum) / c_last, found by a dict lookup.  It builds
 each degree level only when its scan reaches it, so the budget bounds its
-work.
+work.  When the last exponent N is at least 1, a derivative test runs
+before each prefix sum: -(prefix sum) / c_last must be a p-th power, and
+for k = F_q(b) with F_q perfect, k^p is exactly the kernel of d/db, so a
+prefix whose terms have a nonzero derivative sum cannot hit.  It is
+charged as before and skipped, so the hit, the Unknown and the budget
+spent are the same as without the test.
 """
 
 import itertools
@@ -203,6 +208,16 @@ def _rational_witness_search(P, bound, budget):
     reach within the budget, and prefix terms are built lazily and
     memoized, so the budget bounds the work.  A hit is re-verified through
     P.evaluate.
+
+    When N >= 1, t must lie in k^p, the kernel of d/db (F_q is perfect),
+    so a prefix can hit only if the derivatives of its terms s_k
+    v_k^(p^N_k) sum to zero.  Each prefix is tested so before its sum is
+    made: the derivative terms are memoized like the terms, and the last
+    prefix variable's are stored negated, so with three variables the test
+    is one comparison of canonical forms.  A prefix that fails it is
+    charged the same units as one whose root misses, so the first hit, the
+    None and the budget spent are those of the scan without the test.  With
+    N = 0 every t is a p^0-th power and the test is off.
     """
     field = P.dom
     gf = field.gf
@@ -220,6 +235,26 @@ def _rational_witness_search(P, bound, budget):
             memo[k][j] = scales[k] * pool[j].frobenius(terms[k][1])
         return memo[k][j]
 
+    dscales = [s.derivative() for s in scales]
+    dmemo = [{} for _ in scales]
+
+    def dterm(k, j):
+        # d(s v^(p^N)) = s' v^(p^N), plus s v' when N = 0; negated for the
+        # last prefix variable
+        if j not in dmemo[k]:
+            s, ds, (_, N), v = scales[k], dscales[k], terms[k], pool[j]
+            d = ds * v.frobenius(N)
+            if N == 0:
+                d += s * v.derivative()
+            dmemo[k][j] = -d if k == len(scales) - 1 else d
+        return dmemo[k][j]
+
+    def derivative_vanishes(prefix):
+        *head, i = prefix
+        ds = [dterm(k, j) for k, j in enumerate(head)]
+        lhs, rhs = sum(ds[1:], ds[0]) if ds else field.zero(), dterm(len(head), i)
+        return lhs.num == rhs.num and lhs.den == rhs.den
+
     spent = 0
     for level in rational_candidates(field, bound):
         cut = len(pool)
@@ -234,6 +269,9 @@ def _rational_witness_search(P, bound, budget):
             # lower level; pool[0] is the only zero candidate
             lo = cut if all(i < cut for i in prefix) else 0
             skip = lo == 0 and not any(prefix)
+            if n_last and not derivative_vanishes(prefix):
+                spent += m - lo - skip
+                continue
             ts = [term(k, i) for k, i in enumerate(prefix)]
             t = sum(ts[1:], ts[0])
             root = (fq.proot(gf, t.num, n_last), fq.proot(gf, t.den, n_last))

@@ -121,6 +121,13 @@ def test_elem_parse_render_roundtrip():
     assert parse_element(k, "a") == k.gen_elem() ** 9
 
 
+def test_render_depends_on_the_field_not_only_on_num_and_den():
+    # render_elem is memoized; equal (num, den) in other towers print apart
+    renders = [render_elem(F3a(depth).gen_elem()) for depth in (0, 1, 2, 0)]
+    assert renders == ["a", "a^(1/p^1)", "a^(1/p^2)", "a"]
+    assert render_elem(Field(FieldSpec(3, 1, "t")).gen_elem()) == "t"
+
+
 def test_gfq_extension_tables():
     gf = GFq(2, 3)
     nonzero = list(range(1, 8))

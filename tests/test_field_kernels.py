@@ -2,7 +2,8 @@
 Zech-table sum and negation of gfq, in every field with e >= 2 and
 q <= 4096, against digit-wise arithmetic mod p; the multiply-add row
 gfq.axpy that runs fqpoly's product and division; the Frobenius-digit
-power FieldElem.__pow__; Henrici's reduced sum and product of FieldElem;
+power FieldElem.__pow__; the derivative d/db, a derivation whose kernel
+is k^p; Henrici's reduced sum and product of FieldElem;
 the x-adic fqpoly.gcd; fqpoly.divmod_ on sparse divisors; and the
 zero-skipping fqpoly.add, smul and mul.  The property suites run over
 p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands are drawn
@@ -39,8 +40,9 @@ def polys(draw, q, max_len=5):
 
 
 @st.composite
-def field_elem(draw):
-    field = Field(FieldSpec(draw(PRIMES), draw(st.integers(1, 2)), "a", draw(st.integers(0, 2))))
+def field_elem(draw, field=None):
+    if field is None:
+        field = Field(FieldSpec(draw(PRIMES), draw(st.integers(1, 2)), "a", draw(st.integers(0, 2))))
     q = field.spec.q
     num = draw(polys(q, 3))
     den = draw(polys(q, 3)) or fq.ONE
@@ -56,6 +58,25 @@ def test_power_matches_square_and_multiply(x, data):
     assume(not x.is_zero())
     n = data.draw(st.integers(-(p ** 3 + p), -1))
     assert x ** n == pow_by_squaring(x, n)
+
+
+@given(field_elem(), st.data())
+@PROPERTY
+def test_derivative_is_a_derivation(x, data):
+    y = data.draw(field_elem(x.field))
+    dx, dy = x.derivative(), y.derivative()
+    canonical = x.field.elem(dx.num, dx.den)
+    assert (dx.num, dx.den) == (canonical.num, canonical.den)
+    assert (x * y).derivative() == dx * y + x * dy
+    assert (x + y).derivative() == dx + dy
+    assert x.field.gen_elem().derivative().is_one()
+
+
+@given(field_elem())
+@PROPERTY
+def test_derivative_kernel_is_the_pth_powers(x):
+    assert x.frobenius(1).derivative().is_zero()
+    assert x.derivative().is_zero() == (x.pth_root() is not None)
 
 
 @st.composite

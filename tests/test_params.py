@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from helpers import field_fpa, ppoly
-from woundcheck.params import ParamRing, flatten_ppoly
+from helpers import field_fpa, ppoly, rand_elem
+from woundcheck import corpus
+from woundcheck.homs import derive_hom_constraints
+from woundcheck.params import ParamElem, ParamRing, flatten_ppoly
 from woundcheck.polyring import Poly
 from woundcheck.ppoly import PPoly
 
@@ -85,3 +89,30 @@ def test_mixed_coefficient_arithmetic():
     f = PPoly(ring, 1, {(0, 0): s})
     g = f.scale(a)
     assert g.terms[(0, 0)] == a * s
+
+
+def _rings():
+    """The ansatz ring of Va -> U at p = 3, free, and W2's relation ring at
+    p = 2, whose products of parameters reduce."""
+    k3, k2 = field_fpa(3), field_fpa(2)
+    ansatz = derive_hom_constraints(corpus.group_va(k3), corpus.group_u(k3)).ring
+    return [ansatz, corpus.hom_ring_w2(k2)]
+
+
+@pytest.mark.parametrize("ring", _rings(), ids=("ansatz", "w2_relations"))
+def test_scaling_by_a_constant_matches_the_generic_product(ring):
+    """x * c and c * x for a field or int constant c equal the product of x
+    with the constant polynomial c, normalized."""
+    k = ring.base
+    rng = random.Random(8101)
+    params = [ring.param(n) for n in ring.names]
+    for _ in range(30):
+        x = ring.coerce(rand_elem(k, rng, rational=True))
+        for _ in range(3):
+            u, v = rng.choice(params), rng.choice(params)
+            x = x + rand_elem(k, rng) * u.frobenius(rng.randrange(4)) * v
+        for c in (0, 1, -1, rng.randrange(-9, 10), k.zero(), rand_elem(k, rng),
+                  rand_elem(k, rng, rational=True), k.one() / (k.base_gen() + 1)):
+            want = ParamElem(ring, x.poly * ring.coerce(c).poly)
+            assert (x * c).poly.terms == want.poly.terms, (x, c)
+            assert (c * x).poly.terms == want.poly.terms, (x, c)

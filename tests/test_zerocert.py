@@ -246,16 +246,42 @@ def _mixed_instance(rng):
             c = rand_elem(k, rng, rational=True)
         terms[(i, N)] = c
     P = PPoly(k, n, terms)
-    if rng.random() < 0.5:
-        q = k.spec.q
-        point = [k.elem((rng.randrange(q), rng.randrange(q)), (rng.randrange(q), 1))
-                 if rng.random() < 0.5 else k.elem((rng.randrange(1, q),)) for _ in range(n)]
-        point = [x if not x.is_zero() else k.one() for x in point]
-        j = rng.randrange(n)
-        c = terms[(j, exps[j])] - P.evaluate(point) / point[j] ** (k.p ** exps[j])
-        if not c.is_zero():
-            P = PPoly(k, n, {**terms, (j, exps[j]): c})
-    return P
+    return _plant_rational_zero(P, rng) if rng.random() < 0.5 else P
+
+
+def _plant_rational_zero(P, rng):
+    """P with one coefficient shifted so that P vanishes at a random vector
+    of nonzero entries u / (b + v), u of degree <= 1, or constants; P itself
+    when the shift would cancel that coefficient."""
+    k, n = P.dom, P.nvars
+    q = k.spec.q
+    point = [k.elem((rng.randrange(q), rng.randrange(q)), (rng.randrange(q), 1))
+             if rng.random() < 0.5 else k.elem((rng.randrange(1, q),)) for _ in range(n)]
+    point = [x if not x.is_zero() else k.one() for x in point]
+    j = rng.randrange(n)
+    (slot,) = [s for s in P.terms if s[0] == j]
+    c = P.terms[slot] - P.evaluate(point) / point[j] ** (k.p ** slot[1])
+    return P if c.is_zero() else PPoly(k, n, {**P.terms, slot: c})
+
+
+def _filtered_instance(rng):
+    """A principal part with 2-3 variables whose last exponent is 1 or 2, so
+    that the rational search runs its derivative test, and with a prefix
+    variable of exponent 0, so that the test takes its s v' term too; over
+    F_q(a^(1/p^m)) with q in {2, 3, 4, 5, 7, 9} and m in {0, 1, 2}, planted
+    with a rational zero."""
+    p, e = rng.choice(((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)))
+    k = field_fpa(p, depth=rng.randrange(3), e=e)
+    n = rng.choice((2, 3))
+    exps = [rng.randrange(3) for _ in range(n - 1)] + [rng.randrange(1, 3)]
+    exps[rng.randrange(n - 1)] = 0
+    terms = {}
+    for i, N in enumerate(exps):
+        c = rand_elem(k, rng, rational=True)
+        while c.is_zero():
+            c = rand_elem(k, rng, rational=True)
+        terms[(i, N)] = c
+    return _plant_rational_zero(PPoly(k, n, terms), rng)
 
 
 def _first_hit_budget(P, bound, budget):
@@ -270,14 +296,13 @@ def _first_hit_budget(P, bound, budget):
     return lo
 
 
-def test_rational_search_matches_the_enumerated_scan():
-    """The lookup join returns the enumerated scan's first hit, or None,
-    on random mixed instances, and at budgets just below, at and just
-    above each hit's position in the scan."""
-    rng = random.Random(7001)
+def _hits_matching_the_enumerated_scan(instance, rng, count):
+    """Checks that the lookup join returns the enumerated scan's first hit,
+    or None, on count instances, and at budgets just below, at and just
+    above each hit's position in the scan; returns the number of hits."""
     hits = 0
-    for _ in range(80):
-        P = _mixed_instance(rng)
+    for _ in range(count):
+        P = instance(rng)
         bound, budget = rng.choice((1, 2)), rng.choice((50, 200, 1000))
         want = enumerated_rational_search(P, bound, budget)
         assert _rational_witness_search(P, bound, budget) == want, (P, bound, budget)
@@ -287,20 +312,31 @@ def test_rational_search_matches_the_enumerated_scan():
             for b in (pos - 1, pos, pos + 1):
                 assert (_rational_witness_search(P, bound, b)
                         == enumerated_rational_search(P, bound, b)), (P, bound, b)
-    assert hits >= 20
+    return hits
+
+
+def test_rational_search_matches_the_enumerated_scan():
+    assert _hits_matching_the_enumerated_scan(_mixed_instance, random.Random(7001), 80) >= 20
+
+
+def test_derivative_test_keeps_the_enumerated_scan():
+    """With a last exponent >= 1 the search skips the prefixes whose
+    terms' derivatives do not cancel, and still matches the scan."""
+    assert _hits_matching_the_enumerated_scan(_filtered_instance, random.Random(7002), 60) >= 15
 
 
 def test_w2_search_makes_few_products(monkeypatch):
     """W2's rational search at the default budget joins on its last
     variable instead of summing 50 000 vectors in raw arithmetic (450 519
-    ``fqpoly.mul`` calls), and still ends in an honest unknown."""
+    ``fqpoly.mul`` calls), skips the prefixes that fail the derivative test
+    without summing them, and still ends in an honest unknown."""
     P = w2_poly(field_fpa(2)).principal_part()
     calls = []
     real = fq.mul
     monkeypatch.setattr(fq, "mul", lambda *args: calls.append(args) or real(*args))
     d = decide_no_nontrivial_zero(P)
     assert d.verdict == "unknown" and d.stage == "search" and d.search_bound == 3
-    assert len(calls) < 20_000
+    assert len(calls) < 2_000
 
 
 def test_fq_mixed_unknown_at_the_default_budget():
