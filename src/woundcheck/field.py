@@ -184,11 +184,11 @@ class FieldElem:
             other = self.field.from_int(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return (self.field.spec == other.field.spec
+        return ((self.field is other.field or self.field.spec == other.field.spec)
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.field.spec, self.num, self.den))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -1,40 +1,33 @@
 """No-nontrivial-zero decisions for principal parts, with certificates.
 
-The decision runs in three stages:
-
 1. Equal exponents p^N: clear denominators (scaling does not move the zero
    set) and decompose each coefficient over the basis {b^j : j < p^N} of k
    over k^(p^N), writing c_i = sum u_ij^(p^N) b^j.  The polynomial has a
    nontrivial zero iff the matrix [u_ij] has rank < n over k; a left kernel
    vector is an explicit witness, a full-rank matrix is the certificate.
-2. Mixed exponents: substitute w_i = x_i^(p^(N_i - N_min)), an
-   equal-exponent relaxation, decided by the same call on the same top
-   coefficients with every N_i read as N_min.  NoZero for the relaxation
-   is sound for the original; a relaxation zero decides nothing.
-3. Budgeted witness search over rational entries of bounded degree,
-   enumerated by increasing degree and joined on the last variable.
-   Finding a witness settles Zero; exhausting the budget or the bound
-   returns Unknown.
-
-Over every F_q, stage 3 first runs ``exhaustive_poly_search``, which the
-test suites also use as the independent confirmation search.  It covers
-every witness vector with polynomial entries up to a degree bound in the
-tower generator.  Such a vector is a vector of F_p digits, one per
-(coefficient, basis element of F_q over F_p), and the principal part is
-F_p-linear in them, so the search is one row reduction mod p of a matrix
-with a column per (variable, coefficient, digit); it returns the first
-zero of a fixed scan order and re-verifies it exactly.  The rational
-search then scans vectors of rational entries, charging the budget one
-unit per vector, as a lookup join on the last variable: for each prefix
-of the other entries, the one last entry that can cancel it is the
-p^N-th root of -(prefix sum) / c_last, found by a dict lookup.  It builds
-each degree level only when its scan reaches it, so the budget bounds its
-work.  When the last exponent N is at least 1, a derivative test runs
-before each prefix sum: -(prefix sum) / c_last must be a p-th power, and
-for k = F_q(b) with F_q perfect, k^p is exactly the kernel of d/db, so a
-prefix whose terms have a nonzero derivative sum cannot hit.  It is
-charged as before and skipped, so the hit, the Unknown and the budget
-spent are the same as without the test.
+   The u_ij lie in F_q[b], so the elimination is fraction-free and
+   normalizes only the witness entries (``left_kernel_vector``).
+2. Mixed exponents run three stages in turn, the first decisive one wins:
+   a. ``exhaustive_poly_search``, also the test suites' confirmation
+      search, over every witness vector with polynomial entries up to a
+      degree bound.  Such a vector is a vector of F_p digits, one per
+      (coefficient, basis element of F_q over F_p), and the principal part
+      is F_p-linear in them, so the search is one row reduction mod p with
+      a column per (variable, coefficient, digit); it returns the first
+      zero of a fixed scan order, re-verified exactly, and settles Zero.
+   b. The relaxation w_i = x_i^(p^(N_i - N_min)), decided as in 1 on the
+      same coefficients with every N_i read as N_min.  Its NoZero is sound
+      for the original, so the search before it finds nothing and the
+      order changes no answer; its zero decides nothing.
+   c. A budgeted search over rational entries of bounded degree, charging
+      one unit per vector, as a lookup join on the last variable: the one
+      last entry that can cancel a prefix of the other entries is the
+      p^N-th root of -(prefix sum) / c_last, found by a dict lookup.  Each
+      degree level is built only when the scan reaches it.  When N >= 1, a
+      prefix whose terms have a nonzero derivative sum cannot hit, since
+      k^p is the kernel of d/db (F_q is perfect); it is charged as before
+      and skipped.  A witness settles Zero; exhausting the budget or the
+      bound returns Unknown.
 """
 
 import itertools
@@ -56,41 +49,52 @@ class ZeroDecision:
 
 
 def left_kernel_vector(rows, field):
-    """(rank, x) for the matrix with the given rows: x is a nonzero vector
-    with x . rows = 0, or None when the rows are independent."""
+    """(rank, x) for the matrix over F_q[b] whose rows are the given fqpoly
+    tuples: x is a nonzero FieldElem vector with x . rows = 0, or None when
+    the rows are independent.
+
+    Fraction-free (Bareiss) elimination on the transpose t: pivot d turns
+    row i into (d t[i] - t[i][c] t[r]) / prev, an exact division by the
+    previous pivot, so entries stay polynomials.  When the rank is
+    deficient, back-substitution from D = t[f-1][f-1], the determinant of
+    the pivots before the first free column f, gives z = D x over F_q[b]
+    (Cramer's rule), and only x[c] = z[c] / D is normalized.  It is the
+    vector read off the unique reduced echelon form.
+    """
+    gf = field.gf
     n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    t = [[rows[i][j] for i in range(n)] for j in range(ncols)]
-    pivots = []
-    r = 0
+    t = [list(col) for col in zip(*rows)]
+    pivots, prev = [], fq.ONE
     for c in range(n):
-        pr = next((i for i in range(r, len(t)) if not t[i][c].is_zero()), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(t)) if t[i][c]), None)
         if pr is None:
             continue
         t[r], t[pr] = t[pr], t[r]
-        inv = t[r][c].inverse()
-        t[r] = [v * inv for v in t[r]]
-        for i in range(len(t)):
-            if i != r and not t[i][c].is_zero():
-                f = t[i][c]
-                t[i] = [t[i][k] - f * t[r][k] for k in range(n)]
+        top, d = t[r], t[r][c]
+        for i in range(r + 1, len(t)):
+            f = fq.neg(gf, t[i][c])
+            t[i][c + 1:] = [fq.divmod_(gf, fq.add(gf, fq.mul(gf, d, v), fq.mul(gf, f, u)), prev)[0]
+                            for v, u in zip(t[i][c + 1:], top[c + 1:])]
         pivots.append(c)
-        r += 1
-        if r == len(t):
-            break
-    rank = len(pivots)
-    if rank == n:
-        return rank, None
+        prev = d
+    if len(pivots) == n:
+        return n, None
     free = next(c for c in range(n) if c not in pivots)
-    x = [field.zero()] * n
-    x[free] = field.one()
-    for i, c in enumerate(pivots):
-        x[c] = -t[i][free]
-    return rank, x
+    D = t[free - 1][free - 1] if free else fq.ONE
+    z = [()] * free + [D]
+    for i in range(free - 1, -1, -1):
+        s = ()
+        for j in range(i + 1, free + 1):
+            s = fq.add(gf, s, fq.mul(gf, t[i][j], z[j]))
+        z[i] = fq.divmod_(gf, fq.neg(gf, s), t[i][i])[0]
+    x = [FieldElem(field, u, D) for u in z[:free]] + [field.one()] + [field.zero()] * (n - free - 1)
+    return len(pivots), x
 
 
 def _semilinear_rows(field, polys, N):
-    """Decompose c = sum_j u_j^(p^N) b^j; returns (columns, rows of u_ij)."""
+    """Decompose c = sum_j u_j^(p^N) b^j; returns (columns, rows of u_ij as
+    fqpoly tuples)."""
     gf = field.gf
     qN = field.p ** N
     cols = sorted({m % qN for c in polys for m, g in enumerate(c) if g})
@@ -101,9 +105,7 @@ def _semilinear_rows(field, polys, N):
         for m, g in enumerate(c):
             if g:
                 row[col_at[m % qN]][(m - (m % qN)) // qN] = gf.proot_n(g, N)
-        rows.append(tuple(
-            FieldElem._raw(field, fq.norm([d.get(i, 0) for i in range(max(d) + 1)]) if d else (), fq.ONE)
-            for d in row))
+        rows.append(tuple(fq.norm([d.get(i, 0) for i in range(max(d) + 1)]) if d else () for d in row))
     return tuple(cols), rows
 
 
@@ -114,7 +116,8 @@ def _equal_exponent(field, coeffs, N, stage):
     cols, rows = _semilinear_rows(field, polys, N)
     rank, x = left_kernel_vector(rows, field)
     if x is None:
-        return ZeroDecision("no_zero", stage, matrix=tuple(rows), columns=cols, rank=rank)
+        matrix = tuple(tuple(FieldElem._raw(field, u, fq.ONE) for u in row) for row in rows)
+        return ZeroDecision("no_zero", stage, matrix=matrix, columns=cols, rank=rank)
     return ZeroDecision("zero", stage, witness=tuple(x), rank=rank)
 
 
@@ -137,24 +140,24 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
         w[missing] = field.one()
         return ZeroDecision("zero", "absent_variable", witness=tuple(w))
 
-    # one term per variable; with mixed exponents this is the min-exponent
-    # relaxation w_i = x_i^(p^(N_i - nmin)), whose zeros decide nothing
     top = sorted(P.terms.items())
     nmin = min(e for (_, e), _ in top)
-    stage = "equal_exponent" if all(e == nmin for (_, e), _ in top) else "relaxation"
-    res = _equal_exponent(field, [c for _, c in top], nmin, stage)
-    if stage == "equal_exponent":
+    coeffs = [c for _, c in top]
+    if all(e == nmin for (_, e), _ in top):
+        res = _equal_exponent(field, coeffs, nmin, "equal_exponent")
         if res.witness is not None and not P.evaluate(res.witness).is_zero():
             raise RuntimeError("equal-exponent witness does not vanish")
         return res
-    if res.verdict == "no_zero":
-        return res
 
-    # polynomial witnesses first (one F_p-kernel), then rational ones
+    # mixed exponents: polynomial witnesses first (one F_p-kernel), then the
+    # min-exponent relaxation w_i = x_i^(p^(N_i - nmin)), whose zeros decide
+    # nothing, then rational witnesses
     codes = exhaustive_poly_search(P, search_bound)
     if codes is not None:
-        witness = tuple(field.elem(w) for w in codes)
-        return ZeroDecision("zero", "search", witness=witness)
+        return ZeroDecision("zero", "search", witness=tuple(field.elem(w) for w in codes))
+    res = _equal_exponent(field, coeffs, nmin, "relaxation")
+    if res.verdict == "no_zero":
+        return res
     found = _rational_witness_search(P, search_bound, search_budget)
     if found is not None:
         return ZeroDecision("zero", "search", witness=found)

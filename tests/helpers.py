@@ -1,8 +1,8 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
 instances for the division and decision property suites, a brute-force
 witness scan, a one-by-one rational witness scan, a square-and-multiply
-power, dense fqpoly kernels, a dense F_p elimination and the point
-oracle's bare trial loop."""
+power, dense fqpoly kernels, a dense F_p elimination, a FieldElem
+elimination over F_q(b) and the point oracle's bare trial loop."""
 
 import itertools
 import random
@@ -140,6 +140,42 @@ def _inverse_mod(x, p):
         k = r0 // r1
         r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
     return s0 % p
+
+
+def dense_left_kernel(rows, field):
+    """(rank, x) for the matrix with the given rows of FieldElems: x is a
+    nonzero vector with x . rows = 0, or None when the rows are independent.
+    Gauss-Jordan over F_q(b) with FieldElem arithmetic, normalizing every
+    entry it updates: the reference for zerocert.left_kernel_vector."""
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    t = [[rows[i][j] for i in range(n)] for j in range(ncols)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, len(t)) if not t[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        t[r], t[pr] = t[pr], t[r]
+        inv = t[r][c].inverse()
+        t[r] = [v * inv for v in t[r]]
+        for i in range(len(t)):
+            if i != r and not t[i][c].is_zero():
+                f = t[i][c]
+                t[i] = [t[i][k] - f * t[r][k] for k in range(n)]
+        pivots.append(c)
+        r += 1
+        if r == len(t):
+            break
+    rank = len(pivots)
+    if rank == n:
+        return rank, None
+    free = next(c for c in range(n) if c not in pivots)
+    x = [field.zero()] * n
+    x[free] = field.one()
+    for i, c in enumerate(pivots):
+        x[c] = -t[i][free]
+    return rank, x
 
 
 def pow_by_squaring(x, n):

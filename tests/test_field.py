@@ -239,3 +239,14 @@ def test_evaluate_takes_each_power_once(monkeypatch, p, e, depth):
     assert h.evaluate(point) == want
     distinct = {(i, n) for m in h.terms for i, n in enumerate(m) if n}
     assert len(powers) == len(distinct)
+
+
+def test_hash_keeps_towers_apart():
+    """The element 1 of 24 towers makes 24 dict keys, with distinct hashes,
+    while equal elements of separately built fields hash and compare equal."""
+    ones = [Field(FieldSpec(p, e, "a", m)).one() for p in (2, 3, 5, 7) for e in (1, 2) for m in range(3)]
+    assert len({x: None for x in ones}) == 24
+    assert len({hash(x) for x in ones}) == 24
+    x = Field(FieldSpec(3, 2, "a", 1)).elem((1, 2), (0, 1))
+    y = Field(FieldSpec(3, 2, "a", 1)).elem((1, 2), (0, 1))
+    assert x.field is not y.field and x == y and hash(x) == hash(y)

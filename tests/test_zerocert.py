@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 import time
 
@@ -5,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_force_poly_search, enumerated_rational_search, field_fpa, plant_zero,
-                     ppoly, rand_elem, rand_principal_part, va_poly, w2_poly, wa_poly)
+from helpers import (brute_force_poly_search, dense_left_kernel, enumerated_rational_search,
+                     field_fpa, plant_zero, ppoly, rand_elem, rand_principal_part, va_poly,
+                     w2_poly, wa_poly)
 from woundcheck import fqpoly as fq
-from woundcheck.field import Field, FieldSpec
+from woundcheck import zerocert
+from woundcheck.field import Field, FieldElem, FieldSpec
 from woundcheck.groups import HypersurfaceGroup, classify
 from woundcheck.ppoly import PPoly
 from woundcheck.zerocert import (_rational_witness_search, decide_no_nontrivial_zero,
-                                 exhaustive_poly_search)
+                                 exhaustive_poly_search, left_kernel_vector)
 
 
 def test_wa_principal_no_zero_certificate():
@@ -377,3 +381,137 @@ def test_non_principal_rejected():
     k = field_fpa(3)
     with pytest.raises(ValueError):
         decide_no_nontrivial_zero(wa_poly(k))
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """(field, rows): 1-5 rows of 1-7 entries in F_q[b], q = p^e, p in
+    {2, 3, 5, 7}, e in {1, 2}, over a tower of depth 0-2, as fqpoly tuples.
+    Dependencies are planted: a row may be a polynomial multiple of another
+    and a row the sum of two others."""
+    p, e = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2))
+    k = Field(FieldSpec(p, e, "a", draw(st.integers(0, 2))))
+    gf = k.gf
+    poly = st.lists(st.integers(0, p ** e - 1), max_size=4).map(fq.norm)
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    rows = [[draw(poly) for _ in range(m)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        g = draw(poly)
+        rows[i] = [fq.mul(gf, g, u) for u in rows[j]]
+    if n >= 3 and draw(st.booleans()):
+        i, j, l = draw(st.permutations(range(n)))[:3]
+        rows[i] = [fq.add(gf, u, v) for u, v in zip(rows[j], rows[l])]
+    return k, [tuple(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(polynomial_matrices())
+def test_fraction_free_kernel_matches_the_field_elimination(matrix):
+    k, rows = matrix
+    rank, x = left_kernel_vector(rows, k)
+    want_rank, want = dense_left_kernel([tuple(k.elem(u) for u in row) for row in rows], k)
+    assert rank == want_rank
+    assert (x is None) == (want is None)
+    if want is not None:
+        assert [(w.num, w.den) for w in x] == [(w.num, w.den) for w in want]
+
+
+def test_kernel_normalizes_only_the_witness(monkeypatch):
+    """The elimination makes no gcd: a full-rank matrix none at all, a
+    deficient one at most one per witness entry it normalizes."""
+    k = field_fpa(5, e=2)
+    gf = k.gf
+    rng = random.Random(7004)
+    rows = [tuple(fq.norm([rng.randrange(25) for _ in range(3)]) for _ in range(6)) for _ in range(4)]
+    deficient = rows[:3] + [tuple(fq.add(gf, fq.mul(gf, (1, 2), u), v) for u, v in zip(rows[0], rows[1]))]
+    calls = []
+    real = fq.gcd
+    monkeypatch.setattr(fq, "gcd", lambda *args: calls.append(args) or real(*args))
+    assert left_kernel_vector(rows, k) == (4, None)
+    assert not calls
+    rank, x = left_kernel_vector(deficient, k)
+    assert rank == 3 and x is not None
+    assert len(calls) <= len(x) - 1
+
+
+@st.composite
+def mixed_principal_parts(draw):
+    """Principal parts with 2-3 variables and at least two distinct
+    exponents in 0-2 (the lowest 1 in about half of them) over F_q(a^(1/p^m)),
+    p in {2, 3, 5, 7}, e in {1, 2}, m in {0, 1, 2}, with rational
+    coefficients."""
+    p, e = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2))
+    field = Field(FieldSpec(p, e, "a", draw(st.integers(0, 2))))
+    n, lo = draw(st.integers(2, 3)), draw(st.integers(0, 1))
+    exps = draw(st.lists(st.integers(lo, 2), min_size=n, max_size=n).filter(lambda x: len(set(x)) > 1))
+    coeffs = st.lists(st.integers(0, p ** e - 1), min_size=1, max_size=3)
+    terms = {}
+    for i, N in enumerate(exps):
+        den = draw(coeffs)
+        c = field.elem(draw(coeffs), den if any(den) else (1,))
+        terms[(i, N)] = c if not c.is_zero() else field.one()
+    return PPoly(field, n, terms)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(mixed_principal_parts())
+def test_relaxation_no_zero_leaves_the_search_empty(P):
+    """A relaxation no_zero proves P zero-free, so running the search first
+    changes no verdict: it then finds nothing."""
+    nmin = min(N for _, N in P.terms)
+    relaxed = PPoly(P.dom, P.nvars, {(i, nmin): c for (i, _), c in P.terms.items()})
+    if decide_no_nontrivial_zero(relaxed).verdict == "no_zero":
+        assert exhaustive_poly_search(P, 3) is None
+
+
+def test_planted_mixed_zero_runs_no_elimination(monkeypatch):
+    k = field_fpa(3)
+    a = k.base_gen()
+    P = ppoly(k, 2, (0, 1, 1), (1, 2, a ** 3))  # X^3 + a^3 Y^9: zero at (-a, 1)
+    calls = []
+    real = zerocert._equal_exponent
+    monkeypatch.setattr(zerocert, "_equal_exponent", lambda *args: calls.append(args) or real(*args))
+    d = decide_no_nontrivial_zero(P)
+    assert d.verdict == "zero" and d.stage == "search"
+    assert not calls
+
+
+def _decisions_digest(decisions):
+    """sha256 over every field of each ZeroDecision, elements as (num, den)."""
+    def plain(v):
+        if isinstance(v, FieldElem):
+            return (v.num, v.den)
+        return tuple(plain(x) for x in v) if isinstance(v, tuple) else v
+    h = hashlib.sha256()
+    for d in decisions:
+        h.update(repr(tuple(plain(getattr(d, f.name)) for f in dataclasses.fields(d))).encode())
+    return h.hexdigest()
+
+
+def _equal_exponent_instance(rng):
+    """An equal-exponent principal part with 1-4 variables over
+    F_q(a^(1/p^m)), p in {2, 3, 5, 7}, e in {1, 2}, m in {0, 1, 2}, half of
+    them with a planted polynomial zero, scaled by a random element."""
+    k = field_fpa(rng.choice((2, 3, 5, 7)), depth=rng.randrange(3), e=rng.choice((1, 2)))
+    P = rand_principal_part(k, rng, nvars=rng.randrange(1, 5), equal=True)
+    if rng.random() < 0.5:
+        P = plant_zero(P, rng, 1)
+    c = rand_elem(k, rng, rational=True)
+    return P.scale(c) if not c.is_zero() else P
+
+
+def test_decisions_are_pinned():
+    """Every field of the decisions (verdict, stage, witness, rows, columns,
+    rank, bound) on 80 mixed and 60 equal-exponent instances, pinned by
+    sha256 from the decisions of the FieldElem elimination with the
+    relaxation before the search."""
+    rng = random.Random(7001)
+    mixed = [decide_no_nontrivial_zero(_mixed_instance(rng), search_budget=2000) for _ in range(80)]
+    assert (_decisions_digest(mixed)
+            == "56a04737426d3fdfbc5f4392add0e84fbdd59e78f5ca919ca23434d817919580")
+    rng = random.Random(7003)
+    equal = [decide_no_nontrivial_zero(_equal_exponent_instance(rng)) for _ in range(60)]
+    assert {d.verdict for d in equal} == {"zero", "no_zero"}
+    assert (_decisions_digest(equal)
+            == "16b260fb4bdde20acfe927d987bd754da0a7e5133d6154155d73ea3c17701a55")
