@@ -340,15 +340,22 @@ def _digit_pow(x, d):
         x = x * x
 
 
+def common_denominator(gf, dens):
+    """The lcm of monic polynomials, monic."""
+    den = fq.ONE
+    for d in dens:
+        if d != den:
+            den = fq.mul(gf, den, fq.divmod_(gf, d, fq.gcd(gf, den, d))[0])
+    return den
+
+
 def clear_denominators(field, elems):
     """(D, numerators): D is the monic lcm of the denominators and each
     numerator is x * D as a polynomial."""
     if all(x.den == fq.ONE for x in elems):
         return fq.ONE, [x.num for x in elems]
     gf = field.gf
-    den = fq.ONE
-    for x in elems:
-        den = fq.mul(gf, den, fq.divmod_(gf, x.den, fq.gcd(gf, den, x.den))[0])
+    den = common_denominator(gf, (x.den for x in elems))
     return den, [fq.mul(gf, x.num, fq.divmod_(gf, den, x.den)[0]) for x in elems]
 
 

@@ -7,25 +7,36 @@ relations.  Canonical forms reduce each coordinate below the source pivot
 bound, which by the division lemma's uniqueness makes two maps equal as
 morphisms iff their canonical forms coincide.
 
-Constraint derivation builds the generic map with one fresh symbol per
-allowed (coordinate, variable, exponent) slot, composes, reduces, and
-collects one vanishing condition per surviving coefficient.  Every such
-condition is additive in the unknowns, so the solver works by exact
+Constraint derivation takes the generic map with one fresh symbol c per
+allowed (coordinate, variable, exponent) slot and collects one vanishing
+condition per coefficient of F_target(map) reduced modulo the source
+relation.  Division by a pivoted p-polynomial is linear in the dividend
+(Ore 1933): each step's multiplier is a dividend coefficient times a
+fixed p-polynomial.  So the reduced composite is a sum of a c^(p^t)
+times the remainder of one source monomial, and each monomial at or above
+the pivot bound is divided once, with field coefficients; no symbolic
+product is formed.
+
+Every condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
 solutions are the points of an affine F_p-kernel, which it lists and
 filters to the domain, refusing a kernel whose points times unknowns
-exceed MAX_ENUM.  The ansatz keeps every pivot exponent below the
-canonical bound, so each satisfying map it returns is already canonical.
+exceed MAX_ENUM.  A constraint's matrix rows are the base-p digits of its
+column numerators over one common denominator, read off F_q[b]
+polynomials: scaling a constraint by a nonzero polynomial keeps its
+solutions, so the reduced matrix does not depend on that choice.  The
+ansatz keeps every pivot exponent below the canonical bound, so each
+satisfying map it returns is already canonical.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from . import fqpoly as fq
-from .field import FieldElem, clear_denominators, rref
+from .field import clear_denominators, common_denominator, rref
 from .groups import block_relations, is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
-from .polyring import RelationSet
+from .polyring import Poly, RelationSet
 from .ppoly import PPoly, reduce_mod, to_relation
 
 
@@ -202,14 +213,44 @@ def derive_hom_constraints(source, target, caps=None, names=None):
                 terms[(i, e)] = ring.param(nm)
         ansatz.append(PPoly(ring, source.nvars, terms))
     ansatz = tuple(ansatz)
-    if is_line(target):
-        constraints = ()
-    else:
-        composed = target.f.compose(ansatz)
-        reduced = reduce_mod(composed, source.f, source.pivot).remainder
-        constraints = tuple(((i, e), reduced.terms[(i, e)].poly)
-                            for (i, e) in sorted(reduced.terms))
+    constraints = () if is_line(target) else _landing_constraints(source, target, slots)
     return ConstraintSystem(source, target, ring, tuple(slots), ansatz, constraints)
+
+
+def _landing_constraints(source, target, slots):
+    """The coefficients of F_target(ansatz) reduced modulo the source
+    relation, as Polys over the slot symbols, by linearity of division.
+
+    Target term a X_j^(p^t) and slot c at (j, i, e) contribute a c^(p^t)
+    x_i^(p^(e+t)), and the remainder of that is a c^(p^t) times the
+    remainder of the monomial x_i^(p^(e+t)).  Only a pivot monomial at or
+    above the pivot exponent needs dividing, once per call.  No two
+    (target term, slot) pairs share the monomial c^(p^t), so every
+    coefficient is a single nonzero product.
+    """
+    field, f, pivot = source.field, source.f, source.pivot
+    n0 = f.max_exp(pivot)
+    p, nunk = field.p, len(slots)
+    rems = {}
+    out = {}
+    for (j, t), a in target.f.terms.items():
+        a = field.coerce(a)
+        q = p ** t
+        for s, (_, jj, i, e) in enumerate(slots):
+            if jj != j:
+                continue
+            mono = (0,) * s + (q,) + (0,) * (nunk - s - 1)
+            m = e + t
+            if i != pivot or m < n0:
+                out.setdefault((i, m), {})[mono] = a
+                continue
+            rem = rems.get(m)
+            if rem is None:
+                x = PPoly._raw(field, source.nvars, {(pivot, m): field.one()})
+                rem = rems[m] = reduce_mod(x, f, pivot).remainder.terms.items()
+            for key, b in rem:
+                out.setdefault(key, {})[mono] = a * b
+    return tuple((key, Poly._raw(field, nunk, out[key])) for key in sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +296,46 @@ def _undigits(gf, digits):
     return fq.norm([gf.undigits(digits[i:i + e]) for i in range(0, len(digits), e)])
 
 
+def _constraint_rows(gf, poly, r, ncols, nums, den, frob):
+    """The F_p rows of one constraint: the digits of its column numerators
+    over one common denominator L, one row per (power of b, digit) that has
+    a nonzero entry.  The summand c d_j^(p^e) is c.num nums[j]^(p^e) over
+    c.den den^(p^e); frob memoizes (nums^(p^e), den^(p^e)) per e.  Scaling
+    a constraint by L != 0 keeps its solutions, so the rows span the same
+    space as those of the reduced fractions."""
+    summands = []
+    for m, c in poly.terms.items():
+        slot = _additive_slot(m, gf.p)
+        if slot is None:
+            summands.append((ncols, (fq.ONE,), c.num, c.den))
+            continue
+        u, e = slot
+        if e not in frob:
+            frob[e] = [fq.frob(gf, n, e) for n in nums], fq.frob(gf, den, e)
+        bnums, bden = frob[e]
+        summands.append((u * r, bnums, c.num, c.den if bden == fq.ONE else fq.mul(gf, c.den, bden)))
+    lcm = common_denominator(gf, (d for *_, d in summands))
+    cols = [()] * (ncols + 1)
+    for col, bnums, num, d in summands:
+        if d != lcm:
+            num = fq.mul(gf, num, fq.divmod_(gf, lcm, d)[0])
+        for j, bn in enumerate(bnums, col):
+            x = num if bn == fq.ONE else fq.mul(gf, num, bn)
+            cols[j] = fq.add(gf, cols[j], x) if cols[j] else x
+    rows = {}
+    for col, num in enumerate(cols):
+        for k, x in enumerate(num):
+            if not x:
+                continue
+            if gf.e == 1:
+                rows.setdefault(k, [0] * (ncols + 1))[col] = x
+                continue
+            for s, digit in enumerate(gf.digits(x)):
+                if digit:
+                    rows.setdefault((k, s), [0] * (ncols + 1))[col] = digit
+    return rows.values()
+
+
 def solve_homs_bounded(cs, domain):
     """Every assignment of the unknowns from the finite domain that satisfies
     every constraint; deterministic order, each returned map guaranteed to
@@ -270,34 +351,24 @@ def solve_homs_bounded(cs, domain):
     listing when p^dim(kernel) * #unknowns exceeds MAX_ENUM.
     """
     field = cs.ring.base
+    gf = field.gf
     p = field.p
     nunk = len(cs.ring.names)
     domain = list(domain)
-    # span basis d_1..d_r, and each domain element keyed by its coordinates
+    # span basis d_j = nums[j] / den, and each domain element keyed by its
+    # coordinates
     den, vecs = _fp_vectors(field, domain)
     rows, dpiv = rref(vecs, p)
     r = len(dpiv)
     by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
-    basis = [FieldElem(field, _undigits(field.gf, row), den) for row in rows]
+    nums = [_undigits(gf, row) for row in rows]
     # one column per (unknown, d_j) and a last one for the constant term;
     # l^p = l for l in F_p, so u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
     ncols = nunk * r
     frob = {}
     matrix = []
     for _, poly in cs.constraints:
-        cols = [field.zero()] * (ncols + 1)
-        for m, c in poly.terms.items():
-            slot = _additive_slot(m, p)
-            if slot is None:
-                cols[ncols] = c
-                continue
-            u, e = slot
-            for j, d in enumerate(basis):
-                if (j, e) not in frob:
-                    frob[(j, e)] = d.frobenius(e)
-                cols[u * r + j] = cols[u * r + j] + c * frob[(j, e)]
-        _, vals = _fp_vectors(field, cols)
-        matrix.extend(row for row in zip(*vals) if any(row))
+        matrix.extend(_constraint_rows(gf, poly, r, ncols, nums, den, frob))
     reduced, pivots = rref(matrix, p)
     if ncols in pivots:
         return []  # inconsistent: 1 = 0
@@ -324,7 +395,7 @@ def solve_homs_bounded(cs, domain):
         for (_, j, i, e), v in zip(cs.slots, sol):
             if v:
                 terms[j][(i, e)] = v
-        coords = tuple(PPoly(cs.source.field, cs.source.nvars, t) for t in terms)
+        coords = tuple(PPoly._raw(cs.source.field, cs.source.nvars, t) for t in terms)
         m = PPolyMap(f"sol{len(out)}", cs.source, cs.target, coords)
         out.append(HomSolution(dict(zip(cs.ring.names, sol)), m))
     return out

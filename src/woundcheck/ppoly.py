@@ -230,7 +230,8 @@ def reduce_mod(h, f, pivot):
     deg_pivot(h') < p^(n_pivot) and h = (sum of traced multiples of f) + h'.
     The remainder is unique for (f, pivot), so reduction is idempotent and
     insensitive to adding explicit multiples of f to h.  Each step lowers
-    the top pivot term in one Frobenius-shifted subtraction.
+    the top pivot term in one Frobenius-shifted subtraction, whose
+    multiplier c (-u^-1)^(p^j) is formed once for all the divisor's terms.
     """
     if not isinstance(h, PPoly):
         raise TypeError("reduce_mod divides p-polynomials; reduce a Poly with normal_form")
@@ -251,6 +252,7 @@ def reduce_mod(h, f, pivot):
         c = rem.pop((pivot, top))
         j = top - n0
         steps.append((c, j))
-        _add_terms(rem, (((i, e + j), c * (neg_uinv * b).frobenius(j))
+        s = c * neg_uinv.frobenius(j)
+        _add_terms(rem, (((i, e + j), s * b.frobenius(j))
                          for (i, e), b in f.terms.items() if (i, e) != (pivot, n0)))
     return ReductionTrace(f, pivot, tuple(steps), PPoly._raw(dom, h.nvars, rem))

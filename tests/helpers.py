@@ -2,17 +2,23 @@
 instances for the division and decision property suites, a brute-force
 witness scan, a one-by-one rational witness scan, a square-and-multiply
 power, dense fqpoly kernels, a dense F_p elimination, a FieldElem
-elimination over F_q(b) and the point oracle's bare trial loop."""
+elimination over F_q(b), the point oracle's bare trial loop, and the
+earlier p-polynomial division, Hom derivation and Hom solver."""
 
 import itertools
 import random
 
 from woundcheck import fqpoly as fq
-from woundcheck.field import Field, FieldSpec
+from woundcheck.field import Field, FieldElem, FieldSpec, rref
 from woundcheck.gfq import GFq, is_prime
+from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError, HomSolution,
+                             PPolyMap, _additive_slot, _domain_key, _fp_vectors, _undigits,
+                             default_exponent_caps)
+from woundcheck.groups import is_line
 from woundcheck.oracle import parametrize_relation
-from woundcheck.polyring import Poly
-from woundcheck.ppoly import PPoly
+from woundcheck.params import ParamRing
+from woundcheck.polyring import Poly, _add_terms
+from woundcheck.ppoly import PPoly, ReductionTrace, join_dom
 from woundcheck.zerocert import rational_candidates
 
 
@@ -376,3 +382,168 @@ def first_refuting_trial(h, rset, seed=0, trials=100):
 
 def _draw(field, rng):
     return field.elem(tuple(rng.randrange(field.spec.q) for _ in range(4)))
+
+
+# ---------------------------------------------------------------------------
+# references for p-polynomial division and the Hom constraint system: the
+# code they replaced, kept verbatim apart from the names
+
+
+def reference_reduce_mod(h, f, pivot):
+    """The reference for ``ppoly.reduce_mod``, which forms each step's
+    multiplier once: here every divisor term pays for its own product.
+
+    Division of the p-polynomial h by f, pivoted at the given variable.
+
+    Returns a ReductionTrace whose remainder h' satisfies
+    deg_pivot(h') < p^(n_pivot) and h = (sum of traced multiples of f) + h'.
+    The remainder is unique for (f, pivot), so reduction is idempotent and
+    insensitive to adding explicit multiples of f to h.  Each step lowers
+    the top pivot term in one Frobenius-shifted subtraction.
+    """
+    if not isinstance(h, PPoly):
+        raise TypeError("reduce_mod divides p-polynomials; reduce a Poly with normal_form")
+    n0 = f.max_exp(pivot)
+    if n0 is None:
+        raise ValueError("pivot variable does not appear in the divisor")
+    u = f.terms[(pivot, n0)]
+    if not u.is_unit():
+        raise ValueError("leading pivot coefficient is not a unit")
+    neg_uinv = -u.inverse()
+    rem = dict(h.terms)
+    dom = join_dom(h.dom, f.dom)
+    steps = []
+    while True:
+        top = max((e for i, e in rem if i == pivot and e >= n0), default=None)
+        if top is None:
+            break
+        c = rem.pop((pivot, top))
+        j = top - n0
+        steps.append((c, j))
+        _add_terms(rem, (((i, e + j), c * (neg_uinv * b).frobenius(j))
+                         for (i, e), b in f.terms.items() if (i, e) != (pivot, n0)))
+    return ReductionTrace(f, pivot, tuple(steps), PPoly._raw(dom, h.nvars, rem))
+
+
+def reference_derive(source, target, caps=None, names=None):
+    """The reference for ``homs.derive_hom_constraints``: it composes the
+    target with the symbolic ansatz and divides the composite.
+
+    Build the generic-map constraint system characterizing Hom within the
+    ansatz bounds.
+
+    names, when given, maps (coordinate, variable, exponent) to the symbol
+    to use; defaults to c<coordinate>_<varname>_<exponent>.
+    """
+    if is_line(source):
+        raise ValueError("use a split presentation (e.g. {Y = 0}) for a line source")
+    defaults = default_exponent_caps(source, target)
+    if caps:
+        for i, cap in caps.items():
+            if i == source.pivot and cap > defaults[source.pivot]:
+                raise ValueError("pivot cap exceeds the canonical-form bound")
+            defaults[i] = cap
+    slots = []
+    for j in range(target.nvars):
+        for i in range(source.nvars):
+            for e in range(defaults[i] + 1):
+                if names is not None:
+                    nm = names[(j, i, e)]
+                else:
+                    nm = f"c{j}_{source.vars[i]}_{e}"
+                slots.append((nm, j, i, e))
+    ring = ParamRing(source.field, tuple(s[0] for s in slots))
+    ansatz = []
+    for j in range(target.nvars):
+        terms = {}
+        for nm, jj, i, e in slots:
+            if jj == j:
+                terms[(i, e)] = ring.param(nm)
+        ansatz.append(PPoly(ring, source.nvars, terms))
+    ansatz = tuple(ansatz)
+    if is_line(target):
+        constraints = ()
+    else:
+        composed = target.f.compose(ansatz)
+        reduced = reference_reduce_mod(composed, source.f, source.pivot).remainder
+        constraints = tuple(((i, e), reduced.terms[(i, e)].poly)
+                            for (i, e) in sorted(reduced.terms))
+    return ConstraintSystem(source, target, ring, tuple(slots), ansatz, constraints)
+
+
+def reference_solve(cs, domain):
+    """The reference for ``homs.solve_homs_bounded``: it builds each matrix
+    entry as a FieldElem sum of products and then clears denominators.
+
+    Every assignment of the unknowns from the finite domain that satisfies
+    every constraint; deterministic order, each returned map guaranteed to
+    verify, and canonical by construction when cs comes from
+    derive_hom_constraints (its ansatz caps each pivot exponent below the
+    source's canonical bound, so no coordinate needs dividing).
+
+    Each constraint is additive in the unknowns, so over the F_p-span of the
+    domain the solutions form an affine F_p-subspace: the kernel of one
+    matrix with a column per (unknown, span basis element).  Its points are
+    listed and kept when every coordinate lies in the domain, which is all
+    of them for a subspace domain.  EnumerationBudgetError is raised before
+    listing when p^dim(kernel) * #unknowns exceeds MAX_ENUM.
+    """
+    field = cs.ring.base
+    p = field.p
+    nunk = len(cs.ring.names)
+    domain = list(domain)
+    # span basis d_1..d_r, and each domain element keyed by its coordinates
+    den, vecs = _fp_vectors(field, domain)
+    rows, dpiv = rref(vecs, p)
+    r = len(dpiv)
+    by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
+    basis = [FieldElem(field, _undigits(field.gf, row), den) for row in rows]
+    # one column per (unknown, d_j) and a last one for the constant term;
+    # l^p = l for l in F_p, so u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
+    ncols = nunk * r
+    frob = {}
+    matrix = []
+    for _, poly in cs.constraints:
+        cols = [field.zero()] * (ncols + 1)
+        for m, c in poly.terms.items():
+            slot = _additive_slot(m, p)
+            if slot is None:
+                cols[ncols] = c
+                continue
+            u, e = slot
+            for j, d in enumerate(basis):
+                if (j, e) not in frob:
+                    frob[(j, e)] = d.frobenius(e)
+                cols[u * r + j] = cols[u * r + j] + c * frob[(j, e)]
+        _, vals = _fp_vectors(field, cols)
+        matrix.extend(row for row in zip(*vals) if any(row))
+    reduced, pivots = rref(matrix, p)
+    if ncols in pivots:
+        return []  # inconsistent: 1 = 0
+    free = [c for c in range(ncols) if c not in pivots]
+    if p ** len(free) * nunk > MAX_ENUM:
+        raise EnumerationBudgetError(
+            f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")
+    forced = [(c, (-row[ncols]) % p, [row[f] for f in free])
+              for c, row in zip(pivots, reduced)]
+    solutions = []
+    lam = [0] * ncols
+    for t in itertools.product(range(p), repeat=len(free)):
+        for f, v in zip(free, t):
+            lam[f] = v
+        for c, rhs, coef in forced:
+            lam[c] = (rhs - sum(a * v for a, v in zip(coef, t))) % p
+        sol = tuple(by_coords.get(tuple(lam[u * r:u * r + r])) for u in range(nunk))
+        if all(x is not None for x in sol):
+            solutions.append(sol)
+    solutions.sort(key=lambda sol: [_domain_key(v) for v in sol])
+    out = []
+    for sol in solutions:
+        terms = [{} for _ in cs.ansatz]
+        for (_, j, i, e), v in zip(cs.slots, sol):
+            if v:
+                terms[j][(i, e)] = v
+        coords = tuple(PPoly(cs.source.field, cs.source.nvars, t) for t in terms)
+        m = PPolyMap(f"sol{len(out)}", cs.source, cs.target, coords)
+        out.append(HomSolution(dict(zip(cs.ring.names, sol)), m))
+    return out

@@ -1,17 +1,24 @@
+import hashlib
 import itertools
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_derive, reference_solve
 from woundcheck import corpus
-from woundcheck.groups import AffineLine
-from woundcheck.homs import (MAX_ENUM, EnumerationBudgetError, PPolyMap, canonical_form,
-                             compose_maps, derive_hom_constraints, identity_map,
+from woundcheck.field import Field, FieldSpec
+from woundcheck.groups import AffineLine, HypersurfaceGroup
+from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError, PPolyMap,
+                             canonical_form, compose_maps, derive_hom_constraints, identity_map,
                              landing_identity, solve_homs_bounded, verify_hom,
                              verify_mutual_inverse)
 from woundcheck.oracle import random_point_oracle
-from woundcheck.parser import parse_poly
-from woundcheck.polyring import is_identically_zero
+from woundcheck.params import ParamElem
+from woundcheck.parser import parse_poly, render_poly
+from woundcheck.polyring import Poly, is_identically_zero
+from woundcheck.ppoly import PPoly
 
 
 def k3():
@@ -357,3 +364,155 @@ def test_solver_exact_for_large_characteristic():
     domain = [k.zero(), k.one(), u, v]
     assert brute_force(cs, domain) == [(u, v)]
     assert solved_points(cs, domain) == [(u, v)]
+
+
+# ---------------------------------------------------------------------------
+# derivation by linearity against compose-then-divide, and the solver's
+# digit rows against FieldElem columns
+
+
+def _corpus_systems(p):
+    k = corpus.base_field(p)
+    for s, t in _PAIRS + [(s, "Ga") for s in _GROUPS]:
+        src = _GROUPS[s](k)
+        yield s, t, src, AffineLine() if t == "Ga" else _GROUPS[t](k)
+
+
+def _same_system(got, want):
+    assert got.ring == want.ring
+    assert got.slots == want.slots
+    assert got.ansatz == want.ansatz
+    assert got.constraints == want.constraints
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_derive_matches_reference_on_corpus_pairs(p):
+    for s, t, src, tgt in _corpus_systems(p):
+        _same_system(derive_hom_constraints(src, tgt), reference_derive(src, tgt))
+
+
+def test_derive_rendering_is_pinned():
+    """The rendered constraints of the corpus pairs and line targets at
+    p = 2, 3, 5, 7, pinned on the compose-then-divide derivation."""
+    lines = []
+    for p in (2, 3, 5, 7):
+        for s, t, src, tgt in _corpus_systems(p):
+            cs = derive_hom_constraints(src, tgt)
+            lines.append(f"p={p} {s}->{t} unknowns: {', '.join(cs.ring.names)}")
+            lines += [f"constraint.{src.vars[i]}.{e}: {render_poly(q, cs.ring.names)}"
+                      for (i, e), q in cs.constraints]
+    assert len(lines) == 528
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "62c71de9c94641c6a5427742cc648dc71922b9ad57e834cc91a9542fd77528cb"
+
+
+def test_derive_makes_no_symbolic_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("symbolic arithmetic in derive")
+
+    monkeypatch.setattr(PPoly, "compose", refuse)
+    monkeypatch.setattr(ParamElem, "__mul__", refuse)
+    monkeypatch.setattr(ParamElem, "__rmul__", refuse)
+    k = k3()
+    cs = derive_hom_constraints(corpus.group_va(k), corpus.group_u(k))
+    assert len(cs.constraints) == 7
+
+
+def _nonzero_elem(draw, k):
+    q = k.spec.q
+    num = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
+    den = draw(st.lists(st.integers(0, q - 1), max_size=2)) + [1]
+    c = k.elem(num, den if draw(st.booleans()) else (1,))
+    return c if c else k.one()
+
+
+@st.composite
+def _random_group(draw, k, name):
+    """A hypersurface group in 1-3 variables, exponents up to 2, with
+    rational coefficients; the pivot is any variable present."""
+    nvars = draw(st.integers(1, 3))
+    slots = st.tuples(st.integers(0, nvars - 1), st.integers(0, 2))
+    keys = draw(st.lists(slots, min_size=1, max_size=4, unique=True))
+    f = PPoly(k, nvars, {key: _nonzero_elem(draw, k) for key in keys})
+    pivot = draw(st.sampled_from(f.vars_present()))
+    return HypersurfaceGroup(name, tuple(f"{name}{i}" for i in range(nvars)), f, pivot)
+
+
+@st.composite
+def _derive_cases(draw):
+    p, e = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2))
+    k = Field(FieldSpec(p, e, "a", draw(st.integers(0, 2))))
+    src = draw(_random_group(k, "S"))
+    tgt = AffineLine() if draw(st.integers(0, 9)) == 9 else draw(_random_group(k, "T"))
+    n0 = src.f.max_exp(src.pivot)
+    caps = {}
+    for i in range(src.nvars):
+        if draw(st.booleans()):
+            caps[i] = draw(st.integers(0, max(n0 - 1, 0) if i == src.pivot else 2))
+    if n0 == 0:
+        caps.pop(src.pivot, None)
+    names = None
+    if draw(st.booleans()):
+        keys = [(j, i, x) for j in range(tgt.nvars) for i in range(src.nvars) for x in range(6)]
+        order = draw(st.permutations(range(len(keys))))
+        names = {key: f"u{n}" for key, n in zip(keys, order)}
+    return src, tgt, caps, names
+
+
+@given(_derive_cases())
+@settings(max_examples=150, deadline=None, database=None)
+def test_derive_matches_reference_on_random_groups(case):
+    src, tgt, caps, names = case
+    _same_system(derive_hom_constraints(src, tgt, caps=caps, names=names),
+                 reference_derive(src, tgt, caps=caps, names=names))
+
+
+@st.composite
+def _rational_systems(draw):
+    """A split line -> Ga system over F_4 or F_9 at depth 1-2 with 1-2
+    unknowns, and a domain holding 0, 1/a, 1/(a+1), a random element and
+    a planted point.  The constraints have rational coefficients in
+    u^(p^0..2): 1-2 random ones (0-1 beside a tie), shifted to vanish at the point, and with
+    two unknowns maybe a tie c (u0^(p^x) - u1^(p^x)) + c' (u0^(p^y) -
+    u1^(p^y)), for which the point is (v, v) and more solutions exist."""
+    p = draw(st.sampled_from((2, 3)))
+    k = Field(FieldSpec(p, 2, "a", draw(st.integers(1, 2))))
+    a = k.base_gen()
+    nunk = draw(st.integers(1, 2))
+    base = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: nunk - 1})
+    domain = [k.zero(), a.inverse(), (a + 1).inverse(), _nonzero_elem(draw, k)]
+    tie = nunk == 2 and draw(st.booleans())
+    point = [draw(st.sampled_from(domain[1:])) for _ in range(nunk)]
+    constraints = []
+    if tie:
+        point[1] = point[0]
+        terms = {}
+        for x in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)):
+            c = _nonzero_elem(draw, k)
+            terms[(p ** x, 0)], terms[(0, p ** x)] = c, -c
+        constraints.append(((0, 0), Poly(k, nunk, terms)))
+    domain = list(dict.fromkeys(domain + point))
+    for _ in range(draw(st.integers(0, 1) if tie else st.integers(1, 2))):
+        terms = {}
+        for u in range(nunk):
+            for x in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)):
+                m = [0] * nunk
+                m[u] = p ** x
+                terms[tuple(m)] = _nonzero_elem(draw, k)
+        const = -Poly(k, nunk, terms).evaluate(point)
+        if const:
+            terms[(0,) * nunk] = const
+        constraints.append(((0, 0), Poly(k, nunk, terms)))
+    return (ConstraintSystem(base.source, base.target, base.ring, base.slots, base.ansatz,
+                             tuple(constraints)), domain)
+
+
+@given(_rational_systems())
+@settings(max_examples=100, deadline=None, database=None)
+def test_solver_matches_reference_over_rational_domains(case):
+    cs, domain = case
+    got, want = solve_homs_bounded(cs, domain), reference_solve(cs, domain)
+    assert got  # the planted point
+    assert [s.values for s in got] == [s.values for s in want]
+    assert [s.map.coords for s in got] == [s.map.coords for s in want]
+    assert [s.map.name for s in got] == [s.map.name for s in want]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import field_fpa, ppoly, rand_elem, rand_ppoly, va_poly, wa_poly, w2_poly
+from helpers import (field_fpa, ppoly, rand_elem, rand_ppoly, reference_reduce_mod, va_poly,
+                     wa_poly, w2_poly)
 from woundcheck.field import Field, FieldSpec
 from woundcheck.params import ParamRing
 from woundcheck.ppoly import PPoly, is_smooth, reduce_mod
@@ -193,3 +194,19 @@ def test_division_properties_random(case):
     # uniqueness under adding explicit multiples of f
     shifted = h + f.frob_power(j).scale(c)
     assert reduce_mod(shifted, f, pivot).remainder == tr.remainder
+
+
+@given(_division_cases())
+@settings(max_examples=100, deadline=None, database=None)
+def test_step_multiplier_formed_once_matches_the_reference(case):
+    """c (-u^-1)^(p^j) b^(p^j) equals c ((-u^-1) b)^(p^j): the trace is the
+    reference's, for field coefficients and for the symbolic dividend
+    s h + t over a parameter ring."""
+    h, f, pivot, _, _ = case
+    ring = ParamRing(h.dom, ("s", "t"))
+    s, t = ring.param("s"), ring.param("t")
+    hs = PPoly(ring, h.nvars, {k: s * c + t for k, c in h.terms.items()})
+    for dividend in (h, hs):
+        got, want = reduce_mod(dividend, f, pivot), reference_reduce_mod(dividend, f, pivot)
+        assert got.steps == want.steps
+        assert got.remainder == want.remainder
