@@ -5,11 +5,12 @@ across runs for identical inputs and seeds; elapsed time goes to stderr.
 Exit codes: 0 verified/certified, 1 refuted, 2 unknown, 3 input error.
 Every refused input exits 3 with empty stdout and one `error:` line on
 stderr: a file statement that the parser or a constructor refuses, a name
-or argument the command cannot use, a `solve` whose kernel points times
-unknowns exceed `homs.MAX_ENUM` (10^7), and a command line that argparse
-rejects.  Each command takes only the flags it reads: `--search-bound`
-(classify, twist), `--trials` and `--seed` (verify-hom, selftest-paper);
-any other is a usage error.
+or argument the command cannot use (a line source or an exponent cap
+that `homs.derive_hom_constraints` refuses, in its words), a `solve`
+whose kernel points times unknowns exceed `homs.MAX_ENUM` (10^7), and a
+command line that argparse rejects.  Each command takes only the flags
+it reads: `--search-bound` (classify, twist), `--trials` and `--seed`
+(verify-hom, selftest-paper); any other is a usage error.
 """
 
 import argparse
@@ -18,9 +19,8 @@ import time
 
 from . import corpus
 from .groups import AffineLine, check_group_axioms, classify, is_alternating, twist_group
-from .homs import (EnumerationBudgetError, default_exponent_caps, derive_hom_constraints,
-                   landing_identity, relative_frobenius, solve_homs_bounded, verify_hom,
-                   verify_mutual_inverse)
+from .homs import (EnumerationBudgetError, derive_hom_constraints, landing_identity,
+                   relative_frobenius, solve_homs_bounded, verify_hom, verify_mutual_inverse)
 from .oracle import UnsupportedRelationError, random_point_oracle
 from .parser import (ParseError, check_ppower, parse_ppoly, render_elem, render_poly,
                      render_ppoly)
@@ -126,7 +126,7 @@ def cmd_reduce(args):
         if args.pivot not in vars_:
             raise ParseError(f"pivot {args.pivot!r} not among --vars")
         pivot = vars_.index(args.pivot)
-    dom = s.ring if s.param_names else s.field
+    dom = s.ring or s.field
     h = parse_ppoly(args.h, dom, vars_)
     try:
         tr = reduce_mod(h, f, pivot)
@@ -170,27 +170,26 @@ def cmd_verify_hom(args):
 
 
 def _derive(s, args):
-    """The constraint system of `derive`/`solve`, validated at the boundary."""
+    """The constraint system of `derive`/`solve`: the CLI reads each --cap as
+    a source variable name and an integer, and derive checks the caps."""
     src = s.group_or_line(args.source)
     tgt = s.group_or_line(args.target)
-    if isinstance(src, AffineLine):
-        raise ParseError("use a split presentation for a line source")
-    bound = default_exponent_caps(src, tgt)[src.pivot]
     caps = {}
     for item in args.cap or ():
         var, _, val = item.partition("=")
         if var not in src.vars:
             raise ParseError(f"cap for unknown variable {var!r}")
+        i = src.vars.index(var)
+        if i in caps:
+            raise ParseError(f"cap for variable {var!r} is given twice")
         try:
-            cap = int(val)
+            caps[i] = int(val)
         except ValueError:
             raise ParseError(f"cap {item!r} is not VAR=<integer>") from None
-        if cap < 0:
-            raise ParseError(f"cap {item!r} is negative")
-        if var == src.vars[src.pivot] and cap > bound:
-            raise ParseError(f"pivot cap {item!r} exceeds the canonical-form bound {bound}")
-        caps[src.vars.index(var)] = cap
-    return src, tgt, derive_hom_constraints(src, tgt, caps=caps or None)
+    try:
+        return src, tgt, derive_hom_constraints(src, tgt, caps=caps or None)
+    except ValueError as exc:  # a line source, or a cap derive refuses
+        raise ParseError(str(exc)) from None
 
 
 def cmd_derive(args):

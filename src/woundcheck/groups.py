@@ -157,6 +157,12 @@ class CocycleExtension:
         return block_relations([(self.base, 0), (self.base, n), (self.base, 2 * n)], 3 * n)
 
 
+def _copies(field, n, k):
+    """k lists of n variables, copy c holding variables c*n .. c*n + n - 1
+    of an ambient space of k*n variables."""
+    return [[Poly.variable(field, k * n, c * n + i) for i in range(n)] for c in range(k)]
+
+
 def check_biadditive(h):
     """h(v + v'', v') = h(v, v') + h(v'', v') and symmetrically, as
     identities in the ambient coordinate ring (no relations needed).
@@ -172,15 +178,7 @@ def biadditivity_defects(h):
     if len({comp.nvars for comp in h}) != 1 or h[0].nvars % 2:
         raise ValueError("cocycle components must share an even variable count")
     n = h[0].nvars // 2
-    fld = h[0].field
-    amb = 3 * n
-
-    def var(i):
-        return Poly.variable(fld, amb, i)
-
-    v = [var(i) for i in range(n)]
-    v2 = [var(n + i) for i in range(n)]
-    v3 = [var(2 * n + i) for i in range(n)]
+    v, v2, v3 = _copies(h[0].field, n, 3)
     out = []
     for idx, comp in enumerate(h):
         first = comp.substitute([v[i] + v3[i] for i in range(n)] + v2) \
@@ -196,14 +194,7 @@ def cocycle_identities(ext):
     """Named (poly, relations) pairs whose vanishing gives the group axioms."""
     n = ext.base.nvars
     fld = ext.base.field
-    amb = 3 * n
-
-    def var(i):
-        return Poly.variable(fld, amb, i)
-
-    v = [var(i) for i in range(n)]
-    v2 = [var(n + i) for i in range(n)]
-    v3 = [var(2 * n + i) for i in range(n)]
+    v, v2, v3 = _copies(fld, n, 3)
     zero = [Poly.zero(fld, n) for _ in range(n)]
     small = [Poly.variable(fld, n, i) for i in range(n)]
     triple = ext.triple_relations()
@@ -244,9 +235,8 @@ def check_group_axioms(ext):
 
 def is_commutative(ext):
     """normal_form(h(v, v') - h(v', v)) == 0 against the base relations."""
-    n = ext.base.nvars
-    fld = ext.base.field
-    swap = [Poly.variable(fld, 2 * n, (i + n) % (2 * n)) for i in range(2 * n)]
+    v, v2 = _copies(ext.base.field, ext.base.nvars, 2)
+    swap = v2 + v
     rset = ext.pair_relations()
     return all(is_identically_zero(comp - comp.substitute(swap), rset) for comp in ext.h)
 

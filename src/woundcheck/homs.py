@@ -14,8 +14,10 @@ relation.  Division by a pivoted p-polynomial is linear in the dividend
 (Ore 1933): each step's multiplier is a dividend coefficient times a
 fixed p-polynomial.  So the reduced composite is a sum of a c^(p^t)
 times the remainder of one source monomial, and each monomial at or above
-the pivot bound is divided once, with field coefficients; no symbolic
-product is formed.
+the pivot bound is divided once, with field coefficients; the generic
+map itself is never built, only its slots.  Derivation is the one place
+that checks exponent caps: every cap names a source variable, none is
+negative, and the pivot's stays below the canonical bound.
 
 Every condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
@@ -25,7 +27,7 @@ exceed MAX_ENUM.  A constraint's matrix rows are the base-p digits of its
 column numerators over one common denominator, read off F_q[b]
 polynomials: scaling a constraint by a nonzero polynomial keeps its
 solutions, so the reduced matrix does not depend on that choice.  The
-ansatz keeps every pivot exponent below the canonical bound, so each
+slots keep every pivot exponent below the canonical bound, so each
 satisfying map it returns is already canonical.
 """
 
@@ -159,7 +161,6 @@ class ConstraintSystem:
     target: object
     ring: ParamRing                  # the fresh unknown symbols, no relations
     slots: tuple                     # (name, coordinate, variable, exponent)
-    ansatz: tuple                    # generic map coordinates (PPoly over ring)
     constraints: tuple               # ((variable, exponent), Poly over unknowns)
 
     def polys(self):
@@ -184,41 +185,41 @@ def derive_hom_constraints(source, target, caps=None, names=None):
     """Build the generic-map constraint system characterizing Hom within the
     ansatz bounds.
 
-    names, when given, maps (coordinate, variable, exponent) to the symbol
-    to use; defaults to c<coordinate>_<varname>_<exponent>.
+    caps maps a source variable index to its largest exponent; a variable
+    it leaves out keeps default_exponent_caps.  ValueError for a line
+    source, a cap for a variable the source lacks, a negative cap, or a
+    pivot cap over the canonical-form bound.  names, when given, maps
+    (coordinate, variable, exponent) to the symbol to use; defaults to
+    c<coordinate>_<varname>_<exponent>.
     """
     if is_line(source):
-        raise ValueError("use a split presentation (e.g. {Y = 0}) for a line source")
-    defaults = default_exponent_caps(source, target)
-    if caps:
-        for i, cap in caps.items():
-            if i == source.pivot and cap > defaults[source.pivot]:
-                raise ValueError("pivot cap exceeds the canonical-form bound")
-            defaults[i] = cap
+        raise ValueError("use a split presentation for a line source")
+    bounds = default_exponent_caps(source, target)
+    for i, cap in (caps or {}).items():
+        if i not in bounds:
+            raise ValueError(f"cap for variable index {i}, which {source.name} lacks")
+        item = f"{source.vars[i]}={cap}"
+        if cap < 0:
+            raise ValueError(f"cap {item!r} is negative")
+        if i == source.pivot and cap > bounds[i]:
+            raise ValueError(f"pivot cap {item!r} exceeds the canonical-form bound {bounds[i]}")
+        bounds[i] = cap
     slots = []
     for j in range(target.nvars):
         for i in range(source.nvars):
-            for e in range(defaults[i] + 1):
+            for e in range(bounds[i] + 1):
                 if names is not None:
                     nm = names[(j, i, e)]
                 else:
                     nm = f"c{j}_{source.vars[i]}_{e}"
                 slots.append((nm, j, i, e))
     ring = ParamRing(source.field, tuple(s[0] for s in slots))
-    ansatz = []
-    for j in range(target.nvars):
-        terms = {}
-        for nm, jj, i, e in slots:
-            if jj == j:
-                terms[(i, e)] = ring.param(nm)
-        ansatz.append(PPoly(ring, source.nvars, terms))
-    ansatz = tuple(ansatz)
     constraints = () if is_line(target) else _landing_constraints(source, target, slots)
-    return ConstraintSystem(source, target, ring, tuple(slots), ansatz, constraints)
+    return ConstraintSystem(source, target, ring, tuple(slots), constraints)
 
 
 def _landing_constraints(source, target, slots):
-    """The coefficients of F_target(ansatz) reduced modulo the source
+    """The coefficients of F_target(generic map) reduced modulo the source
     relation, as Polys over the slot symbols, by linearity of division.
 
     Target term a X_j^(p^t) and slot c at (j, i, e) contribute a c^(p^t)
@@ -340,7 +341,7 @@ def solve_homs_bounded(cs, domain):
     """Every assignment of the unknowns from the finite domain that satisfies
     every constraint; deterministic order, each returned map guaranteed to
     verify, and canonical by construction when cs comes from
-    derive_hom_constraints (its ansatz caps each pivot exponent below the
+    derive_hom_constraints (its slots cap each pivot exponent below the
     source's canonical bound, so no coordinate needs dividing).
 
     Each constraint is additive in the unknowns, so over the F_p-span of the
@@ -391,7 +392,7 @@ def solve_homs_bounded(cs, domain):
     solutions.sort(key=lambda sol: [_domain_key(v) for v in sol])
     out = []
     for sol in solutions:
-        terms = [{} for _ in cs.ansatz]
+        terms = [{} for _ in range(cs.target.nvars)]
         for (_, j, i, e), v in zip(cs.slots, sol):
             if v:
                 terms[j][(i, e)] = v

@@ -75,11 +75,14 @@ def random_point_oracle(h, rset, seed=0, trials=100):
 
     The composite H of h with the sampler coordinates is built first.  A
     zero H proves that every trial vanishes, so True is returned without
-    a draw; a nonzero H leaves the trials, and the first refuting one,
-    unchanged.  Building H takes each power of a coordinate once: a
-    p-power costs one Frobenius step, so additive and bi-additive
-    identities give small composites, but an h of high degree that is
-    not a p-power can expand multinomially.
+    a draw.  Otherwise each trial draws the loose variables in the deep
+    field, then each sampler's free slots in that sampler's own field, and
+    evaluates H alone at those draws: H there equals h at the sampled
+    point, so the first refuting trial is the one h would give.  Building
+    H takes each power of a coordinate once: a p-power costs one Frobenius
+    step, so additive and bi-additive identities give small composites,
+    but an h of high degree that is not a p-power can expand
+    multinomially.
     """
     field = h.field
     samplers = [parametrize_relation(rel.source, rel.pivot, field) for rel in rset]
@@ -88,21 +91,16 @@ def random_point_oracle(h, rset, seed=0, trials=100):
     hdeep = Poly(deep, h.nvars, {m: field.embed(c, deep) for m, c in h.terms.items()})
     in_block = {v for s in samplers for v in s[2]}
     loose = [i for i in range(h.nvars) if i not in in_block]
-    if _composite(hdeep, samplers, loose, field).is_zero():
+    composite = _composite(hdeep, samplers, loose, field)
+    if composite.is_zero():
         return True
-
+    # the field each variable of the composite is drawn from, in draw order
+    fields = [deep] * len(loose) + [field.extend(field.spec.depth + extra_r)
+                                    for extra_r, free, _ in samplers for _ in free]
     for t in range(trials):
         rng = random.Random((seed << 20) ^ (t * 0x9E3779B1))
-        point = [deep.zero()] * h.nvars
-        for i in loose:
-            point[i] = _draw(deep, rng)
-        for extra_r, free, coords in samplers:
-            own = field.extend(field.spec.depth + extra_r)
-            draws = [_draw(own, rng) for _ in free]
-            for v, fp in coords.items():
-                val = fp.evaluate(draws)
-                point[v] = own.embed(val, deep) if own.spec.depth < deep.spec.depth else val
-        if not hdeep.evaluate(point).is_zero():
+        point = [own.embed(_draw(own, rng), deep) for own in fields]
+        if not composite.evaluate(point).is_zero():
             return False
     return True
 
@@ -110,12 +108,14 @@ def random_point_oracle(h, rset, seed=0, trials=100):
 def _composite(hdeep, samplers, loose, field):
     """hdeep with each block variable replaced by its sampler coordinate
     and each loose variable kept: a Poly over hdeep's field whose variables
-    are every sampler's free slots in order, then the loose variables.
+    are the loose variables in order, then every sampler's free slots.
     Evaluating it at a trial's draws gives hdeep at that trial's point."""
     deep = hdeep.field
     nv = sum(len(free) for _, free, _ in samplers) + len(loose)
     args = [None] * hdeep.nvars
-    offset = 0
+    for offset, i in enumerate(loose):
+        args[i] = Poly.variable(deep, nv, offset)
+    offset = len(loose)
     for extra_r, free, coords in samplers:
         own = field.extend(field.spec.depth + extra_r)
         slots = range(offset, offset + len(free))
@@ -123,9 +123,6 @@ def _composite(hdeep, samplers, loose, field):
             fdeep = PPoly(deep, fp.nvars, {k: own.embed(c, deep) for k, c in fp.terms.items()})
             args[v] = flatten_ppoly(fdeep, slots, (), deep, nv)
         offset += len(free)
-    for i in loose:
-        args[i] = Poly.variable(deep, nv, offset)
-        offset += 1
     return hdeep.substitute(args)
 
 

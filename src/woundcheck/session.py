@@ -34,17 +34,11 @@ class Session:
         self.field = None
         self.param_names = ()
         self.param_relations = []   # (ppoly over param space, pivot index)
-        self._ring = None
+        self.ring = None            # the ParamRing, once parameter names exist
         self.groups = {}
         self.extensions = {}
         self.maps = {}
         self._names = set()
-
-    @property
-    def ring(self):
-        if self._ring is None and self.param_names:
-            self._ring = ParamRing(self.field, self.param_names, self.param_relations)
-        return self._ring
 
     def group_or_line(self, name):
         if name == "Ga":
@@ -138,7 +132,8 @@ def _statement(s, line):
         s.param_names = tuple(n for n in names.split(",") if n)
         for n in s.param_names:
             s._claim(n)
-        s._ring = None
+        if s.param_names:
+            s.ring = ParamRing(s.field, s.param_names)
     elif kind == "relation":
         _require_field(s)
         kv = _header(head, "pivot")
@@ -146,8 +141,7 @@ def _statement(s, line):
             raise ParseError(f"pivot {kv['pivot']!r} is not a declared parameter")
         fp = parse_ppoly(tail, s.field, s.param_names)
         s.param_relations.append((fp, s.param_names.index(kv["pivot"])))
-        s._ring = None
-        s.ring  # compile now: validates the pivot
+        s.ring = ParamRing(s.field, s.param_names, s.param_relations)  # validates the pivot
     elif kind == "group":
         _require_field(s)
         kv = _header(head, "name", "vars", "pivot")
@@ -177,11 +171,11 @@ def _statement(s, line):
         name = kv["name"]
         src = s.group_or_line(kv["from"])
         tgt = s.group_or_line(kv["to"])
-        dom = s.ring if s.param_names else s.field
+        dom = s.ring or s.field
         coords = _components(tail, "->", tgt.vars, "map coordinate")
         ordered = tuple(parse_ppoly(coords[v], dom, src.vars) for v in tgt.vars)
         s._claim(name)
-        s.maps[name] = PPolyMap(name, src, tgt, ordered, s.ring if s.param_names else None)
+        s.maps[name] = PPolyMap(name, src, tgt, ordered, s.ring)
     else:
         raise ParseError(f"unknown statement {kind!r}")
 

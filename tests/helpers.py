@@ -468,7 +468,7 @@ def reference_derive(source, target, caps=None, names=None):
         reduced = reference_reduce_mod(composed, source.f, source.pivot).remainder
         constraints = tuple(((i, e), reduced.terms[(i, e)].poly)
                             for (i, e) in sorted(reduced.terms))
-    return ConstraintSystem(source, target, ring, tuple(slots), ansatz, constraints)
+    return ConstraintSystem(source, target, ring, tuple(slots), constraints)
 
 
 def reference_solve(cs, domain):
@@ -539,7 +539,7 @@ def reference_solve(cs, domain):
     solutions.sort(key=lambda sol: [_domain_key(v) for v in sol])
     out = []
     for sol in solutions:
-        terms = [{} for _ in cs.ansatz]
+        terms = [{} for _ in range(cs.target.nvars)]
         for (_, j, i, e), v in zip(cs.slots, sol):
             if v:
                 terms[j][(i, e)] = v

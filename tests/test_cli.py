@@ -166,6 +166,18 @@ def test_valid_cap_bounds_the_ansatz():
     assert code == 0 and "solutions: 3\n" in out
 
 
+@pytest.mark.parametrize("caps", [("Y=-3", "Y=1"), ("Y=2", "Y=1")])
+def test_cap_given_twice_is_input_error(caps):
+    """A second cap for one variable would override the first, so a
+    negative first cap would go unchecked."""
+    argv = ["derive", HOMS, "Va", "U"]
+    for item in caps:
+        argv += ["--cap", item]
+    code, out, err = run(argv)
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith("error: cap for variable 'Y' is given twice\n")
+
+
 def test_cap_for_unknown_variable_is_input_error():
     for cmd in ("derive", "solve"):
         code, out, err = run([cmd, HOMS, "Va", "U", "--cap", "Z=1"])

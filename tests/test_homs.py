@@ -15,7 +15,7 @@ from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError,
                              landing_identity, solve_homs_bounded, verify_hom,
                              verify_mutual_inverse)
 from woundcheck.oracle import random_point_oracle
-from woundcheck.params import ParamElem
+from woundcheck.params import ParamElem, ParamRing
 from woundcheck.parser import parse_poly, render_poly
 from woundcheck.polyring import Poly, is_identically_zero
 from woundcheck.ppoly import PPoly
@@ -126,6 +126,26 @@ def test_derive_pivot_cap_enforced():
         derive_hom_constraints(corpus.group_va(k), corpus.group_u(k), caps={0: 5})
 
 
+@pytest.mark.parametrize("caps,message", [
+    ({1: -3}, "cap 'Y=-3' is negative"),
+    ({0: -1}, "cap 'X=-1' is negative"),
+    ({5: 1}, "cap for variable index 5, which Va lacks"),
+    ({0: 5}, "pivot cap 'X=5' exceeds the canonical-form bound 1"),
+])
+def test_derive_refuses_a_cap_it_cannot_honour(caps, message):
+    """A negative cap would drop the variable and a cap for a missing
+    variable would be ignored; derive refuses both, in the CLI's words."""
+    k = k3()
+    with pytest.raises(ValueError) as exc:
+        derive_hom_constraints(corpus.group_va(k), corpus.group_u(k), caps=caps)
+    assert str(exc.value) == message
+
+
+def test_derive_refuses_a_line_source():
+    with pytest.raises(ValueError, match="^use a split presentation for a line source$"):
+        derive_hom_constraints(AffineLine(), corpus.group_u(k3()))
+
+
 def test_solve_ga_ga_nine_maps():
     k = k3()
     src = corpus.split_line(k)
@@ -176,7 +196,7 @@ def test_contradictory_system_is_empty():
     from woundcheck.homs import ConstraintSystem
     from woundcheck.polyring import Poly
     one = Poly.constant(k, len(cs.ring.names), k.one())
-    cs_bad = ConstraintSystem(cs.source, cs.target, cs.ring, cs.slots, cs.ansatz,
+    cs_bad = ConstraintSystem(cs.source, cs.target, cs.ring, cs.slots,
                               cs.constraints + (((0, 0), one),))
     assert solve_homs_bounded(cs_bad, [k.zero(), k.one()]) == []
 
@@ -287,7 +307,7 @@ def _system(k, nunk, *texts):
     from woundcheck.homs import ConstraintSystem
     cs = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: nunk - 1})
     extra = tuple(((0, 0), parse_poly(t, k, cs.ring.names)) for t in texts)
-    return ConstraintSystem(cs.source, cs.target, cs.ring, cs.slots, cs.ansatz, extra)
+    return ConstraintSystem(cs.source, cs.target, cs.ring, cs.slots, extra)
 
 
 def test_solver_matches_brute_force_with_rational_domain():
@@ -381,7 +401,6 @@ def _corpus_systems(p):
 def _same_system(got, want):
     assert got.ring == want.ring
     assert got.slots == want.slots
-    assert got.ansatz == want.ansatz
     assert got.constraints == want.constraints
 
 
@@ -413,6 +432,7 @@ def test_derive_makes_no_symbolic_product(monkeypatch):
     monkeypatch.setattr(PPoly, "compose", refuse)
     monkeypatch.setattr(ParamElem, "__mul__", refuse)
     monkeypatch.setattr(ParamElem, "__rmul__", refuse)
+    monkeypatch.setattr(ParamRing, "param", refuse)
     k = k3()
     cs = derive_hom_constraints(corpus.group_va(k), corpus.group_u(k))
     assert len(cs.constraints) == 7
@@ -503,7 +523,7 @@ def _rational_systems(draw):
         if const:
             terms[(0,) * nunk] = const
         constraints.append(((0, 0), Poly(k, nunk, terms)))
-    return (ConstraintSystem(base.source, base.target, base.ring, base.slots, base.ansatz,
+    return (ConstraintSystem(base.source, base.target, base.ring, base.slots,
                              tuple(constraints)), domain)
 
 

@@ -194,6 +194,32 @@ def test_oracle_matches_its_trial_loop_on_loose_variables():
     assert _assert_matches_trial_loop(x - y, free, "difference") == 3
 
 
+def test_oracle_keeps_the_draw_order_across_trials():
+    """At p = 2 a draw is any one element with probability 1/16, so many
+    seeds refute only after trial 1.  X0 is loose; X1 is the free slot of
+    a sampler at r = 0 (X2 is solved for) and X3 that of one at r = 1 (X4,
+    the only single-term variable, has exponent 1).  Each factor of h
+    vanishes at a different value, so drawing the three in another order
+    moves the first refuting trial of some seed."""
+    k = corpus.base_field(2)
+    a, one = k.base_gen(), k.one()
+    at_r0 = corpus._pp(k, 5, (1, 1, one), (1, 0, one), (2, 0, a))   # X1^2 + X1 + a X2
+    at_r1 = corpus._pp(k, 5, (3, 1, one), (3, 0, one), (4, 1, one))  # X3^2 + X3 + X4^2
+    rset = RelationSet(5, [to_relation(at_r0, 1), to_relation(at_r1, 3)])
+    assert [parametrize_relation(rel.source, rel.pivot, k)[:2] for rel in rset] == [
+        (0, [1]), (1, [3])]
+    x = [Poly.variable(k, 5, i) for i in range(5)]
+    h = x[0] * (x[1] + Poly.constant(k, 5, one)) * (x[3] + Poly.constant(k, 5, a))
+    late = 0
+    for seed in range(64):
+        t = first_refuting_trial(h, rset, seed=seed, trials=20)
+        assert t is not None, seed
+        late += t >= 2
+        assert random_point_oracle(h, rset, seed=seed, trials=t), seed
+        assert not random_point_oracle(h, rset, seed=seed, trials=t + 1), seed
+    assert late >= 1
+
+
 def _trials_run(monkeypatch, h, rset, **kw):
     """(oracle answer, number of Poly.evaluate calls it made): each trial
     evaluates the identity once, and nothing else in the oracle does."""
