@@ -18,12 +18,13 @@ import sys
 import time
 
 from . import corpus
+from .gfq import is_prime
 from .groups import AffineLine, check_group_axioms, classify, is_alternating, twist_group
 from .homs import (EnumerationBudgetError, derive_hom_constraints, landing_identity,
                    relative_frobenius, solve_homs_bounded, verify_hom, verify_mutual_inverse)
 from .oracle import UnsupportedRelationError, random_point_oracle
-from .parser import (ParseError, check_ppower, parse_ppoly, render_elem, render_poly,
-                     render_ppoly)
+from .parser import (MAX_PPOWER, ParseError, check_ppower, parse_ppoly, render_elem,
+                     render_poly, render_ppoly)
 from .ppoly import reduce_mod
 from .session import parse_session, render_extension, render_group, render_map
 
@@ -324,6 +325,19 @@ def _at_least(low):
     return parse
 
 
+def _corpus_prime(text):
+    """An argparse type for selftest-paper: a prime p whose corpus degrees
+    p^2 (group Va has X^(p^2)) stay within MAX_PPOWER, the degree scale
+    the parser allows an input file, or a usage error."""
+    p = _at_least(2)(text)
+    if p * p > MAX_PPOWER:
+        raise argparse.ArgumentTypeError(
+            f"corpus degree {p}^2 exceeds the supported degree scale {MAX_PPOWER}")
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
 def _command(sub, name, fn, summary, *positionals):
     sp = sub.add_parser(name, help=summary)
     for arg in positionals:
@@ -388,7 +402,7 @@ def main(argv=None):
 
     sp = _command(sub, "selftest-paper", cmd_selftest,
                   "replay the built-in worked-example corpus")
-    sp.add_argument("p", type=int, choices=(2, 3, 5))
+    sp.add_argument("p", type=_corpus_prime, help=f"a prime p with p^2 <= {MAX_PPOWER}")
     _add_oracle(sp)
 
     t0 = None

@@ -359,28 +359,46 @@ def clear_denominators(field, elems):
     return den, [fq.mul(gf, x.num, fq.divmod_(gf, den, x.den)[0]) for x in elems]
 
 
-def rref(rows, p):
-    """Reduced row echelon form mod p, by Gauss-Jordan elimination on lists
-    of Python ints, of a matrix with entries in [0, p): (nonzero rows,
-    pivot columns).  Each pivot updates only the rows with a nonzero entry
-    in its column, and a pivot row already led by 1 is not scaled."""
-    a = [list(row) for row in rows]
-    pivots = []
-    for c in range(len(a[0]) if a else 0):
-        rank = len(pivots)
-        r = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if r is None:
-            continue
-        a[rank], a[r] = a[r], a[rank]
-        top = a[rank]
-        if top[c] != 1:
-            inv = pow(top[c], p - 2, p)
-            top = a[rank] = [v * inv % p for v in top]
-        for i, row in enumerate(a):
-            f = row[c]
-            if f and i != rank:
-                a[i] = [(v - f * t) % p for v, t in zip(row, top)]
-        pivots.append(c)
-        if len(pivots) == len(a):
+def rref(rows, p, width):
+    """Reduced row echelon form mod p (p prime) of the matrix with columns
+    0 .. width-1 whose sparse rows are given: (nonzero rows, pivot columns),
+    each row a dict from column to a nonzero entry in [0, p), in pivot order.
+
+    The rows are read one at a time, and the input is not modified.  Each is
+    reduced against the basis so far, which is kept fully reduced: a basis
+    row has a 1 at its pivot and no entry in another basis row's pivot
+    column.  A row that does not vanish joins with a leading 1 at its
+    lowest column and clears that column from every basis row that has it.
+    Once the rank equals width, no further row can change the row space,
+    so the remaining rows are never read."""
+    basis = {}
+    rows = iter(rows)
+    while len(basis) < width:
+        row = next(rows, None)
+        if row is None:
             break
-    return a[:len(pivots)], pivots
+        r = dict(row)
+        for c in [c for c in r if c in basis]:
+            _axpy(r, -r[c], basis[c], p)
+        if not r:
+            continue
+        c = min(r)
+        if r[c] != 1:
+            inv = pow(r[c], p - 2, p)
+            r = {k: v * inv % p for k, v in r.items()}
+        for b in basis.values():
+            if c in b:
+                _axpy(b, -b[c], r, p)
+        basis[c] = r
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
+
+
+def _axpy(a, f, b, p):
+    """a += f * b mod p on sparse rows, in place, dropping the zeros."""
+    for k, v in b.items():
+        x = (a.get(k, 0) + f * v) % p
+        if x:
+            a[k] = x
+        else:
+            del a[k]

@@ -23,12 +23,17 @@ Every condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
 solutions are the points of an affine F_p-kernel, which it lists and
 filters to the domain, refusing a kernel whose points times unknowns
-exceed MAX_ENUM.  A constraint's matrix rows are the base-p digits of its
-column numerators over one common denominator, read off F_q[b]
-polynomials: scaling a constraint by a nonzero polynomial keeps its
-solutions, so the reduced matrix does not depend on that choice.  The
-slots keep every pivot exponent below the canonical bound, so each
-satisfying map it returns is already canonical.
+exceed MAX_ENUM.  Both eliminations, of the domain vectors for a basis
+of the span and of the constraint matrix, are one sparse ``field.rref``:
+rows are dicts from column to a nonzero digit, and the domain vectors
+are fed one at a time, so the elimination stops reading them once they
+span every digit column.  A constraint's rows are the base-p digits of
+its column numerators over one common denominator, read off F_q[b]
+polynomials, and hold only the columns the constraint touches: scaling a
+constraint by a nonzero polynomial keeps its solutions, so the reduced
+matrix does not depend on that choice.  The slots keep every pivot
+exponent below the canonical bound, so each satisfying map it returns is
+already canonical.
 """
 
 import itertools
@@ -298,12 +303,13 @@ def _undigits(gf, digits):
 
 
 def _constraint_rows(gf, poly, r, ncols, nums, den, frob):
-    """The F_p rows of one constraint: the digits of its column numerators
-    over one common denominator L, one row per (power of b, digit) that has
-    a nonzero entry.  The summand c d_j^(p^e) is c.num nums[j]^(p^e) over
-    c.den den^(p^e); frob memoizes (nums^(p^e), den^(p^e)) per e.  Scaling
-    a constraint by L != 0 keeps its solutions, so the rows span the same
-    space as those of the reduced fractions."""
+    """The sparse F_p rows of one constraint: the digits of its column
+    numerators over one common denominator L, one row per (power of b,
+    digit) that has a nonzero entry, built only from the columns the
+    constraint touches.  The summand c d_j^(p^e) is c.num nums[j]^(p^e)
+    over c.den den^(p^e); frob memoizes (nums^(p^e), den^(p^e)) per e.
+    Scaling a constraint by L != 0 keeps its solutions, so the rows span
+    the same space as those of the reduced fractions."""
     summands = []
     for m, c in poly.terms.items():
         slot = _additive_slot(m, gf.p)
@@ -316,24 +322,24 @@ def _constraint_rows(gf, poly, r, ncols, nums, den, frob):
         bnums, bden = frob[e]
         summands.append((u * r, bnums, c.num, c.den if bden == fq.ONE else fq.mul(gf, c.den, bden)))
     lcm = common_denominator(gf, (d for *_, d in summands))
-    cols = [()] * (ncols + 1)
+    cols = {}
     for col, bnums, num, d in summands:
         if d != lcm:
             num = fq.mul(gf, num, fq.divmod_(gf, lcm, d)[0])
         for j, bn in enumerate(bnums, col):
             x = num if bn == fq.ONE else fq.mul(gf, num, bn)
-            cols[j] = fq.add(gf, cols[j], x) if cols[j] else x
+            cols[j] = fq.add(gf, cols[j], x) if j in cols else x
     rows = {}
-    for col, num in enumerate(cols):
+    for col, num in cols.items():
         for k, x in enumerate(num):
             if not x:
                 continue
             if gf.e == 1:
-                rows.setdefault(k, [0] * (ncols + 1))[col] = x
+                rows.setdefault(k, {})[col] = x
                 continue
             for s, digit in enumerate(gf.digits(x)):
                 if digit:
-                    rows.setdefault((k, s), [0] * (ncols + 1))[col] = digit
+                    rows.setdefault((k, s), {})[col] = digit
     return rows.values()
 
 
@@ -359,10 +365,11 @@ def solve_homs_bounded(cs, domain):
     # span basis d_j = nums[j] / den, and each domain element keyed by its
     # coordinates
     den, vecs = _fp_vectors(field, domain)
-    rows, dpiv = rref(vecs, p)
+    width = len(vecs[0]) if vecs else 0
+    rows, dpiv = rref(({c: x for c, x in enumerate(v) if x} for v in vecs), p, width)
     r = len(dpiv)
     by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
-    nums = [_undigits(gf, row) for row in rows]
+    nums = [_undigits(gf, [row.get(c, 0) for c in range(width)]) for row in rows]
     # one column per (unknown, d_j) and a last one for the constant term;
     # l^p = l for l in F_p, so u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
     ncols = nunk * r
@@ -370,14 +377,14 @@ def solve_homs_bounded(cs, domain):
     matrix = []
     for _, poly in cs.constraints:
         matrix.extend(_constraint_rows(gf, poly, r, ncols, nums, den, frob))
-    reduced, pivots = rref(matrix, p)
+    reduced, pivots = rref(matrix, p, ncols + 1)
     if ncols in pivots:
         return []  # inconsistent: 1 = 0
     free = [c for c in range(ncols) if c not in pivots]
     if p ** len(free) * nunk > MAX_ENUM:
         raise EnumerationBudgetError(
             f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")
-    forced = [(c, (-row[ncols]) % p, [row[f] for f in free])
+    forced = [(c, -row.get(ncols, 0) % p, [row.get(f, 0) for f in free])
               for c, row in zip(pivots, reduced)]
     solutions = []
     lam = [0] * ncols

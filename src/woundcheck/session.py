@@ -1,9 +1,10 @@
 """Line-oriented input files: field, params, relations, groups, extensions,
 maps.
 
-A file declares exactly one field and at most one params list; every
-later object shares them.  Names live in one namespace ("Ga" is reserved
-for the affine line).  Statements:
+A file declares exactly one field and at most one params list, which
+names at least one parameter; every later object shares them.  Names
+live in one namespace ("Ga" is reserved for the affine line).
+Statements:
 
     field p=3 e=1 gen=a depth=0
     params d,e
@@ -34,7 +35,7 @@ class Session:
         self.field = None
         self.param_names = ()
         self.param_relations = []   # (ppoly over param space, pivot index)
-        self.ring = None            # the ParamRing, once parameter names exist
+        self.ring = None            # the ParamRing, set by the params statement
         self.groups = {}
         self.extensions = {}
         self.maps = {}
@@ -126,14 +127,15 @@ def _statement(s, line):
         s.field = Field(spec)  # a table-based F_q refuses a large q
     elif kind == "params":
         _require_field(s)
-        if s.param_names:
+        if s.ring is not None:
             raise ParseError("duplicate params statement")
         names = head[len(kind):].replace(" ", "")
         s.param_names = tuple(n for n in names.split(",") if n)
+        if not s.param_names:
+            raise ParseError("params statement names no parameters")
         for n in s.param_names:
             s._claim(n)
-        if s.param_names:
-            s.ring = ParamRing(s.field, s.param_names)
+        s.ring = ParamRing(s.field, s.param_names)
     elif kind == "relation":
         _require_field(s)
         kv = _header(head, "pivot")

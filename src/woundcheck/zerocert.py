@@ -12,9 +12,11 @@
       search, over every witness vector with polynomial entries up to a
       degree bound.  Such a vector is a vector of F_p digits, one per
       (coefficient, basis element of F_q over F_p), and the principal part
-      is F_p-linear in them, so the search is one row reduction mod p with
-      a column per (variable, coefficient, digit); it returns the first
-      zero of a fixed scan order, re-verified exactly, and settles Zero.
+      is F_p-linear in them, so the search is one sparse row reduction mod
+      p (``field.rref``) with a column per (variable, coefficient, digit)
+      and a row per output digit, holding only its nonzero entries; it
+      returns the first zero of a fixed scan order, re-verified exactly,
+      and settles Zero.
    b. The relaxation w_i = x_i^(p^(N_i - N_min)), decided as in 1 on the
       same coefficients with every N_i read as N_min.  Its NoZero is sound
       for the original, so the search before it finds nothing and the
@@ -334,8 +336,9 @@ def exhaustive_poly_search(P, degree_bound):
     # Column blocks and the coefficients in them run least significant
     # first: block b holds variable order[n-1-b], and its column
     # (D * e + j) is the unit t^j at coefficient degree_bound - D.  Row
-    # m * e + s is digit s of output coefficient m; zero rows are never
-    # made, and the row order does not change the reduced form.
+    # m * e + s is digit s of output coefficient m, a dict of its nonzero
+    # entries; zero rows are never made, and the row order does not change
+    # the reduced form.
     order = [n - 1] + list(range(n - 1))
     width = n * ncoef * e
     rows = {}
@@ -347,15 +350,15 @@ def exhaustive_poly_search(P, degree_bound):
                 for m, x in enumerate(col, d * qs[k]):
                     for s, digit in enumerate(gf.digits(x)):
                         if digit:
-                            rows.setdefault(m * e + s, [0] * width)[c] = digit
-    reduced, pivots = rref(rows.values(), p)
+                            rows.setdefault(m * e + s, {})[c] = digit
+    reduced, pivots = rref(rows.values(), p, width)
     free = next((c for c in range(width) if c not in pivots), None)
     if free is None:
         return None
     hit = [0] * width
     hit[free] = 1
     for row, c in zip(reduced, pivots):
-        hit[c] = -row[free] % p
+        hit[c] = -row.get(free, 0) % p
     codes = [gf.undigits(hit[i:i + e]) for i in range(0, width, e)]
     witness = [None] * n  # every variable is present: pres is 0 .. n-1
     for b, k in enumerate(reversed(order)):

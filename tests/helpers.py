@@ -9,7 +9,7 @@ import itertools
 import random
 
 from woundcheck import fqpoly as fq
-from woundcheck.field import Field, FieldElem, FieldSpec, rref
+from woundcheck.field import Field, FieldElem, FieldSpec
 from woundcheck.gfq import GFq, is_prime
 from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError, HomSolution,
                              PPolyMap, _additive_slot, _domain_key, _fp_vectors, _undigits,
@@ -494,7 +494,7 @@ def reference_solve(cs, domain):
     domain = list(domain)
     # span basis d_1..d_r, and each domain element keyed by its coordinates
     den, vecs = _fp_vectors(field, domain)
-    rows, dpiv = rref(vecs, p)
+    rows, dpiv = dense_rref(vecs, p)
     r = len(dpiv)
     by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
     basis = [FieldElem(field, _undigits(field.gf, row), den) for row in rows]
@@ -517,7 +517,7 @@ def reference_solve(cs, domain):
                 cols[u * r + j] = cols[u * r + j] + c * frob[(j, e)]
         _, vals = _fp_vectors(field, cols)
         matrix.extend(row for row in zip(*vals) if any(row))
-    reduced, pivots = rref(matrix, p)
+    reduced, pivots = dense_rref(matrix, p)
     if ncols in pivots:
         return []  # inconsistent: 1 = 0
     free = [c for c in range(ncols) if c not in pivots]

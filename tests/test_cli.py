@@ -132,6 +132,19 @@ def test_selftest_p5():
     assert "selftest: pass" in out
 
 
+@pytest.mark.parametrize("p,message", [
+    ("9", "9 is not a prime"),
+    ("1", "1 is below 2"),
+    # the corpus has X^(p^2): the parser's degree scale bounds p^2
+    ("67", "corpus degree 67^2 exceeds the supported degree scale 4096"),
+    ("4099", "corpus degree 4099^2 exceeds the supported degree scale 4096"),
+])
+def test_selftest_refuses_a_non_prime_or_an_oversized_p(p, message):
+    code, out, err = run(["selftest-paper", p])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err == f"error: argument p: {message}\n"
+
+
 def test_selftest_p2():
     code, out, _ = run(["selftest-paper", "2"])
     assert code == 0, out
@@ -270,7 +283,7 @@ def test_verify_iso_of_maps_that_do_not_compose_is_input_error():
 
 @pytest.mark.parametrize("argv", [
     ["solve", HOMS, "Va", "Ga", "--domain", "deg9"],
-    ["selftest-paper", "7"],
+    ["selftest-paper", "4"],
     ["classify", WOUND],
     ["verify-hom", HOMS, "phi_b", "--trials", "x"],
     ["classify", WOUND, "Wa", "--no-such-flag"],
@@ -570,3 +583,20 @@ def test_parse_errors_name_the_token_text(tmp_path, statement, argv, message):
     code, out, err = run([argv[0], str(path)] + argv[1:])
     assert code == 3 and out == "" and _one_error_line(err)
     assert err.startswith(f"error: line 4: {message}\n")
+
+
+@pytest.mark.parametrize("params,line,message", [
+    pytest.param("params\n", 2, "params statement names no parameters", id="empty"),
+    # the empty statement used to leave no names, so the second passed the
+    # duplicate check and classify reported the group's verdict, exit 0
+    pytest.param("params\nparams d\n", 2, "params statement names no parameters",
+                 id="empty-then-named"),
+    pytest.param("params d\nparams\n", 3, "duplicate params statement", id="named-then-empty"),
+])
+def test_empty_params_statement_is_input_error(tmp_path, params, line, message):
+    head, groups = WA_HEAD.split("\n", 1)
+    path = tmp_path / "params.txt"
+    path.write_text(head + "\n" + params + groups, encoding="utf-8")
+    code, out, err = run(["classify", str(path), "Wa"])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith(f"error: line {line}: {message}\n")

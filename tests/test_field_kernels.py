@@ -352,12 +352,15 @@ def fp_matrices(draw, p, shape):
 @settings(max_examples=25, deadline=None, database=None)
 def test_rref_is_the_reduced_form_of_the_dense_elimination(p, shape, data):
     rows = data.draw(fp_matrices(p, shape))
-    before = [list(row) for row in rows]
-    got, pivots = rref(rows, p)
-    want, want_pivots = dense_rref(rows, p)
-    assert rows == before
-    # reduced row echelon form with unit pivots
     ncols = len(rows[0]) if rows else 0
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    before = [dict(row) for row in sparse]
+    got, pivots = rref(sparse, p, ncols)
+    assert sparse == before
+    assert all(x for row in got for x in row.values())
+    got = [[row.get(c, 0) for c in range(ncols)] for row in got]
+    want, want_pivots = dense_rref(rows, p)
+    # reduced row echelon form with unit pivots
     assert len(got) == len(pivots) and pivots == sorted(set(pivots))
     for row, c in zip(got, pivots):
         assert len(row) == ncols and all(0 <= x < p for x in row)
@@ -372,3 +375,18 @@ def test_rref_is_the_reduced_form_of_the_dense_elimination(p, shape, data):
         assert len(pivots) < len(rows)
     if shape in ("zero", "empty"):
         assert got == [] and pivots == []
+
+
+def test_rref_reads_no_row_after_the_rank_is_full():
+    """Once the rank equals the width no row can change the row space, so
+    the rows after it are never read."""
+    def rows():
+        yield {1: 2, 2: 1}
+        yield {}
+        yield {0: 3, 1: 4}
+        yield {0: 1, 2: 6}
+        raise AssertionError("a row was read after the rank reached the width")
+
+    got, pivots = rref(rows(), 7, 3)
+    assert pivots == [0, 1, 2]
+    assert got == [{0: 1}, {1: 1}, {2: 1}]

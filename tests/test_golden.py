@@ -45,7 +45,7 @@ def _cases():
                 cases[f"solve_deg1_{src}_{tgt}"] = ["solve", HOMS, src, tgt,
                                                     "--domain", "deg1"]
     cases["solve_deg2_Va_U"] = ["solve", HOMS, "Va", "U", "--domain", "deg2"]
-    for p in ("2", "3", "5"):
+    for p in ("2", "3", "5", "7"):
         cases[f"selftest_{p}"] = ["selftest-paper", p]
     return cases
 

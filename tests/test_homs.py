@@ -447,10 +447,10 @@ def _nonzero_elem(draw, k):
 
 
 @st.composite
-def _random_group(draw, k, name):
-    """A hypersurface group in 1-3 variables, exponents up to 2, with
-    rational coefficients; the pivot is any variable present."""
-    nvars = draw(st.integers(1, 3))
+def _random_group(draw, k, name, max_vars=3):
+    """A hypersurface group in 1 to max_vars variables, exponents up to 2,
+    with rational coefficients; the pivot is any variable present."""
+    nvars = draw(st.integers(1, max_vars))
     slots = st.tuples(st.integers(0, nvars - 1), st.integers(0, 2))
     keys = draw(st.lists(slots, min_size=1, max_size=4, unique=True))
     f = PPoly(k, nvars, {key: _nonzero_elem(draw, k) for key in keys})
@@ -533,6 +533,41 @@ def test_solver_matches_reference_over_rational_domains(case):
     cs, domain = case
     got, want = solve_homs_bounded(cs, domain), reference_solve(cs, domain)
     assert got  # the planted point
+    assert [s.values for s in got] == [s.values for s in want]
+    assert [s.map.coords for s in got] == [s.map.coords for s in want]
+    assert [s.map.name for s in got] == [s.map.name for s in want]
+
+
+@st.composite
+def _subspace_systems(draw):
+    """A derived system from a random group in 1-2 variables to another
+    such group or to itself, over F_5 or F_7 at depth 0-1, every cap 0,
+    and a domain that is the whole F_p-span of 1-2 elements: maybe 1, so
+    that an endomorphism system has the multiples of the identity among
+    its solutions, and random ones, rational ones included.  At most 4
+    kernel columns, so at most 7^4 points are listed."""
+    p = draw(st.sampled_from((5, 7)))
+    k = Field(FieldSpec(p, 1, "a", draw(st.integers(0, 1))))
+    src = draw(_random_group(k, "S", max_vars=2))
+    tgt = src if draw(st.booleans()) else draw(_random_group(k, "T", max_vars=2))
+    caps = {i: 0 for i in range(src.nvars)}
+    if src.f.max_exp(src.pivot) == 0:
+        caps.pop(src.pivot)
+    cs = derive_hom_constraints(src, tgt, caps=caps)
+    r = draw(st.integers(1, 2 if len(cs.ring.names) <= 2 else 1))
+    gens = [k.one()] if draw(st.booleans()) else []
+    gens += [_nonzero_elem(draw, k) for _ in range(r - len(gens))]
+    domain = {sum((c * g for c, g in zip(lam, gens)), k.zero()): None
+              for lam in itertools.product(range(p), repeat=len(gens))}
+    return cs, list(domain)
+
+
+@given(_subspace_systems())
+@settings(max_examples=100, deadline=None, database=None)
+def test_solver_matches_reference_over_subspace_domains_at_larger_p(case):
+    cs, domain = case
+    got, want = solve_homs_bounded(cs, domain), reference_solve(cs, domain)
+    assert got  # the zero map
     assert [s.values for s in got] == [s.values for s in want]
     assert [s.map.coords for s in got] == [s.map.coords for s in want]
     assert [s.map.name for s in got] == [s.map.name for s in want]
