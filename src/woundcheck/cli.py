@@ -326,13 +326,13 @@ def _at_least(low):
 
 
 def _corpus_prime(text):
-    """An argparse type for selftest-paper: a prime p whose corpus degrees
-    p^2 (group Va has X^(p^2)) stay within MAX_PPOWER, the degree scale
-    the parser allows an input file, or a usage error."""
+    """An argparse type for selftest-paper: a prime p that passes
+    corpus.check_corpus_degree, or a usage error."""
     p = _at_least(2)(text)
-    if p * p > MAX_PPOWER:
-        raise argparse.ArgumentTypeError(
-            f"corpus degree {p}^2 exceeds the supported degree scale {MAX_PPOWER}")
+    try:
+        corpus.check_corpus_degree(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
     return p

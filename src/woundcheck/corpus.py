@@ -212,8 +212,18 @@ def hom_vu_expected_constraints(p):
 # the built-in regression corpus (cmd_selftest_paper)
 
 
+def check_corpus_degree(p):
+    """ValueError unless the corpus degrees p^2 (group Va has X^(p^2)) stay
+    within MAX_PPOWER, the degree scale the parser allows an input file."""
+    from .parser import MAX_PPOWER
+    if p * p > MAX_PPOWER:
+        raise ValueError(f"corpus degree {p}^2 exceeds the supported degree scale {MAX_PPOWER}")
+
+
 def selftest_items(p, seed=0, trials=100):
-    """(name, thunk) pairs; each thunk returns (ok, detail)."""
+    """(name, thunk) pairs; each thunk returns (ok, detail).  ValueError
+    for a p whose corpus degrees exceed the parser's degree scale."""
+    check_corpus_degree(p)
     if p == 2:
         return _selftest_p2(seed, trials)
     return _selftest_odd(p, seed, trials)

@@ -25,7 +25,13 @@ num*den products and need no normalization afterwards:
                 g1 = gcd(a, d),        g2 = gcd(c, b).
 
 Both results are reduced, and their denominators are monic as products
-of monic quotients.
+of monic quotients.  A gcd with the unit denominator d = 1 is 1, so it
+is never run:
+
+    a/b + c = (a + cb) / b,            gcd(a + cb, b) = gcd(a, b) = 1;
+    (a/b) c = (a (c/g2)) / (b/g2),     g2 = gcd(c, b), g1 = 1;
+
+and an element built with denominator 1 is already normalized.
 """
 
 from dataclasses import dataclass
@@ -141,10 +147,10 @@ class FieldElem:
     def __init__(self, field, num, den):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        gf = field.gf
         if not num:
             den = fq.ONE
-        else:
+        elif den != fq.ONE:
+            gf = field.gf
             g = fq.gcd(gf, num, den)
             if len(g) > 1:
                 num = fq.divmod_(gf, num, g)[0]
@@ -202,6 +208,12 @@ class FieldElem:
         if b == fq.ONE and d == fq.ONE:
             return FieldElem._raw(f, fq.add(gf, self.num, other.num), fq.ONE)
         a, c = self.num, other.num
+        if d == fq.ONE or b == fq.ONE:
+            # a/b + c = (a + cb)/b, reduced since gcd(a + cb, b) = gcd(a, b)
+            if b == fq.ONE:
+                a, b, c = c, d, a
+            t = fq.add(gf, a, fq.mul(gf, c, b))
+            return FieldElem._raw(f, t, b) if t else f.zero()
         g = fq.gcd(gf, b, d)
         if g != fq.ONE:
             b, d = _exact_div(gf, b, g), _exact_div(gf, d, g)
@@ -243,7 +255,9 @@ class FieldElem:
         b, d = self.den, other.den
         if b == fq.ONE and d == fq.ONE:
             return FieldElem._raw(f, fq.mul(gf, a, c), fq.ONE)
-        g1, g2 = fq.gcd(gf, a, d), fq.gcd(gf, c, b)
+        # gcd(x, 1) = 1: a unit denominator cancels nothing
+        g1 = fq.gcd(gf, a, d) if d != fq.ONE else fq.ONE
+        g2 = fq.gcd(gf, c, b) if b != fq.ONE else fq.ONE
         if g1 != fq.ONE:
             a, d = _exact_div(gf, a, g1), _exact_div(gf, d, g1)
         if g2 != fq.ONE:
@@ -341,11 +355,14 @@ def _digit_pow(x, d):
 
 
 def common_denominator(gf, dens):
-    """The lcm of monic polynomials, monic."""
+    """The lcm of monic polynomials, monic.  It starts from the first
+    denominator other than 1, and a denominator 1 adds nothing to it."""
     den = fq.ONE
     for d in dens:
-        if d != den:
-            den = fq.mul(gf, den, fq.divmod_(gf, d, fq.gcd(gf, den, d))[0])
+        if den == fq.ONE:
+            den = d
+        elif d != fq.ONE and d != den:
+            den = fq.mul(gf, den, _exact_div(gf, d, fq.gcd(gf, den, d)))
     return den
 
 
@@ -356,7 +373,8 @@ def clear_denominators(field, elems):
         return fq.ONE, [x.num for x in elems]
     gf = field.gf
     den = common_denominator(gf, (x.den for x in elems))
-    return den, [fq.mul(gf, x.num, fq.divmod_(gf, den, x.den)[0]) for x in elems]
+    return den, [fq.mul(gf, x.num, den if x.den == fq.ONE else _exact_div(gf, den, x.den))
+                 for x in elems]
 
 
 def rref(rows, p, width):

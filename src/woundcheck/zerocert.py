@@ -15,8 +15,8 @@
       is F_p-linear in them, so the search is one sparse row reduction mod
       p (``field.rref``) with a column per (variable, coefficient, digit)
       and a row per output digit, holding only its nonzero entries; it
-      returns the first zero of a fixed scan order, re-verified exactly,
-      and settles Zero.
+      returns the first zero of a fixed scan order, built as FieldElems and
+      re-verified exactly once, and that vector settles Zero.
    b. The relaxation w_i = x_i^(p^(N_i - N_min)), decided as in 1 on the
       same coefficients with every N_i read as N_min.  Its NoZero is sound
       for the original, so the search before it finds nothing and the
@@ -57,11 +57,12 @@ def left_kernel_vector(rows, field):
 
     Fraction-free (Bareiss) elimination on the transpose t: pivot d turns
     row i into (d t[i] - t[i][c] t[r]) / prev, an exact division by the
-    previous pivot, so entries stay polynomials.  When the rank is
-    deficient, back-substitution from D = t[f-1][f-1], the determinant of
-    the pivots before the first free column f, gives z = D x over F_q[b]
-    (Cramer's rule), and only x[c] = z[c] / D is normalized.  It is the
-    vector read off the unique reduced echelon form.
+    previous pivot, so entries stay polynomials; while that pivot is 1
+    (before the first pivot, and after any pivot 1) there is no division.
+    When the rank is deficient, back-substitution from D = t[f-1][f-1], the
+    determinant of the pivots before the first free column f, gives z = D x
+    over F_q[b] (Cramer's rule), and only x[c] = z[c] / D is normalized.  It
+    is the vector read off the unique reduced echelon form.
     """
     gf = field.gf
     n = len(rows)
@@ -76,8 +77,11 @@ def left_kernel_vector(rows, field):
         top, d = t[r], t[r][c]
         for i in range(r + 1, len(t)):
             f = fq.neg(gf, t[i][c])
-            t[i][c + 1:] = [fq.divmod_(gf, fq.add(gf, fq.mul(gf, d, v), fq.mul(gf, f, u)), prev)[0]
-                            for v, u in zip(t[i][c + 1:], top[c + 1:])]
+            row = [fq.add(gf, fq.mul(gf, d, v), fq.mul(gf, f, u))
+                   for v, u in zip(t[i][c + 1:], top[c + 1:])]
+            if prev != fq.ONE:
+                row = [fq.divmod_(gf, v, prev)[0] for v in row]
+            t[i][c + 1:] = row
         pivots.append(c)
         prev = d
     if len(pivots) == n:
@@ -154,9 +158,9 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
     # mixed exponents: polynomial witnesses first (one F_p-kernel), then the
     # min-exponent relaxation w_i = x_i^(p^(N_i - nmin)), whose zeros decide
     # nothing, then rational witnesses
-    codes = exhaustive_poly_search(P, search_bound)
-    if codes is not None:
-        return ZeroDecision("zero", "search", witness=tuple(field.elem(w) for w in codes))
+    found = _poly_search(P, search_bound)
+    if found is not None:
+        return ZeroDecision("zero", "search", witness=found[1])
     res = _equal_exponent(field, coeffs, nmin, "relaxation")
     if res.verdict == "no_zero":
         return res
@@ -315,21 +319,29 @@ def exhaustive_poly_search(P, degree_bound):
     significant): with the columns least significant first, that is the
     kernel vector of the first free column.
     """
-    field = P.dom
-    p, e = field.p, field.spec.e
     if P != P.principal_part():
         raise ValueError("input must equal its own principal part")
-    ncoef = degree_bound + 1
     pres = P.vars_present()
-    n = len(pres)
-    if n < P.nvars:
+    if len(pres) < P.nvars:
         missing = next(i for i in range(P.nvars) if i not in pres)
         return tuple((int(i == missing),) + (0,) * degree_bound for i in range(P.nvars))
+    found = _poly_search(P, degree_bound)
+    return None if found is None else found[0]
+
+
+def _poly_search(P, degree_bound):
+    """(codes, point) for ``exhaustive_poly_search`` on a principal part P
+    in which every variable is present: the codes it returns, and the
+    FieldElem vector they stand for, built and verified once; or None."""
+    field = P.dom
+    p, e = field.p, field.spec.e
+    ncoef = degree_bound + 1
+    n = P.nvars
     exps = {i: N for (i, N), _ in P.terms.items()}
-    coeffs = clear_denominators(field, [P.coeff(i, exps[i]) for i in pres])[1]
+    coeffs = clear_denominators(field, [P.coeff(i, exps[i]) for i in range(n)])[1]
 
     gf = field.gf
-    ns = [exps[i] for i in pres]
+    ns = [exps[i] for i in range(n)]
     qs = [p ** N for N in ns]
 
     # scan order, most significant first: variable n-1, then 0 .. n-2.
@@ -338,19 +350,21 @@ def exhaustive_poly_search(P, degree_bound):
     # (D * e + j) is the unit t^j at coefficient degree_bound - D.  Row
     # m * e + s is digit s of output coefficient m, a dict of its nonzero
     # entries; zero rows are never made, and the row order does not change
-    # the reduced form.
+    # the reduced form.  A column's nonzero digits do not depend on the
+    # coefficient degree, which only shifts their rows.
     order = [n - 1] + list(range(n - 1))
     width = n * ncoef * e
     rows = {}
     for b, k in enumerate(reversed(order)):
         for j in range(e):
             col = fq.smul(gf, gf.frob_n(p ** j, ns[k]), coeffs[k])
+            entries = [(m * e + s, digit) for m, x in enumerate(col) if x
+                       for s, digit in enumerate(gf.digits(x)) if digit]
             for d in range(ncoef):
                 c = (b * ncoef + degree_bound - d) * e + j
-                for m, x in enumerate(col, d * qs[k]):
-                    for s, digit in enumerate(gf.digits(x)):
-                        if digit:
-                            rows.setdefault(m * e + s, {})[c] = digit
+                offset = d * qs[k] * e
+                for r, digit in entries:
+                    rows.setdefault(offset + r, {})[c] = digit
     reduced, pivots = rref(rows.values(), p, width)
     free = next((c for c in range(width) if c not in pivots), None)
     if free is None:
@@ -360,10 +374,10 @@ def exhaustive_poly_search(P, degree_bound):
     for row, c in zip(reduced, pivots):
         hit[c] = -row.get(free, 0) % p
     codes = [gf.undigits(hit[i:i + e]) for i in range(0, width, e)]
-    witness = [None] * n  # every variable is present: pres is 0 .. n-1
+    witness = [None] * n
     for b, k in enumerate(reversed(order)):
         witness[k] = tuple(reversed(codes[b * ncoef:(b + 1) * ncoef]))
-    point = [field.elem(w) for w in witness]
+    point = tuple(field.elem(w) for w in witness)
     if not P.evaluate(point).is_zero():
         raise RuntimeError("kernel witness does not vanish")
-    return tuple(witness)
+    return tuple(witness), point

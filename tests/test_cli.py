@@ -145,6 +145,25 @@ def test_selftest_refuses_a_non_prime_or_an_oversized_p(p, message):
     assert err == f"error: argument p: {message}\n"
 
 
+def test_library_selftest_items_share_the_cli_bound(monkeypatch):
+    """corpus.selftest_items refuses p^2 > MAX_PPOWER before it builds any
+    item, with the CLI's message; p = 61 is still listed in full."""
+    from woundcheck import corpus
+
+    def unreachable(*args):
+        raise AssertionError("an item was built for an oversized p")
+
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "_selftest_odd", unreachable)
+        m.setattr(corpus, "base_field", unreachable)
+        with pytest.raises(ValueError, match=r"^corpus degree 127\^2 exceeds the supported "
+                                             r"degree scale 4096$"):
+            corpus.selftest_items(127)
+    items = corpus.selftest_items(61)
+    assert len(items) == 18
+    assert all(callable(thunk) for _, thunk in items)
+
+
 def test_selftest_p2():
     code, out, _ = run(["selftest-paper", "2"])
     assert code == 0, out

@@ -3,9 +3,11 @@ Zech-table sum and negation of gfq, in every field with e >= 2 and
 q <= 4096, against digit-wise arithmetic mod p; the multiply-add row
 gfq.axpy that runs fqpoly's product and division; the Frobenius-digit
 power FieldElem.__pow__; the derivative d/db, a derivation whose kernel
-is k^p; Henrici's reduced sum and product of FieldElem;
-the x-adic fqpoly.gcd; fqpoly.divmod_ on sparse divisors; and the
-zero-skipping fqpoly.add, smul and mul.  The property suites run over
+is k^p; Henrici's reduced sum and product of FieldElem, with and
+without a unit denominator on either side; the lcm of
+common_denominator and clear_denominators; the x-adic fqpoly.gcd;
+fqpoly.divmod_ on sparse divisors; and the zero-skipping fqpoly.add,
+smul and mul.  The property suites run over
 p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands are drawn
 mostly as monomials c*x^k, multiples of x^j, Frobenius images and
 x^o*g(x^s), the shapes the shortcuts take, plus dense products over one
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from helpers import (dense_add, dense_divmod, dense_mul, dense_rref, dense_smul,
                      pow_by_squaring, table_fields)
 from woundcheck import fqpoly as fq
-from woundcheck.field import Field, FieldSpec, rref
+from woundcheck.field import Field, FieldSpec, clear_denominators, common_denominator, rref
 from woundcheck.gfq import GFq
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -268,21 +270,26 @@ def test_sparse_division_makes_one_row_per_quotient_term(monkeypatch):
 def fraction_pair(draw):
     """Two elements whose denominators share the factors b^j and
     (1 + b)^(p^k), in different powers, and whose numerators may carry
-    the other's factors."""
+    the other's factors.  Each of the four cases, no unit denominator,
+    a denominator 1 on the left, on the right or on both sides, is drawn
+    a quarter of the time."""
     field = Field(FieldSpec(draw(PRIMES), draw(st.integers(1, 2)), "a", draw(st.integers(0, 2))))
     gf, q = field.gf, field.spec.q
     k = draw(st.integers(0, 2))
+    units = draw(st.sampled_from(("none", "left", "right", "both")))
 
     def factor():
         f = fq.shift(fq.ONE, draw(st.integers(0, 3)))
         return fq.mul(gf, f, fq.frob(gf, (1, 1), k)) if draw(st.booleans()) else f
 
-    def elem():
+    def elem(unit):
         num = fq.mul(gf, draw(polys(q, 3)), factor())
+        if unit:
+            return field.elem(num)
         den = fq.mul(gf, factor(), fq.mul(gf, factor(), draw(polys(q, 2)) or fq.ONE))
         return field.elem(num, den)
 
-    return elem(), elem()
+    return elem(units in ("left", "both")), elem(units in ("right", "both"))
 
 
 def _canonical(x):
@@ -299,14 +306,53 @@ def test_henrici_sum_and_product_match_the_normalized_fraction(pair):
     ad, cb, bd = dense_mul(gf, a, d), dense_mul(gf, c, b), dense_mul(gf, b, d)
     results = [
         (x + y, k.elem(dense_add(gf, ad, cb), bd)),
+        (y + x, k.elem(dense_add(gf, ad, cb), bd)),
         (x - y, k.elem(dense_add(gf, ad, dense_smul(gf, gf.neg(1), cb)), bd)),
         (x * y, k.elem(dense_mul(gf, a, c), bd)),
+        (y * x, k.elem(dense_mul(gf, a, c), bd)),
+        (x + (-x), k.zero()),
+        (-y + y, k.zero()),
     ]
     if c:
         results.append((x / y, k.elem(ad, dense_mul(gf, b, c))))
     for got, want in results:
         assert got == want
         assert _canonical(got), got
+
+
+def _dense_lcm(gf, f, g):
+    """lcm(f, g), monic, as f g / gcd(f, g) with Euclid's gcd, all by the
+    dense loops."""
+    r0, r1 = f, g
+    while r1:
+        r0, r1 = r1, dense_divmod(gf, r0, r1)[1]
+    h = dense_smul(gf, gf.inv(r0[-1]), r0)
+    return dense_divmod(gf, dense_mul(gf, f, g), h)[0]
+
+
+@given(fraction_pair(), st.data())
+@PROPERTY
+def test_common_denominator_matches_the_dense_lcm(pair, data):
+    """common_denominator and clear_denominators on 1-4 elements with the
+    unit denominator 1 nowhere, first, in the middle or everywhere."""
+    x, y = pair
+    field, gf = x.field, x.field.gf
+    elems = [x, y] + data.draw(st.lists(st.sampled_from((x, y, x * y, x + y)), max_size=2))
+    place = data.draw(st.sampled_from(("nowhere", "first", "middle", "everywhere")))
+    unit = field.elem(data.draw(polys(field.spec.q, 3)))
+    if place == "first":
+        elems = [unit] + elems
+    elif place == "middle":
+        elems = elems[:1] + [unit] + elems[1:]
+    elif place == "everywhere":
+        elems = [field.elem(z.num) for z in elems] + [unit]
+    want = fq.ONE
+    for z in elems:
+        want = _dense_lcm(gf, want, z.den)
+    assert common_denominator(gf, [z.den for z in elems]) == want
+    den, nums = clear_denominators(field, elems)
+    assert den == want
+    assert nums == [dense_mul(gf, z.num, dense_divmod(gf, want, z.den)[0]) for z in elems]
 
 
 @st.composite

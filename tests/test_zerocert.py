@@ -381,6 +381,33 @@ def test_non_principal_rejected():
     k = field_fpa(3)
     with pytest.raises(ValueError):
         decide_no_nontrivial_zero(wa_poly(k))
+    with pytest.raises(ValueError):
+        exhaustive_poly_search(wa_poly(k), 3)
+
+
+def test_search_witness_is_the_element_vector_of_the_public_codes():
+    """On planted mixed-exponent instances the decision's search witness is
+    the FieldElem vector of the codes the public search returns."""
+    rng = random.Random(2323)
+    for p in (2, 3, 5, 7):
+        for e in (1, 2):
+            hits = 0
+            for _ in range(6):
+                k = field_fpa(p, depth=rng.randrange(2), e=e)
+                n = rng.choice((2, 3))
+                exps = [0, 1] + [rng.randrange(3) for _ in range(n - 2)]
+                terms = {}
+                for i, N in enumerate(rng.sample(exps, n)):
+                    c = rand_elem(k, rng, rational=True)
+                    terms[(i, N)] = c if not c.is_zero() else k.one()
+                P = plant_zero(PPoly(k, n, terms), rng, 1)
+                codes = exhaustive_poly_search(P, 3)
+                d = decide_no_nontrivial_zero(P, search_budget=500)
+                if codes is not None:
+                    hits += 1
+                    assert d.verdict == "zero" and d.stage == "search", (P, d)
+                    assert d.witness == tuple(k.elem(w) for w in codes), (P, d, codes)
+            assert hits >= 3, (p, e)
 
 
 @st.composite
