@@ -201,7 +201,7 @@ def cmd_derive(args):
     rep.add("unknowns", ", ".join(cs.ring.names))
     rep.add("constraints", len(cs.constraints))
     for (i, e), p in cs.constraints:
-        rep.add(f"constraint.{src.vars[i]}.{e}", render_poly(p, cs.ring.names))
+        rep.add(f"constraint.{src.vars[i]}.{e}", render_poly(p.to_poly(), cs.ring.names))
     rep.emit()
     return EXIT_VERIFIED
 

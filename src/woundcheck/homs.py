@@ -17,13 +17,15 @@ times the remainder of one source monomial, and each monomial at or above
 the pivot bound is divided once, with field coefficients; the generic
 map itself is never built, only its slots.  Derivation is the one place
 that checks exponent caps: every cap names a source variable, none is
-negative, and the pivot's stays below the canonical bound.
+negative, and the pivot's stays below the canonical bound.  Each
+condition is a PPoly in the unknowns, whose term (u, t) is the
+coefficient of c_u^(p^t): the type rules out a non-additive one.
 
 Every condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
-solutions are the points of an affine F_p-kernel, which it lists and
-filters to the domain, refusing a kernel whose points times unknowns
-exceed MAX_ENUM.  Both eliminations, of the domain vectors for a basis
+solutions are the points of an F_p-kernel, which it lists and filters to
+the domain, refusing a kernel whose points times unknowns exceed
+MAX_ENUM.  Both eliminations, of the domain vectors for a basis
 of the span and of the constraint matrix, are one sparse ``field.rref``:
 rows are dicts from column to a nonzero digit, and the domain vectors
 are fed one at a time, so the elimination stops reading them once they
@@ -43,7 +45,7 @@ from . import fqpoly as fq
 from .field import clear_denominators, common_denominator, rref
 from .groups import block_relations, is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
-from .polyring import Poly, RelationSet
+from .polyring import RelationSet
 from .ppoly import PPoly, reduce_mod, to_relation
 
 
@@ -166,10 +168,10 @@ class ConstraintSystem:
     target: object
     ring: ParamRing                  # the fresh unknown symbols, no relations
     slots: tuple                     # (name, coordinate, variable, exponent)
-    constraints: tuple               # ((variable, exponent), Poly over unknowns)
+    constraints: tuple               # ((variable, exponent), PPoly in the unknowns)
 
     def polys(self):
-        return tuple(p for _, p in self.constraints)
+        return tuple(p.to_poly() for _, p in self.constraints)
 
 
 def default_exponent_caps(source, target):
@@ -225,58 +227,40 @@ def derive_hom_constraints(source, target, caps=None, names=None):
 
 def _landing_constraints(source, target, slots):
     """The coefficients of F_target(generic map) reduced modulo the source
-    relation, as Polys over the slot symbols, by linearity of division.
+    relation, as p-polynomials in the slot symbols, by linearity of
+    division.
 
     Target term a X_j^(p^t) and slot c at (j, i, e) contribute a c^(p^t)
     x_i^(p^(e+t)), and the remainder of that is a c^(p^t) times the
     remainder of the monomial x_i^(p^(e+t)).  Only a pivot monomial at or
     above the pivot exponent needs dividing, once per call.  No two
-    (target term, slot) pairs share the monomial c^(p^t), so every
-    coefficient is a single nonzero product.
+    (target term, slot) pairs share the term c^(p^t), so every coefficient
+    is a single nonzero product.
     """
     field, f, pivot = source.field, source.f, source.pivot
     n0 = f.max_exp(pivot)
-    p, nunk = field.p, len(slots)
     rems = {}
     out = {}
     for (j, t), a in target.f.terms.items():
         a = field.coerce(a)
-        q = p ** t
         for s, (_, jj, i, e) in enumerate(slots):
             if jj != j:
                 continue
-            mono = (0,) * s + (q,) + (0,) * (nunk - s - 1)
             m = e + t
             if i != pivot or m < n0:
-                out.setdefault((i, m), {})[mono] = a
+                out.setdefault((i, m), {})[(s, t)] = a
                 continue
             rem = rems.get(m)
             if rem is None:
                 x = PPoly._raw(field, source.nvars, {(pivot, m): field.one()})
                 rem = rems[m] = reduce_mod(x, f, pivot).remainder.terms.items()
             for key, b in rem:
-                out.setdefault(key, {})[mono] = a * b
-    return tuple((key, Poly._raw(field, nunk, out[key])) for key in sorted(out))
+                out.setdefault(key, {})[(s, t)] = a * b
+    return tuple((key, PPoly._raw(field, len(slots), out[key])) for key in sorted(out))
 
 
 # ---------------------------------------------------------------------------
 # solving: the F_p-kernel over the span of the domain
-
-
-def _additive_slot(m, p):
-    """(unknown, e) for the monomial u^(p^e), None for the constant one."""
-    live = [(i, x) for i, x in enumerate(m) if x]
-    if not live:
-        return None
-    if len(live) == 1:
-        i, x = live[0]
-        e = 0
-        while x % p == 0:
-            x //= p
-            e += 1
-        if x == 1:
-            return i, e
-    raise ValueError(f"constraint monomial {m} is not additive in the unknowns")
 
 
 def _fp_vectors(field, elems):
@@ -302,21 +286,17 @@ def _undigits(gf, digits):
     return fq.norm([gf.undigits(digits[i:i + e]) for i in range(0, len(digits), e)])
 
 
-def _constraint_rows(gf, poly, r, ncols, nums, den, frob):
-    """The sparse F_p rows of one constraint: the digits of its column
-    numerators over one common denominator L, one row per (power of b,
-    digit) that has a nonzero entry, built only from the columns the
-    constraint touches.  The summand c d_j^(p^e) is c.num nums[j]^(p^e)
-    over c.den den^(p^e); frob memoizes (nums^(p^e), den^(p^e)) per e.
-    Scaling a constraint by L != 0 keeps its solutions, so the rows span
-    the same space as those of the reduced fractions."""
+def _constraint_rows(gf, constraint, r, nums, den, frob):
+    """The sparse F_p rows of one p-polynomial constraint: the digits of its
+    column numerators over one common denominator L, one row per (power of
+    b, digit) that has a nonzero entry, built only from the columns the
+    constraint touches.  Its term c u^(p^e) puts the summand c d_j^(p^e),
+    which is c.num nums[j]^(p^e) over c.den den^(p^e), in column u r + j;
+    frob memoizes (nums^(p^e), den^(p^e)) per e.  Scaling a constraint by
+    L != 0 keeps its solutions, so the rows span the same space as those
+    of the reduced fractions."""
     summands = []
-    for m, c in poly.terms.items():
-        slot = _additive_slot(m, gf.p)
-        if slot is None:
-            summands.append((ncols, (fq.ONE,), c.num, c.den))
-            continue
-        u, e = slot
+    for (u, e), c in constraint.terms.items():
         if e not in frob:
             frob[e] = [fq.frob(gf, n, e) for n in nums], fq.frob(gf, den, e)
         bnums, bden = frob[e]
@@ -350,8 +330,8 @@ def solve_homs_bounded(cs, domain):
     derive_hom_constraints (its slots cap each pivot exponent below the
     source's canonical bound, so no coordinate needs dividing).
 
-    Each constraint is additive in the unknowns, so over the F_p-span of the
-    domain the solutions form an affine F_p-subspace: the kernel of one
+    Each constraint is a p-polynomial in the unknowns, so over the F_p-span
+    of the domain the solutions form an F_p-subspace: the kernel of one
     matrix with a column per (unknown, span basis element).  Its points are
     listed and kept when every coordinate lies in the domain, which is all
     of them for a subspace domain.  EnumerationBudgetError is raised before
@@ -370,29 +350,26 @@ def solve_homs_bounded(cs, domain):
     r = len(dpiv)
     by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
     nums = [_undigits(gf, [row.get(c, 0) for c in range(width)]) for row in rows]
-    # one column per (unknown, d_j) and a last one for the constant term;
-    # l^p = l for l in F_p, so u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
+    # one column per (unknown, d_j); l^p = l for l in F_p, so
+    # u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
     ncols = nunk * r
     frob = {}
     matrix = []
-    for _, poly in cs.constraints:
-        matrix.extend(_constraint_rows(gf, poly, r, ncols, nums, den, frob))
-    reduced, pivots = rref(matrix, p, ncols + 1)
-    if ncols in pivots:
-        return []  # inconsistent: 1 = 0
+    for _, constraint in cs.constraints:
+        matrix.extend(_constraint_rows(gf, constraint, r, nums, den, frob))
+    reduced, pivots = rref(matrix, p, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     if p ** len(free) * nunk > MAX_ENUM:
         raise EnumerationBudgetError(
             f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")
-    forced = [(c, -row.get(ncols, 0) % p, [row.get(f, 0) for f in free])
-              for c, row in zip(pivots, reduced)]
+    forced = [(c, [row.get(f, 0) for f in free]) for c, row in zip(pivots, reduced)]
     solutions = []
     lam = [0] * ncols
     for t in itertools.product(range(p), repeat=len(free)):
         for f, v in zip(free, t):
             lam[f] = v
-        for c, rhs, coef in forced:
-            lam[c] = (rhs - sum(a * v for a, v in zip(coef, t))) % p
+        for c, coef in forced:
+            lam[c] = -sum(a * v for a, v in zip(coef, t)) % p
         sol = tuple(by_coords.get(tuple(lam[u * r:u * r + r])) for u in range(nunk))
         if all(x is not None for x in sol):
             solutions.append(sol)

@@ -19,6 +19,7 @@ import re
 
 from . import fqpoly as fq
 from .field import FieldElem
+from .params import ParamElem, ParamRing
 from .polyring import Poly, _add_terms, grlex_key
 from .ppoly import PPoly
 
@@ -32,7 +33,9 @@ class ParseError(ValueError):
 
 # Elements are dense in the working generator b, and a = b^(p^depth), so a
 # tower depth or a p-power exponent e of a variable scales degrees in b by
-# p^e; inputs may scale them by at most this much.
+# p^e; inputs may scale them by at most this much, and an integer power in
+# an input (a^k in b, a parameter's d^n, a polynomial's X^n) has at most
+# this degree.
 MAX_PPOWER = 4096
 
 
@@ -41,6 +44,13 @@ def check_ppower(p, e, what):
     refused before p^e is formed)."""
     if e >= MAX_PPOWER.bit_length() or p ** e > MAX_PPOWER:
         raise ParseError(f"{what} p^{e} exceeds the supported degree scale {MAX_PPOWER}")
+
+
+def _check_degree(n, what):
+    """n, a degree read from input; ParseError when it exceeds MAX_PPOWER."""
+    if n > MAX_PPOWER:
+        raise ParseError(f"{what}: degree {n} exceeds the supported degree scale {MAX_PPOWER}")
+    return n
 
 
 def tokenize(text):
@@ -116,9 +126,10 @@ def _gen_power(field, stream):
         stream.expect("op", ")")
         if j > spec.depth:
             raise ParseError(f"{spec.gen}^({u}/p^{j}) needs tower depth >= {j}")
-        return field.elem(fq.shift(fq.ONE, u * field.p ** (spec.depth - j)))
+        n = _check_degree(u * field.p ** (spec.depth - j), f"{spec.gen}^({u}/p^{j})")
+        return field.elem(fq.shift(fq.ONE, n))
     k = stream.expect("int")
-    return field.elem(fq.shift(fq.ONE, k * scale))
+    return field.elem(fq.shift(fq.ONE, _check_degree(k * scale, f"{spec.gen}^{k}")))
 
 
 def _literal(field, n):
@@ -131,12 +142,10 @@ def _literal(field, n):
     return field.elem((n,) if n else ())
 
 
-def _param_power(ring, name, e):
-    x = ring.param(name)
-    acc = ring.one()
-    for _ in range(e):
-        acc = acc * x
-    return acc
+def _param_power(ring, name, n):
+    """name^n in normal form modulo ring's relations."""
+    _check_degree(n, f"{name}^{n}")
+    return ParamElem(ring, Poly.variable(ring.base, len(ring.names), ring.index(name), n))
 
 
 def _term(field, ring, stream, var=None):
@@ -285,8 +294,6 @@ def parse_ppoly(text, dom, var_names):
 
     dom is a Field or a ParamRing; var_names maps names to variable slots.
     """
-    from .params import ParamRing
-
     ring = dom if isinstance(dom, ParamRing) else None
     field = ring.base if ring is not None else dom
     nvars = len(var_names)
@@ -358,7 +365,8 @@ def parse_poly(text, field, var_names):
             return None
         stream.next()
         exps = [0] * nvars
-        exps[index[name]] = stream.expect("int") if stream.accept("op", "^") else 1
+        n = stream.expect("int") if stream.accept("op", "^") else 1
+        exps[index[name]] = _check_degree(n, f"{name}^{n}")
         return exps
 
     def term():

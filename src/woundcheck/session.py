@@ -27,15 +27,13 @@ from .field import Field, FieldSpec
 from .groups import AffineLine, CocycleExtension, HypersurfaceGroup
 from .homs import PPolyMap
 from .params import ParamRing
-from .parser import ParseError, check_ppower, parse_poly, parse_ppoly
+from .parser import ParseError, check_ppower, parse_poly, parse_ppoly, render_poly, render_ppoly
 
 
 class Session:
     def __init__(self):
         self.field = None
-        self.param_names = ()
-        self.param_relations = []   # (ppoly over param space, pivot index)
-        self.ring = None            # the ParamRing, set by the params statement
+        self.ring = None            # the ParamRing: params names it, relation extends it
         self.groups = {}
         self.extensions = {}
         self.maps = {}
@@ -129,21 +127,21 @@ def _statement(s, line):
         _require_field(s)
         if s.ring is not None:
             raise ParseError("duplicate params statement")
-        names = head[len(kind):].replace(" ", "")
-        s.param_names = tuple(n for n in names.split(",") if n)
-        if not s.param_names:
+        names = tuple(n for n in head[len(kind):].replace(" ", "").split(",") if n)
+        if not names:
             raise ParseError("params statement names no parameters")
-        for n in s.param_names:
+        for n in names:
             s._claim(n)
-        s.ring = ParamRing(s.field, s.param_names)
+        s.ring = ParamRing(s.field, names)
     elif kind == "relation":
         _require_field(s)
         kv = _header(head, "pivot")
-        if kv["pivot"] not in s.param_names:
+        names = s.ring.names if s.ring is not None else ()
+        if kv["pivot"] not in names:
             raise ParseError(f"pivot {kv['pivot']!r} is not a declared parameter")
-        fp = parse_ppoly(tail, s.field, s.param_names)
-        s.param_relations.append((fp, s.param_names.index(kv["pivot"])))
-        s.ring = ParamRing(s.field, s.param_names, s.param_relations)  # validates the pivot
+        fp = parse_ppoly(tail, s.field, names)
+        relations = s.ring.ppoly_relations + ((fp, names.index(kv["pivot"])),)
+        s.ring = ParamRing(s.field, names, relations)  # validates the pivot
     elif kind == "group":
         _require_field(s)
         kv = _header(head, "name", "vars", "pivot")
@@ -183,21 +181,18 @@ def _statement(s, line):
 
 
 def render_group(g):
-    from .parser import render_ppoly
     vars_ = ",".join(g.vars)
     return (f"group {g.name} vars={vars_} pivot={g.vars[g.pivot]} : "
             f"{render_ppoly(g.f, g.vars)}")
 
 
 def render_map(m):
-    from .parser import render_ppoly
     body = " ; ".join(f"{v} -> {render_ppoly(c, m.source.vars)}"
                       for v, c in zip(m.target.vars, m.coords))
     return f"map {m.name} from={m.source.name} to={m.target.name} : {body}"
 
 
 def render_extension(e):
-    from .parser import render_poly
     hvars = e.base.vars + tuple(v + "'" for v in e.base.vars)
     body = " ; ".join(f"h{i + 1} = {render_poly(c, hvars)}" for i, c in enumerate(e.h))
     return (f"extension {e.name} center={e.center.name} base={e.base.name} : {body}")

@@ -12,7 +12,7 @@ from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldElem, FieldSpec
 from woundcheck.gfq import GFq, is_prime
 from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError, HomSolution,
-                             PPolyMap, _additive_slot, _domain_key, _fp_vectors, _undigits,
+                             PPolyMap, _domain_key, _fp_vectors, _undigits,
                              default_exponent_caps)
 from woundcheck.groups import is_line
 from woundcheck.oracle import parametrize_relation
@@ -427,7 +427,9 @@ def reference_reduce_mod(h, f, pivot):
 
 def reference_derive(source, target, caps=None, names=None):
     """The reference for ``homs.derive_hom_constraints``: it composes the
-    target with the symbolic ansatz and divides the composite.
+    target with the symbolic ansatz and divides the composite.  Its
+    constraints are Polys over the unknowns, to compare with the derived
+    system's ``polys()``.
 
     Build the generic-map constraint system characterizing Hom within the
     ansatz bounds.
@@ -481,8 +483,8 @@ def reference_solve(cs, domain):
     derive_hom_constraints (its ansatz caps each pivot exponent below the
     source's canonical bound, so no coordinate needs dividing).
 
-    Each constraint is additive in the unknowns, so over the F_p-span of the
-    domain the solutions form an affine F_p-subspace: the kernel of one
+    Each constraint is a p-polynomial in the unknowns, so over the F_p-span
+    of the domain the solutions form an F_p-subspace: the kernel of one
     matrix with a column per (unknown, span basis element).  Its points are
     listed and kept when every coordinate lies in the domain, which is all
     of them for a subspace domain.  EnumerationBudgetError is raised before
@@ -498,19 +500,14 @@ def reference_solve(cs, domain):
     r = len(dpiv)
     by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
     basis = [FieldElem(field, _undigits(field.gf, row), den) for row in rows]
-    # one column per (unknown, d_j) and a last one for the constant term;
-    # l^p = l for l in F_p, so u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
+    # one column per (unknown, d_j); l^p = l for l in F_p, so
+    # u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
     ncols = nunk * r
     frob = {}
     matrix = []
-    for _, poly in cs.constraints:
-        cols = [field.zero()] * (ncols + 1)
-        for m, c in poly.terms.items():
-            slot = _additive_slot(m, p)
-            if slot is None:
-                cols[ncols] = c
-                continue
-            u, e = slot
+    for _, constraint in cs.constraints:
+        cols = [field.zero()] * ncols
+        for (u, e), c in constraint.terms.items():
             for j, d in enumerate(basis):
                 if (j, e) not in frob:
                     frob[(j, e)] = d.frobenius(e)
@@ -518,21 +515,18 @@ def reference_solve(cs, domain):
         _, vals = _fp_vectors(field, cols)
         matrix.extend(row for row in zip(*vals) if any(row))
     reduced, pivots = dense_rref(matrix, p)
-    if ncols in pivots:
-        return []  # inconsistent: 1 = 0
     free = [c for c in range(ncols) if c not in pivots]
     if p ** len(free) * nunk > MAX_ENUM:
         raise EnumerationBudgetError(
             f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")
-    forced = [(c, (-row[ncols]) % p, [row[f] for f in free])
-              for c, row in zip(pivots, reduced)]
+    forced = [(c, [row[f] for f in free]) for c, row in zip(pivots, reduced)]
     solutions = []
     lam = [0] * ncols
     for t in itertools.product(range(p), repeat=len(free)):
         for f, v in zip(free, t):
             lam[f] = v
-        for c, rhs, coef in forced:
-            lam[c] = (rhs - sum(a * v for a, v in zip(coef, t))) % p
+        for c, coef in forced:
+            lam[c] = -sum(a * v for a, v in zip(coef, t)) % p
         sol = tuple(by_coords.get(tuple(lam[u * r:u * r + r])) for u in range(nunk))
         if all(x is not None for x in sol):
             solutions.append(sol)

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from woundcheck.cli import main
+from woundcheck.parser import MAX_PPOWER
+from woundcheck.session import parse_session
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -602,6 +604,36 @@ def test_parse_errors_name_the_token_text(tmp_path, statement, argv, message):
     code, out, err = run([argv[0], str(path)] + argv[1:])
     assert code == 3 and out == "" and _one_error_line(err)
     assert err.startswith(f"error: line 4: {message}\n")
+
+
+@pytest.mark.parametrize("demo,old,new,power,argv,line,scale", [
+    pytest.param("wound_forms.txt", "1*X^(p^1) + a*Y^(p^2)", "1*X^(p^1) + a^{n}*Y^(p^2)",
+                 "a^{n}", ["classify", "Mixed"], 9, 1, id="generator"),
+    # at depth 1, a = b^3: the bound is on the degree in b
+    pytest.param("splitting_tower.txt", "a*Y^(p^1)", "a^{n}*Y^(p^1)", "a^{n}",
+                 ["classify", "Wa"], 5, 3, id="generator-at-depth-1"),
+    pytest.param("splitting_tower.txt", "a^(1/p^1)*Y^(p^0)", "a^({n}/p^1)*Y^(p^0)",
+                 "a^({n}/p^1)", ["verify-hom", "split"], 7, 1, id="generator-root"),
+    pytest.param("hom_scheme.txt", "(d^3)*X^(p^0)", "(d^{n})*X^(p^0)", "d^{n}",
+                 ["verify-hom", "phi_b"], 12, 1, id="parameter"),
+    pytest.param("wound_forms.txt", "h1 = 1*X*X'^3", "h1 = 1*X^{n}*X'^3", "X^{n}",
+                 ["check-extension", "Ua"], 11, 1, id="polynomial"),
+])
+def test_integer_powers_are_bounded_by_the_degree_scale(tmp_path, demo, old, new, power, argv,
+                                                        line, scale):
+    """A power whose degree exceeds MAX_PPOWER is refused before it is built
+    (it used to exhaust memory or run for minutes); the largest one below
+    the bound is read."""
+    text = (DEMOS / demo).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    n = MAX_PPOWER // scale
+    parse_session(text.replace(old, new.format(n=n)))
+    path = tmp_path / demo
+    path.write_text(text.replace(old, new.format(n=n + 1)), encoding="utf-8")
+    code, out, err = run([argv[0], str(path)] + argv[1:])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith(f"error: line {line}: {power.format(n=n + 1)}: degree "
+                          f"{(n + 1) * scale} exceeds the supported degree scale 4096\n")
 
 
 @pytest.mark.parametrize("params,line,message", [

@@ -16,8 +16,8 @@ from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError,
                              verify_mutual_inverse)
 from woundcheck.oracle import random_point_oracle
 from woundcheck.params import ParamElem, ParamRing
-from woundcheck.parser import parse_poly, render_poly
-from woundcheck.polyring import Poly, is_identically_zero
+from woundcheck.parser import parse_poly, parse_ppoly, render_poly
+from woundcheck.polyring import is_identically_zero
 from woundcheck.ppoly import PPoly
 
 
@@ -190,17 +190,6 @@ def test_solve_hom_vu_matches_w_points():
         assert summed.coords in maps
 
 
-def test_contradictory_system_is_empty():
-    k = k3()
-    cs = derive_hom_constraints(corpus.group_va(k), corpus.group_u(k))
-    from woundcheck.homs import ConstraintSystem
-    from woundcheck.polyring import Poly
-    one = Poly.constant(k, len(cs.ring.names), k.one())
-    cs_bad = ConstraintSystem(cs.source, cs.target, cs.ring, cs.slots,
-                              cs.constraints + (((0, 0), one),))
-    assert solve_homs_bounded(cs_bad, [k.zero(), k.one()]) == []
-
-
 def test_enumeration_budget_guard():
     k = k3()
     cs = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: 5})
@@ -303,10 +292,9 @@ def test_solver_matches_brute_force_on_non_subspace_domain():
 
 def _system(k, nunk, *texts):
     """The split line -> Ga ansatz with nunk unknowns and the given
-    constraints over them."""
-    from woundcheck.homs import ConstraintSystem
+    p-polynomial constraints in them."""
     cs = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: nunk - 1})
-    extra = tuple(((0, 0), parse_poly(t, k, cs.ring.names)) for t in texts)
+    extra = tuple(((0, 0), parse_ppoly(t, k, cs.ring.names)) for t in texts)
     return ConstraintSystem(cs.source, cs.target, cs.ring, cs.slots, extra)
 
 
@@ -316,35 +304,17 @@ def test_solver_matches_brute_force_with_rational_domain():
     inv = a.inverse()
     domain = [k.from_int(c0) + k.from_int(c1) * inv for c0 in range(3) for c1 in range(3)]
     domain += [a, a + inv]  # not closed: a + 1/a + a is missing
-    cs = _system(k, 2, "a*c0_X_0 - 1", "c0_X_1^3 - c0_X_0^3")
-    assert solved_points(cs, domain) == brute_force(cs, domain) == [(inv, inv)]
+    # v^3 = a u: the cube root of a c0 + c1 is in the domain only for c0 = 0
+    cs = _system(k, 2, "a*c0_X_0 - c0_X_1^(p)")
+    want = brute_force(cs, domain)
+    assert set(want) == {(k.zero(), k.zero()), (inv, k.one()), (2 * inv, k.from_int(2))}
+    assert solved_points(cs, domain) == want
     # (u - a v)^3 + (u - a v) = 0 forces u = a v; a + 1 = a * (1 + 1/a) is missing
-    cs = _system(k, 2, "c0_X_0^3 - a^3*c0_X_1^3 + c0_X_0 - a*c0_X_1")
+    cs = _system(k, 2, "c0_X_0^(p) - a^3*c0_X_1^(p) + c0_X_0 - a*c0_X_1")
     want = brute_force(cs, domain)
     assert set(want) == {(k.zero(), k.zero()), (k.one(), inv), (k.from_int(2), 2 * inv),
                          (a, k.one())}
     assert solved_points(cs, domain) == want
-
-
-def test_affine_constraints_consistent_and_inconsistent():
-    k = k3()
-    domain = poly_elements(k, 1)
-    # u^3 - u = λ1 (a^3 - a) for u = λ0 + λ1 a
-    consistent = _system(k, 1, "c0_X_0^3 - c0_X_0 - a^3 + a")
-    want = brute_force(consistent, domain)
-    assert [x for (x,) in want] == sorted((k.base_gen() + c for c in range(3)),
-                                          key=lambda x: (x.den, x.num))
-    assert solved_points(consistent, domain) == want
-    inconsistent = _system(k, 1, "c0_X_0^3 - c0_X_0 - 1")
-    assert brute_force(inconsistent, domain) == []
-    assert solve_homs_bounded(inconsistent, domain) == []
-
-
-def test_non_additive_monomial_raises():
-    k = k3()
-    for text in ("c0_X_0*c0_X_1", "c0_X_0^2", "c0_X_0^3 + c0_X_1^6"):
-        with pytest.raises(ValueError, match="not additive"):
-            solve_homs_bounded(_system(k, 2, text), [k.zero(), k.one()])
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +349,12 @@ def test_solver_exact_for_large_characteristic():
     # products of residues overflow 64-bit integers here
     from woundcheck.field import Field, FieldSpec
     k = Field(FieldSpec(4_294_967_311))
-    cs = _system(k, 2, "3*c0_X_0 + 5*c0_X_1 - 7", "11*c0_X_0 - 13*c0_X_1 + 17")
     u, v = k.from_int(3) / k.from_int(47), k.from_int(64) / k.from_int(47)
     domain = [k.zero(), k.one(), u, v]
-    assert brute_force(cs, domain) == [(u, v)]
-    assert solved_points(cs, domain) == [(u, v)]
+    zero = (k.zero(), k.zero())
+    cs = _system(k, 2, "3*c0_X_0 + 5*c0_X_1", "11*c0_X_0 - 13*c0_X_1")
+    assert brute_force(cs, domain) == [zero]
+    assert solved_points(cs, domain) == [zero]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +372,8 @@ def _corpus_systems(p):
 def _same_system(got, want):
     assert got.ring == want.ring
     assert got.slots == want.slots
-    assert got.constraints == want.constraints
+    assert [key for key, _ in got.constraints] == [key for key, _ in want.constraints]
+    assert got.polys() == tuple(q for _, q in want.constraints)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -419,7 +391,7 @@ def test_derive_rendering_is_pinned():
             cs = derive_hom_constraints(src, tgt)
             lines.append(f"p={p} {s}->{t} unknowns: {', '.join(cs.ring.names)}")
             lines += [f"constraint.{src.vars[i]}.{e}: {render_poly(q, cs.ring.names)}"
-                      for (i, e), q in cs.constraints]
+                      for ((i, e), _), q in zip(cs.constraints, cs.polys())]
     assert len(lines) == 528
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "62c71de9c94641c6a5427742cc648dc71922b9ad57e834cc91a9542fd77528cb"
@@ -491,10 +463,12 @@ def test_derive_matches_reference_on_random_groups(case):
 def _rational_systems(draw):
     """A split line -> Ga system over F_4 or F_9 at depth 1-2 with 1-2
     unknowns, and a domain holding 0, 1/a, 1/(a+1), a random element and
-    a planted point.  The constraints have rational coefficients in
-    u^(p^0..2): 1-2 random ones (0-1 beside a tie), shifted to vanish at the point, and with
-    two unknowns maybe a tie c (u0^(p^x) - u1^(p^x)) + c' (u0^(p^y) -
-    u1^(p^y)), for which the point is (v, v) and more solutions exist."""
+    a planted nonzero point.  The constraints are p-polynomials with
+    rational coefficients in u^(p^0..2): 1-2 random ones (0-1 beside a
+    tie), each with one coefficient chosen so that it vanishes at the
+    point, and with two unknowns maybe a tie c (u0^(p^x) - u1^(p^x)) +
+    c' (u0^(p^y) - u1^(p^y)), for which the point is (v, v) and more
+    solutions exist."""
     p = draw(st.sampled_from((2, 3)))
     k = Field(FieldSpec(p, 2, "a", draw(st.integers(1, 2))))
     a = k.base_gen()
@@ -509,20 +483,19 @@ def _rational_systems(draw):
         terms = {}
         for x in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)):
             c = _nonzero_elem(draw, k)
-            terms[(p ** x, 0)], terms[(0, p ** x)] = c, -c
-        constraints.append(((0, 0), Poly(k, nunk, terms)))
+            terms[(0, x)], terms[(1, x)] = c, -c
+        constraints.append(((0, 0), PPoly(k, nunk, terms)))
     domain = list(dict.fromkeys(domain + point))
     for _ in range(draw(st.integers(0, 1) if tie else st.integers(1, 2))):
         terms = {}
         for u in range(nunk):
             for x in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)):
-                m = [0] * nunk
-                m[u] = p ** x
-                terms[tuple(m)] = _nonzero_elem(draw, k)
-        const = -Poly(k, nunk, terms).evaluate(point)
-        if const:
-            terms[(0,) * nunk] = const
-        constraints.append(((0, 0), Poly(k, nunk, terms)))
+                terms[(u, x)] = _nonzero_elem(draw, k)
+        u, x = draw(st.sampled_from(sorted(terms)))
+        del terms[(u, x)]
+        rest = PPoly(k, nunk, terms).evaluate(point)
+        terms[(u, x)] = -rest / point[u].frobenius(x)
+        constraints.append(((0, 0), PPoly(k, nunk, terms)))
     return (ConstraintSystem(base.source, base.target, base.ring, base.slots,
                              tuple(constraints)), domain)
 

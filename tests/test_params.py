@@ -6,6 +6,7 @@ from helpers import field_fpa, ppoly, rand_elem
 from woundcheck import corpus
 from woundcheck.homs import derive_hom_constraints
 from woundcheck.params import ParamElem, ParamRing, flatten_ppoly
+from woundcheck.parser import parse_ppoly
 from woundcheck.polyring import Poly
 from woundcheck.ppoly import PPoly
 
@@ -38,6 +39,16 @@ def test_relation_reduces_pivot_powers():
     assert d.frobenius(2) == d - a * e.frobenius(1)
     # the relation itself normalizes to zero
     assert (d.frobenius(2) - d + a * e.frobenius(1)).is_zero()
+
+
+def test_parameter_power_is_the_iterated_product():
+    k = field_fpa(3)
+    ring = w_ring(k)
+    for name in ring.names:
+        x, acc = ring.param(name), ring.one()
+        for n in range(51):
+            assert parse_ppoly(f"({name}^{n})*X", ring, ["X"]).coeff(0, 0) == acc, (name, n)
+            acc = acc * x
 
 
 def test_relation_pivot_must_be_unit():
