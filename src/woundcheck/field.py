@@ -412,6 +412,17 @@ def rref(rows, p, width):
     return [basis[c] for c in pivots], pivots
 
 
+def kernel_basis(reduced, pivots, width, p):
+    """The kernel mod p of ``rref``'s output, as (f, vector) per free column f
+    in increasing f, each made when asked for: 1 at f, -row[f] at each pivot."""
+    pivot_set = set(pivots)
+    for f in range(width):
+        if f not in pivot_set:
+            v = {c: -row[f] % p for c, row in zip(pivots, reduced) if f in row}
+            v[f] = 1
+            yield f, v
+
+
 def _axpy(a, f, b, p):
     """a += f * b mod p on sparse rows, in place, dropping the zeros."""
     for k, v in b.items():

@@ -14,35 +14,35 @@ relation.  Division by a pivoted p-polynomial is linear in the dividend
 (Ore 1933): each step's multiplier is a dividend coefficient times a
 fixed p-polynomial.  So the reduced composite is a sum of a c^(p^t)
 times the remainder of one source monomial, and each monomial at or above
-the pivot bound is divided once, with field coefficients; the generic
-map itself is never built, only its slots.  Derivation is the one place
-that checks exponent caps: every cap names a source variable, none is
-negative, and the pivot's stays below the canonical bound.  Each
-condition is a PPoly in the unknowns, whose term (u, t) is the
-coefficient of c_u^(p^t): the type rules out a non-additive one.
+the pivot bound is divided once, in one step from the p-th power of the
+remainder below it; the generic map is never built, only its slots.
+Derivation is the one place that checks exponent caps: every cap names a
+source variable, none is negative, and the pivot's stays below the
+canonical bound.  Each condition is a PPoly in the unknowns, whose term
+(u, t) is the coefficient of c_u^(p^t): the type rules out a non-additive one.
 
 Every condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
-solutions are the points of an F_p-kernel, which it lists and filters to
-the domain, refusing a kernel whose points times unknowns exceed
-MAX_ENUM.  Both eliminations, of the domain vectors for a basis
-of the span and of the constraint matrix, are one sparse ``field.rref``:
-rows are dicts from column to a nonzero digit, and the domain vectors
-are fed one at a time, so the elimination stops reading them once they
-span every digit column.  A constraint's rows are the base-p digits of
-its column numerators over one common denominator, read off F_q[b]
-polynomials, and hold only the columns the constraint touches: scaling a
-constraint by a nonzero polynomial keeps its solutions, so the reduced
-matrix does not depend on that choice.  The slots keep every pivot
-exponent below the canonical bound, so each satisfying map it returns is
-already canonical.
+solutions are the F_p-combinations of a sparse kernel basis
+(``field.kernel_basis``); it looks up only the unknowns that the basis
+moves, reads every other one as 0 once, and refuses a kernel whose points
+times unknowns exceed MAX_ENUM.  Both eliminations, of the domain vectors
+for a basis of the span and of the constraint matrix, are one sparse
+``field.rref``: rows are dicts from column to a nonzero digit, and the
+domain vectors are fed one at a time, so the elimination stops reading
+them once they span every digit column.  A constraint's rows are the
+base-p digits of its column numerators over one common denominator, read
+off F_q[b] polynomials, and hold only the columns the constraint touches:
+scaling a constraint by a nonzero polynomial keeps its solutions, so the
+reduced matrix does not depend on that choice.  The slots keep every
+pivot exponent below the canonical bound, so each satisfying map it
+returns is already canonical.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import fqpoly as fq
-from .field import clear_denominators, common_denominator, rref
+from .field import clear_denominators, common_denominator, kernel_basis, rref
 from .groups import block_relations, is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
 from .polyring import RelationSet
@@ -233,7 +233,9 @@ def _landing_constraints(source, target, slots):
     Target term a X_j^(p^t) and slot c at (j, i, e) contribute a c^(p^t)
     x_i^(p^(e+t)), and the remainder of that is a c^(p^t) times the
     remainder of the monomial x_i^(p^(e+t)).  Only a pivot monomial at or
-    above the pivot exponent needs dividing, once per call.  No two
+    above the pivot exponent needs dividing, once per call, in one step: it
+    is R^p plus a multiple of f for the remainder R of the monomial below
+    it, so by uniqueness its remainder is that of R^p.  No two
     (target term, slot) pairs share the term c^(p^t), so every coefficient
     is a single nonzero product.
     """
@@ -250,11 +252,11 @@ def _landing_constraints(source, target, slots):
             if i != pivot or m < n0:
                 out.setdefault((i, m), {})[(s, t)] = a
                 continue
-            rem = rems.get(m)
-            if rem is None:
-                x = PPoly._raw(field, source.nvars, {(pivot, m): field.one()})
-                rem = rems[m] = reduce_mod(x, f, pivot).remainder.terms.items()
-            for key, b in rem:
+            if m not in rems:
+                x = rems.get(m - 1)
+                x = PPoly.variable(field, source.nvars, pivot, m) if x is None else x.frob_power(1)
+                rems[m] = reduce_mod(x, f, pivot).remainder
+            for key, b in rems[m].terms.items():
                 out.setdefault(key, {})[(s, t)] = a * b
     return tuple((key, PPoly._raw(field, len(slots), out[key])) for key in sorted(out))
 
@@ -301,7 +303,8 @@ def _constraint_rows(gf, constraint, r, nums, den, frob):
             frob[e] = [fq.frob(gf, n, e) for n in nums], fq.frob(gf, den, e)
         bnums, bden = frob[e]
         summands.append((u * r, bnums, c.num, c.den if bden == fq.ONE else fq.mul(gf, c.den, bden)))
-    lcm = common_denominator(gf, (d for *_, d in summands))
+    dens = [d for *_, d in summands if d != fq.ONE]
+    lcm = common_denominator(gf, dens) if dens else fq.ONE
     cols = {}
     for col, bnums, num, d in summands:
         if d != lcm:
@@ -332,10 +335,12 @@ def solve_homs_bounded(cs, domain):
 
     Each constraint is a p-polynomial in the unknowns, so over the F_p-span
     of the domain the solutions form an F_p-subspace: the kernel of one
-    matrix with a column per (unknown, span basis element).  Its points are
-    listed and kept when every coordinate lies in the domain, which is all
-    of them for a subspace domain.  EnumerationBudgetError is raised before
-    listing when p^dim(kernel) * #unknowns exceeds MAX_ENUM.
+    matrix with a column per (unknown, span basis element).  Its points,
+    the F_p-combinations of a sparse basis, are kept when every unknown the
+    basis moves lies in the domain, and the others are 0, read once: all
+    for a subspace domain, none for a domain without 0 and a fixed unknown.
+    EnumerationBudgetError is raised before listing when p^dim(kernel) *
+    #unknowns exceeds MAX_ENUM.
     """
     field = cs.ring.base
     gf = field.gf
@@ -357,29 +362,38 @@ def solve_homs_bounded(cs, domain):
     matrix = []
     for _, constraint in cs.constraints:
         matrix.extend(_constraint_rows(gf, constraint, r, nums, den, frob))
-    reduced, pivots = rref(matrix, p, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    if p ** len(free) * nunk > MAX_ENUM:
+    basis = dict(kernel_basis(*rref(matrix, p, ncols), ncols, p))
+    if p ** len(basis) * nunk > MAX_ENUM:
         raise EnumerationBudgetError(
-            f"listing {p}^{len(free)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")
-    forced = [(c, [row.get(f, 0) for f in free]) for c, row in zip(pivots, reduced)]
-    solutions = []
-    lam = [0] * ncols
-    for t in itertools.product(range(p), repeat=len(free)):
-        for f, v in zip(free, t):
-            lam[f] = v
-        for c, coef in forced:
-            lam[c] = -sum(a * v for a, v in zip(coef, t)) % p
-        sol = tuple(by_coords.get(tuple(lam[u * r:u * r + r])) for u in range(nunk))
-        if all(x is not None for x in sol):
-            solutions.append(sol)
-    solutions.sort(key=lambda sol: [_domain_key(v) for v in sol])
+            f"listing {p}^{len(basis)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")
+    moving = sorted({c // r for v in basis.values() for c in v})
+    zero = by_coords.get((0,) * r)
+    points, lam = [], [0] * ncols
+    if zero is not None or len(moving) == nunk:
+        # an odometer: the vector of free column f turns lam[f], and its p-th
+        # addition carries; the last turns fastest, so points come nearly sorted
+        while True:
+            try:
+                points.append([by_coords[tuple(lam[u * r:u * r + r])] for u in moving])
+            except KeyError:
+                pass
+            for f, v in reversed(basis.items()):
+                for c, x in v.items():
+                    lam[c] = (lam[c] + x) % p
+                if lam[f]:
+                    break
+            else:
+                break
+    # the fixed unknowns agree across the points, so the moving ones order them
+    points.sort(key=lambda vals: [_domain_key(v) for v in vals])
     out = []
-    for sol in solutions:
-        terms = [{} for _ in range(cs.target.nvars)]
-        for (_, j, i, e), v in zip(cs.slots, sol):
-            if v:
-                terms[j][(i, e)] = v
+    for vals in points:
+        sol, terms = [zero] * nunk, [{} for _ in range(cs.target.nvars)]
+        for u, x in zip(moving, vals):
+            sol[u] = x
+            if x:
+                _, j, i, e = cs.slots[u]
+                terms[j][(i, e)] = x
         coords = tuple(PPoly._raw(cs.source.field, cs.source.nvars, t) for t in terms)
         m = PPolyMap(f"sol{len(out)}", cs.source, cs.target, coords)
         out.append(HomSolution(dict(zip(cs.ring.names, sol)), m))

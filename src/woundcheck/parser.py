@@ -106,6 +106,9 @@ class _Stream:
     def done(self):
         return self.i >= len(self.toks)
 
+    def text(self, start):
+        return "".join(str(v) for _, v in self.toks[start:self.i])
+
 
 # ---------------------------------------------------------------------------
 # field elements
@@ -157,6 +160,7 @@ def _term(field, ring, stream, var=None):
     """
     acc = ring.one() if ring is not None else field.one()
     factors = []
+    start = stream.i
     while True:
         kind, val = stream.peek()
         if kind == "int":
@@ -178,6 +182,8 @@ def _term(field, ring, stream, var=None):
             raise ParseError(f"unknown name {val!r}")
         else:
             raise ParseError(f"expected a factor, got {_shown(stream.peek())}")
+        for m, c in acc.poly.terms.items() if isinstance(acc, ParamElem) else [((), acc)]:
+            _check_degree(max(len(c.num) - 1, len(c.den) - 1, *m), stream.text(start))
         if not stream.accept("op", "*"):
             break
     return factors, acc
@@ -370,8 +376,11 @@ def parse_poly(text, field, var_names):
         return exps
 
     def term():
+        start = stream.i
         powers, coef = _term(field, None, stream, var)
-        return tuple(map(sum, zip([0] * nvars, *powers))), coef
+        exps = tuple(map(sum, zip([0] * nvars, *powers)))
+        _check_degree(max(exps, default=0), stream.text(start))
+        return exps, coef
 
     terms = _add_terms({}, _sum(stream, term))
     return _done(stream, Poly._raw(field, nvars, terms))

@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import fqpoly as fq
-from .field import Field, FieldElem, clear_denominators, rref
+from .field import Field, FieldElem, clear_denominators, kernel_basis, rref
 
 
 @dataclass(frozen=True)
@@ -317,7 +317,7 @@ def exhaustive_poly_search(P, degree_bound):
     order, each variable's coefficients from degree 0, most significant
     first, and each coefficient's code in increasing order (digit e-1 most
     significant): with the columns least significant first, that is the
-    kernel vector of the first free column.
+    first vector of ``field.kernel_basis``, the one of the first free column.
     """
     if P != P.principal_part():
         raise ValueError("input must equal its own principal part")
@@ -365,15 +365,10 @@ def _poly_search(P, degree_bound):
                 offset = d * qs[k] * e
                 for r, digit in entries:
                     rows.setdefault(offset + r, {})[c] = digit
-    reduced, pivots = rref(rows.values(), p, width)
-    free = next((c for c in range(width) if c not in pivots), None)
-    if free is None:
+    _, hit = next(kernel_basis(*rref(rows.values(), p, width), width, p), (None, None))
+    if hit is None:
         return None
-    hit = [0] * width
-    hit[free] = 1
-    for row, c in zip(reduced, pivots):
-        hit[c] = -row.get(free, 0) % p
-    codes = [gf.undigits(hit[i:i + e]) for i in range(0, width, e)]
+    codes = [gf.undigits([hit.get(i + s, 0) for s in range(e)]) for i in range(0, width, e)]
     witness = [None] * n
     for b, k in enumerate(reversed(order)):
         witness[k] = tuple(reversed(codes[b * ncoef:(b + 1) * ncoef]))

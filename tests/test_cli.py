@@ -636,6 +636,36 @@ def test_integer_powers_are_bounded_by_the_degree_scale(tmp_path, demo, old, new
                           f"{(n + 1) * scale} exceeds the supported degree scale 4096\n")
 
 
+@pytest.mark.parametrize("demo,old,new,argv,line,accepted,refused,what", [
+    # used to be accepted: classify ran for 1.6 s, printed a^16384*Y^(p^1)
+    # and exited 2
+    pytest.param("wound_forms.txt", "+ 1*X^(p^1) + a*Y^(p^1)\ngroup Va",
+                 "+ 1*X^(p^1) + {f}*Y^(p^1)\ngroup Va", ["classify", "Wa"], 5,
+                 "a^2048*a^2048", "a^4096*a^4096*a^4096*a^4096", "a^4096*a^4096",
+                 id="generator"),
+    pytest.param("hom_scheme.txt", "(d^3)*X^(p^0)", "({f})*X^(p^0)", ["verify-hom", "phi_b"],
+                 12, "e^2048*e^2048", "e^4096*e^4096", "e^4096*e^4096", id="parameter"),
+    # used to run check-extension for more than 20 s
+    pytest.param("wound_forms.txt", "h1 = 1*X*X'^3", "h1 = {f}", ["check-extension", "Ua"],
+                 11, "1*X^2048*X^2048*X'^3", "1*X^4096*X^4096*X'^3", "1*X^4096*X^4096*X'^3",
+                 id="polynomial"),
+])
+def test_term_degrees_are_bounded_by_the_degree_scale(tmp_path, demo, old, new, argv, line,
+                                                      accepted, refused, what):
+    """The bound holds for a term's product of factors, not only for each
+    factor: a product at the degree scale is read, and one over it makes
+    the command exit 3 naming the product read so far."""
+    text = (DEMOS / demo).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    parse_session(text.replace(old, new.format(f=accepted)))
+    path = tmp_path / demo
+    path.write_text(text.replace(old, new.format(f=refused)), encoding="utf-8")
+    code, out, err = run([argv[0], str(path)] + argv[1:])
+    assert code == 3 and out == "" and _one_error_line(err)
+    assert err.startswith(f"error: line {line}: {what}: degree 8192 exceeds the supported "
+                          f"degree scale 4096\n")
+
+
 @pytest.mark.parametrize("params,line,message", [
     pytest.param("params\n", 2, "params statement names no parameters", id="empty"),
     # the empty statement used to leave no names, so the second passed the

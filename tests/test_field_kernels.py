@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from helpers import (dense_add, dense_divmod, dense_mul, dense_rref, dense_smul,
                      pow_by_squaring, table_fields)
 from woundcheck import fqpoly as fq
-from woundcheck.field import Field, FieldSpec, clear_denominators, common_denominator, rref
+from woundcheck.field import (Field, FieldSpec, clear_denominators, common_denominator,
+                              kernel_basis, rref)
 from woundcheck.gfq import GFq
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -421,6 +422,30 @@ def test_rref_is_the_reduced_form_of_the_dense_elimination(p, shape, data):
         assert len(pivots) < len(rows)
     if shape in ("zero", "empty"):
         assert got == [] and pivots == []
+
+
+@pytest.mark.parametrize("shape", ("empty", "zero", "tall", "full_rank", "deficient"))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 4_294_967_311))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, database=None)
+def test_kernel_basis_spans_the_kernel_of_the_dense_elimination(p, shape, data):
+    """One vector per free column of the dense elimination, keyed by it in
+    increasing order, with a 1 there and a 0 at every other free column:
+    each is annihilated by every row, and together they are independent, so
+    they span the kernel."""
+    rows = data.draw(fp_matrices(p, shape))
+    ncols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    basis = dict(kernel_basis(*rref(sparse, p, ncols), ncols, p))
+    want_pivots = dense_rref(rows, p)[1]
+    free = [c for c in range(ncols) if c not in want_pivots]
+    assert list(basis) == free
+    vecs = [[v.get(c, 0) for c in range(ncols)] for v in basis.values()]
+    for f, v, dense in zip(free, basis.values(), vecs):
+        assert all(x and 0 <= x < p for x in v.values())
+        assert dense[f] == 1 and not any(dense[g] for g in free if g != f)
+        assert all(sum(a * x for a, x in zip(row, dense)) % p == 0 for row in rows)
+    assert len(dense_rref(vecs, p)[1]) == len(vecs)
 
 
 def test_rref_reads_no_row_after_the_rank_is_full():

@@ -16,7 +16,7 @@ from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError,
                              verify_mutual_inverse)
 from woundcheck.oracle import random_point_oracle
 from woundcheck.params import ParamElem, ParamRing
-from woundcheck.parser import parse_poly, parse_ppoly, render_poly
+from woundcheck.parser import parse_poly, parse_ppoly, render_elem, render_poly, render_ppoly
 from woundcheck.polyring import is_identically_zero
 from woundcheck.ppoly import PPoly
 
@@ -317,6 +317,26 @@ def test_solver_matches_brute_force_with_rational_domain():
     assert solved_points(cs, domain) == want
 
 
+def test_solver_on_a_domain_without_zero():
+    """An unknown that the kernel fixes at 0 has no value in a domain
+    without 0, so there is no point; when every unknown moves, the points
+    are brute force's."""
+    k = k3()
+    a = k.base_gen()
+    inv = a.inverse()
+    domain = [k.one(), k.from_int(2), inv, 2 * inv, a, a + inv]
+    cs = _system(k, 3, "c0_X_0 - c0_X_1", "c0_X_2")
+    assert brute_force(cs, domain) == solved_points(cs, domain) == []
+    cs = _system(k, 2, "c0_X_0 - c0_X_1")
+    want = brute_force(cs, domain)
+    assert len(want) == len(domain)
+    assert solved_points(cs, domain) == want
+    cs = _system(k, 2, "a*c0_X_0 - c0_X_1^(p)")
+    want = brute_force(cs, domain)
+    assert set(want) == {(inv, k.one()), (2 * inv, k.from_int(2))}
+    assert solved_points(cs, domain) == want
+
+
 # ---------------------------------------------------------------------------
 # pairs the earlier enumerating solver could not finish within a second
 
@@ -395,6 +415,24 @@ def test_derive_rendering_is_pinned():
     assert len(lines) == 528
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "62c71de9c94641c6a5427742cc648dc71922b9ad57e834cc91a9542fd77528cb"
+
+
+def test_solver_output_is_pinned():
+    """Every solution's name, values and coordinates for the corpus pairs
+    and line targets over fq and deg1 at p = 2 and over fq at p = 5, pinned
+    on the solver that recomputed every pivot coordinate of every point."""
+    lines = []
+    for p, degs in ((2, (0, 1)), (5, (0,))):
+        for deg in degs:
+            for s, t, src, tgt in _corpus_systems(p):
+                cs = derive_hom_constraints(src, tgt)
+                for sol in solve_homs_bounded(cs, poly_elements(src.field, deg)):
+                    values = ", ".join(f"{n}={render_elem(sol.values[n])}" for n in cs.ring.names)
+                    coords = " ; ".join(render_ppoly(c, src.vars) for c in sol.map.coords)
+                    lines.append(f"p={p} deg{deg} {s}->{t} {sol.map.name}: {values} | {coords}")
+    assert len(lines) == 8862
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9ca2994e685cefd2d246768a2f79274318e48768deeec384ad3994e2629c264b"
 
 
 def test_derive_makes_no_symbolic_product(monkeypatch):
@@ -514,13 +552,13 @@ def test_solver_matches_reference_over_rational_domains(case):
 @st.composite
 def _subspace_systems(draw):
     """A derived system from a random group in 1-2 variables to another
-    such group or to itself, over F_5 or F_7 at depth 0-1, every cap 0,
+    such group or to itself, over F_5, F_7 or F_25 at depth 0-1, every cap 0,
     and a domain that is the whole F_p-span of 1-2 elements: maybe 1, so
     that an endomorphism system has the multiples of the identity among
     its solutions, and random ones, rational ones included.  At most 4
     kernel columns, so at most 7^4 points are listed."""
-    p = draw(st.sampled_from((5, 7)))
-    k = Field(FieldSpec(p, 1, "a", draw(st.integers(0, 1))))
+    p, e = draw(st.sampled_from(((5, 1), (7, 1), (5, 2))))
+    k = Field(FieldSpec(p, e, "a", draw(st.integers(0, 1))))
     src = draw(_random_group(k, "S", max_vars=2))
     tgt = src if draw(st.booleans()) else draw(_random_group(k, "T", max_vars=2))
     caps = {i: 0 for i in range(src.nvars)}
