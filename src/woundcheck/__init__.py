@@ -16,19 +16,36 @@ Subpackage map:
   F_p-kernel solving of homomorphisms over finite coefficient domains;
 * ``parser``, ``session``, ``corpus``, ``cli`` -- the text front end and
   the built-in regression corpus.
+
+Exports are lazy (PEP 562): ``import woundcheck`` loads no submodule, and
+the first use of a name imports the module that defines it.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .field import Field, FieldElem, FieldSpec  # noqa: F401
-from .ppoly import PPoly, ReductionTrace, is_smooth, reduce_mod, to_relation  # noqa: F401
-from .polyring import Poly, Relation, RelationSet, is_identically_zero, normal_form  # noqa: F401
-from .params import ParamRing, ParamElem  # noqa: F401
-from .zerocert import ZeroDecision, decide_no_nontrivial_zero, exhaustive_poly_search  # noqa: F401
-from .groups import (AffineLine, ClassificationReport, CocycleExtension,  # noqa: F401
-                     HypersurfaceGroup, check_biadditive, check_group_axioms,
-                     check_lands_in, classify, is_commutative, twist_group)
-from .homs import (ConstraintSystem, PPolyMap, canonical_form,  # noqa: F401
-                   derive_hom_constraints, relative_frobenius, solve_homs_bounded,
-                   verify_hom, verify_mutual_inverse)
-from .oracle import random_point_oracle  # noqa: F401
+_EXPORTS = {
+    "field": "Field FieldElem FieldSpec",
+    "ppoly": "PPoly ReductionTrace is_smooth reduce_mod to_relation",
+    "polyring": "Poly Relation RelationSet is_identically_zero normal_form",
+    "params": "ParamRing ParamElem",
+    "zerocert": "ZeroDecision decide_no_nontrivial_zero exhaustive_poly_search",
+    "groups": "AffineLine ClassificationReport CocycleExtension HypersurfaceGroup check_biadditive "
+              "check_group_axioms check_lands_in classify is_commutative twist_group",
+    "homs": "ConstraintSystem PPolyMap canonical_form derive_hom_constraints relative_frobenius "
+            "solve_homs_bounded verify_hom verify_mutual_inverse",
+    "oracle": "random_point_oracle",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -34,28 +34,36 @@ is never run:
 and an element built with denominator 1 is already normalized.
 """
 
-from dataclasses import dataclass
-
 from . import fqpoly as fq
 from .gfq import GFq, is_prime
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    p: int
-    e: int = 1
-    gen: str = "a"
-    depth: int = 0
+class FieldSpec(Record):
+    __slots__ = ("p", "e", "gen", "depth")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.e < 1:
+    def __init__(self, p, e=1, gen="a", depth=0):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if e < 1:
             raise ValueError("e must be >= 1")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be >= 0")
-        if not self.gen.isidentifier():
-            raise ValueError(f"bad generator name {self.gen!r}")
+        if not gen.isidentifier():
+            raise ValueError(f"bad generator name {gen!r}")
+        self.p = p
+        self.e = e
+        self.gen = gen
+        self.depth = depth
+
+    # written out for speed: FieldElem hashes and compares by its spec
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.e, self.gen, self.depth) == (other.p, other.e, other.gen, other.depth)
+
+    def __hash__(self):
+        return hash((self.p, self.e, self.gen, self.depth))
 
     @property
     def q(self):

@@ -14,11 +14,10 @@ identity behind associativity, the identity and inverse laws, and
 commutativity, all as polynomial identities modulo the V relations.
 """
 
-from dataclasses import dataclass
-
 from .polyring import Poly, RelationSet, is_identically_zero
 from .ppoly import PPoly, is_smooth, to_relation
-from .zerocert import ZeroDecision, decide_no_nontrivial_zero
+from .record import Record
+from .zerocert import decide_no_nontrivial_zero
 
 
 class AffineLine:
@@ -45,23 +44,23 @@ def is_line(g):
     return isinstance(g, AffineLine)
 
 
-@dataclass(frozen=True)
-class HypersurfaceGroup:
-    name: str
-    vars: tuple
-    f: PPoly
-    pivot: int
+class HypersurfaceGroup(Record):
+    __slots__ = ("name", "vars", "f", "pivot")
 
-    def __post_init__(self):
-        if self.f.is_zero():
+    def __init__(self, name, vars, f, pivot):
+        if f.is_zero():
             raise ValueError("defining polynomial must be nonzero")
-        if len(self.vars) != self.f.nvars:
+        if len(vars) != f.nvars:
             raise ValueError("variable names do not match the polynomial")
-        n0 = self.f.max_exp(self.pivot)
+        n0 = f.max_exp(pivot)
         if n0 is None:
             raise ValueError("pivot variable absent from the defining polynomial")
-        if not self.f.terms[(self.pivot, n0)].is_unit():
+        if not f.terms[(pivot, n0)].is_unit():
             raise ValueError("pivot leading coefficient is not a unit")
+        self.name = name
+        self.vars = vars
+        self.f = f            # a PPoly
+        self.pivot = pivot
 
     @property
     def nvars(self):
@@ -75,12 +74,14 @@ class HypersurfaceGroup:
         return f"<group {self.name}>"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    smooth: bool
-    connected: str           # "yes" | "unknown"
-    wound: ZeroDecision
-    dimension: int
+class ClassificationReport(Record):
+    __slots__ = ("smooth", "connected", "wound", "dimension")
+
+    def __init__(self, smooth, connected, wound, dimension):
+        self.smooth = smooth
+        self.connected = connected    # "yes" | "unknown"
+        self.wound = wound            # a ZeroDecision
+        self.dimension = dimension
 
     @property
     def wound_verdict(self):
@@ -131,22 +132,21 @@ def landing_poly(map_polys, target):
     return acc
 
 
-@dataclass(frozen=True)
-class CocycleExtension:
-    name: str
-    center: HypersurfaceGroup   # W, receiving the cocycle values
-    base: HypersurfaceGroup     # V, two copies of whose variables h uses
-    h: tuple                    # one Poly per center coordinate, over 2 * base.nvars
+class CocycleExtension(Record):
+    __slots__ = ("name", "center", "base", "h")
 
-    def __post_init__(self):
-        if is_line(self.center) or is_line(self.base):
+    def __init__(self, name, center, base, h):
+        if is_line(center) or is_line(base):
             raise ValueError("an extension's center and base must be hypersurface groups, not Ga")
-        n = self.base.nvars
-        if len(self.h) != self.center.nvars:
+        if len(h) != center.nvars:
             raise ValueError("cocycle has wrong number of components")
-        for comp in self.h:
-            if comp.nvars != 2 * n:
+        for comp in h:
+            if comp.nvars != 2 * base.nvars:
                 raise ValueError("cocycle components must use two copies of the base variables")
+        self.name = name
+        self.center = center    # W, a HypersurfaceGroup receiving the cocycle values
+        self.base = base        # V, a HypersurfaceGroup, two copies of whose variables h uses
+        self.h = h              # one Poly per center coordinate, over 2 * base.nvars
 
     def pair_relations(self):
         n = self.base.nvars
@@ -213,12 +213,14 @@ def cocycle_identities(ext):
     return items
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    lands_in_center: bool
-    biadditive: bool
-    axioms: tuple   # (name, bool) pairs
-    commutative: bool
+class AxiomReport(Record):
+    __slots__ = ("lands_in_center", "biadditive", "axioms", "commutative")
+
+    def __init__(self, lands_in_center, biadditive, axioms, commutative):
+        self.lands_in_center = lands_in_center
+        self.biadditive = biadditive
+        self.axioms = axioms            # (name, bool) pairs
+        self.commutative = commutative
 
     @property
     def all_pass(self):

@@ -39,14 +39,13 @@ pivot exponent below the canonical bound, so each satisfying map it
 returns is already canonical.
 """
 
-from dataclasses import dataclass
-
 from . import fqpoly as fq
 from .field import clear_denominators, common_denominator, kernel_basis, rref
 from .groups import block_relations, is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
 from .polyring import RelationSet
 from .ppoly import PPoly, reduce_mod, to_relation
+from .record import Record
 
 
 MAX_ENUM = 10_000_000  # largest p^dim(kernel) * #unknowns the solver lists
@@ -56,20 +55,31 @@ class EnumerationBudgetError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PPolyMap:
-    name: str
-    source: object            # HypersurfaceGroup or AffineLine
-    target: object            # HypersurfaceGroup or AffineLine
-    coords: tuple             # one PPoly in the source variables per target coordinate
-    params: ParamRing = None
+class PPolyMap(Record):
+    __slots__ = ("name", "source", "target", "coords", "params")
 
-    def __post_init__(self):
-        if len(self.coords) != self.target.nvars:
+    def __init__(self, name, source, target, coords, params=None):
+        if len(coords) != target.nvars:
             raise ValueError("coordinate count does not match the target")
-        for c in self.coords:
-            if c.nvars != self.source.nvars:
+        for c in coords:
+            if c.nvars != source.nvars:
                 raise ValueError("coordinate over the wrong source variables")
+        self.name = name
+        self.source = source    # HypersurfaceGroup or AffineLine
+        self.target = target    # HypersurfaceGroup or AffineLine
+        self.coords = coords    # one PPoly in the source variables per target coordinate
+        self.params = params    # a ParamRing, or None
+
+    @classmethod
+    def _raw(cls, name, source, target, coords):
+        # trusted constructor: the caller fixes the counts that __init__ checks
+        self = object.__new__(cls)
+        self.name = name
+        self.source = source
+        self.target = target
+        self.coords = coords
+        self.params = None
+        return self
 
     def __repr__(self):
         return f"<map {self.name}: {self.source.name} -> {self.target.name}>"
@@ -162,13 +172,15 @@ def _is_identity(m, g):
 # constraint derivation
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    source: object
-    target: object
-    ring: ParamRing                  # the fresh unknown symbols, no relations
-    slots: tuple                     # (name, coordinate, variable, exponent)
-    constraints: tuple               # ((variable, exponent), PPoly in the unknowns)
+class ConstraintSystem(Record):
+    __slots__ = ("source", "target", "ring", "slots", "constraints")
+
+    def __init__(self, source, target, ring, slots, constraints):
+        self.source = source
+        self.target = target
+        self.ring = ring                # a ParamRing: the fresh unknown symbols, no relations
+        self.slots = slots              # (name, coordinate, variable, exponent)
+        self.constraints = constraints  # ((variable, exponent), PPoly in the unknowns)
 
     def polys(self):
         return tuple(p.to_poly() for _, p in self.constraints)
@@ -395,15 +407,17 @@ def solve_homs_bounded(cs, domain):
                 _, j, i, e = cs.slots[u]
                 terms[j][(i, e)] = x
         coords = tuple(PPoly._raw(cs.source.field, cs.source.nvars, t) for t in terms)
-        m = PPolyMap(f"sol{len(out)}", cs.source, cs.target, coords)
+        m = PPolyMap._raw(f"sol{len(out)}", cs.source, cs.target, coords)
         out.append(HomSolution(dict(zip(cs.ring.names, sol)), m))
     return out
 
 
-@dataclass(frozen=True)
-class HomSolution:
-    values: dict
-    map: PPolyMap
+class HomSolution(Record):
+    __slots__ = ("values", "map")
+
+    def __init__(self, values, map):
+        self.values = values
+        self.map = map
 
 
 def _domain_key(x):

@@ -12,9 +12,10 @@ variable blocks, which makes the rewriting confluent: normal_form is the
 iterated division remainder and does not depend on rewrite order.
 """
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
+
+from .record import Record
 
 
 def grlex_key(exps):
@@ -207,14 +208,17 @@ class Poly:
         return f"<poly {render_poly(self)}>"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """Rewrite rule X_pivot^bound -> rhs, with deg_pivot(rhs) < bound,
     compiled by ppoly.to_relation from its source p-polynomial."""
-    pivot: int
-    bound: int
-    rhs: Poly
-    source: object  # the additive polynomial it was compiled from
+
+    __slots__ = ("pivot", "bound", "rhs", "source")
+
+    def __init__(self, pivot, bound, rhs, source):
+        self.pivot = pivot
+        self.bound = bound
+        self.rhs = rhs          # a Poly
+        self.source = source    # the additive polynomial it was compiled from
 
     @property
     def block(self):

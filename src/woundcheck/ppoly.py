@@ -17,10 +17,9 @@ again a p-polynomial, plus the exact multiples of the divisor that were
 subtracted.  General polynomials are reduced by ``polyring.normal_form``.
 """
 
-from dataclasses import dataclass
-
 from .field import Field, FieldElem
 from .polyring import Poly, Relation, _add_terms
+from .record import Record
 
 
 def join_dom(d1, d2):
@@ -200,17 +199,20 @@ def to_relation(f, pivot):
     return Relation(pivot, f.dom.p ** n0, rest.to_poly().scale(-u.inverse()), source=f)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Replayable record of division of a p-polynomial by a pivoted one.
 
     Each step is (multiplier, j) and contributed multiplier * (u^-1 F)^(p^j)
     to the subtracted part, u being the divisor's leading pivot coefficient.
     """
-    divisor: PPoly
-    pivot: int
-    steps: tuple
-    remainder: PPoly
+
+    __slots__ = ("divisor", "pivot", "steps", "remainder")
+
+    def __init__(self, divisor, pivot, steps, remainder):
+        self.divisor = divisor
+        self.pivot = pivot
+        self.steps = steps
+        self.remainder = remainder
 
     def replay(self):
         """Reconstruct the dividend exactly from remainder and steps."""

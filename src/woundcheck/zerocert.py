@@ -33,21 +33,24 @@
 """
 
 import itertools
-from dataclasses import dataclass
 
 from . import fqpoly as fq
 from .field import Field, FieldElem, clear_denominators, kernel_basis, rref
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ZeroDecision:
-    verdict: str          # "no_zero" | "zero" | "unknown"
-    stage: str            # where the verdict was reached
-    witness: tuple = None
-    matrix: tuple = None  # semilinear certificate rows (tuples of FieldElem)
-    columns: tuple = None
-    rank: int = None
-    search_bound: int = None
+class ZeroDecision(Record):
+    __slots__ = ("verdict", "stage", "witness", "matrix", "columns", "rank", "search_bound")
+
+    def __init__(self, verdict, stage, witness=None, matrix=None, columns=None, rank=None,
+                 search_bound=None):
+        self.verdict = verdict      # "no_zero" | "zero" | "unknown"
+        self.stage = stage          # where the verdict was reached
+        self.witness = witness
+        self.matrix = matrix        # semilinear certificate rows (tuples of FieldElem)
+        self.columns = columns
+        self.rank = rank
+        self.search_bound = search_bound
 
 
 def left_kernel_vector(rows, field):

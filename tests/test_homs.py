@@ -435,6 +435,24 @@ def test_solver_output_is_pinned():
     assert digest == "9ca2994e685cefd2d246768a2f79274318e48768deeec384ad3994e2629c264b"
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solver_maps_pass_the_validating_constructor(p):
+    """The solver builds its maps unchecked: each one is what PPolyMap's
+    checks accept, for the corpus pairs and line targets over fq and deg1
+    (at p = 5 the deg1 listing of a 5-unknown line target is refused)."""
+    for deg in (0, 1):
+        for s, t, src, tgt in _corpus_systems(p):
+            cs = derive_hom_constraints(src, tgt)
+            try:
+                sols = solve_homs_bounded(cs, poly_elements(src.field, deg))
+            except EnumerationBudgetError:
+                assert (p, deg) == (5, 1), (s, t)
+                continue
+            for sol in sols:
+                m = sol.map
+                assert PPolyMap(m.name, m.source, m.target, m.coords, m.params) == m, (s, t)
+
+
 def test_derive_makes_no_symbolic_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("symbolic arithmetic in derive")
@@ -552,13 +570,13 @@ def test_solver_matches_reference_over_rational_domains(case):
 @st.composite
 def _subspace_systems(draw):
     """A derived system from a random group in 1-2 variables to another
-    such group or to itself, over F_5, F_7 or F_25 at depth 0-1, every cap 0,
-    and a domain that is the whole F_p-span of 1-2 elements: maybe 1, so
-    that an endomorphism system has the multiples of the identity among
-    its solutions, and random ones, rational ones included.  At most 4
-    kernel columns, so at most 7^4 points are listed."""
-    p, e = draw(st.sampled_from(((5, 1), (7, 1), (5, 2))))
-    k = Field(FieldSpec(p, e, "a", draw(st.integers(0, 1))))
+    such group or to itself, over F_5, F_7, F_25 or F_49 at depth 0-2,
+    every cap 0, and a domain that is the whole F_p-span of 1-2 elements:
+    maybe 1, so that an endomorphism system has the multiples of the
+    identity among its solutions, and random ones, rational ones included.
+    At most 4 kernel columns, so at most 7^4 points are listed."""
+    p, e = draw(st.sampled_from(((5, 1), (7, 1), (5, 2), (7, 2))))
+    k = Field(FieldSpec(p, e, "a", draw(st.integers(0, 2))))
     src = draw(_random_group(k, "S", max_vars=2))
     tgt = src if draw(st.booleans()) else draw(_random_group(k, "T", max_vars=2))
     caps = {i: 0 for i in range(src.nvars)}

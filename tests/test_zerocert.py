@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import time
@@ -512,7 +511,7 @@ def _decisions_digest(decisions):
         return tuple(plain(x) for x in v) if isinstance(v, tuple) else v
     h = hashlib.sha256()
     for d in decisions:
-        h.update(repr(tuple(plain(getattr(d, f.name)) for f in dataclasses.fields(d))).encode())
+        h.update(repr(tuple(plain(getattr(d, name)) for name in type(d).__slots__)).encode())
     return h.hexdigest()
 
 
