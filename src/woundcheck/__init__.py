@@ -31,9 +31,10 @@ _EXPORTS = {
     "polyring": "Poly Relation RelationSet is_identically_zero normal_form",
     "params": "ParamRing ParamElem",
     "zerocert": "ZeroDecision decide_no_nontrivial_zero exhaustive_poly_search",
-    "groups": "AffineLine ClassificationReport CocycleExtension HypersurfaceGroup check_biadditive "
-              "check_group_axioms check_lands_in classify is_commutative twist_group",
-    "homs": "ConstraintSystem PPolyMap canonical_form derive_hom_constraints relative_frobenius "
+    "groups": "AffineLine ClassificationReport CocycleExtension HypersurfaceGroup PPolyMap "
+              "check_biadditive check_group_axioms check_lands_in classify is_commutative "
+              "twist_group",
+    "homs": "ConstraintSystem canonical_form derive_hom_constraints relative_frobenius "
             "solve_homs_bounded verify_hom verify_mutual_inverse",
     "oracle": "random_point_oracle",
 }

@@ -8,9 +8,10 @@ stderr: a file statement that the parser or a constructor refuses, a name
 or argument the command cannot use (a line source or an exponent cap
 that `homs.derive_hom_constraints` refuses, in its words), a `solve`
 whose kernel points times unknowns exceed `homs.MAX_ENUM` (10^7), and a
-command line that argparse rejects.  Each command takes only the flags
-it reads: `--search-bound` (classify, twist), `--trials` and `--seed`
-(verify-hom, selftest-paper); any other is a usage error.
+command line that argparse rejects, such as a `--search-bound` outside
+0-64.  Each command takes only the flags it reads: `--search-bound`
+(classify, twist), `--trials` and `--seed` (verify-hom, selftest-paper);
+any other is a usage error.
 """
 
 import argparse
@@ -29,6 +30,8 @@ EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+
+MAX_SEARCH_BOUND = 64  # largest --search-bound
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -319,8 +322,9 @@ def cmd_selftest(args):
     return EXIT_VERIFIED if failures == 0 else EXIT_REFUTED
 
 
-def _at_least(low):
-    """An argparse type: an integer >= low, or a usage error."""
+def _at_least(low, high=None):
+    """An argparse type: an integer >= low, and <= high unless high is None,
+    or a usage error."""
     def parse(text):
         try:
             n = int(text)
@@ -328,6 +332,8 @@ def _at_least(low):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"{n} is below {low}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"{n} is above {high}")
         return n
     return parse
 
@@ -356,8 +362,10 @@ def _command(sub, name, fn, summary, *positionals, needs=()):
 
 
 def _add_search_bound(sp):
-    sp.add_argument("--search-bound", type=_at_least(0), default=3,
-                    help="witness search degree bound (default 3)")
+    sp.add_argument("--search-bound", type=_at_least(0, MAX_SEARCH_BOUND), default=3,
+                    metavar="B", help="mixed exponents: search the polynomial witnesses of "
+                    "degree <= B and those that clear a rational zero whose entries have "
+                    f"numerator and denominator degree <= B (0-{MAX_SEARCH_BOUND}, default 3)")
 
 
 def _add_oracle(sp):

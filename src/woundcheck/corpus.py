@@ -16,8 +16,8 @@ splitting of the Frobenius twist of Wa over the base field itself.
 """
 
 from .field import Field, FieldSpec
-from .groups import CocycleExtension, HypersurfaceGroup
-from .homs import PPolyMap, relative_frobenius  # noqa: F401  (re-exported)
+from .groups import CocycleExtension, HypersurfaceGroup, PPolyMap
+from .homs import relative_frobenius
 from .params import ParamRing
 from .polyring import Poly
 from .ppoly import PPoly

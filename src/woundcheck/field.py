@@ -330,16 +330,6 @@ class FieldElem:
             return None
         return FieldElem._raw(self.field, num, den)
 
-    def derivative(self):
-        """d/db of self for the working generator b, (n'd - nd') / d^2 in
-        canonical form.  F_q is perfect, so its kernel is exactly k^p."""
-        gf = self.field.gf
-        n, d = self.num, self.den
-        if d == fq.ONE:
-            return FieldElem._raw(self.field, fq.deriv(gf, n), fq.ONE)
-        num = fq.add(gf, fq.mul(gf, fq.deriv(gf, n), d), fq.neg(gf, fq.mul(gf, n, fq.deriv(gf, d))))
-        return FieldElem(self.field, num, fq.mul(gf, d, d))
-
     def __repr__(self):
         from .parser import render_elem
         return f"<{render_elem(self)}>"

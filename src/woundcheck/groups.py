@@ -4,7 +4,9 @@ A HypersurfaceGroup is the kernel {F = 0} inside a product of additive
 groups, together with a designated pivot variable whose leading coefficient
 is a unit; the pivot drives canonical forms and division.  The affine line
 itself (no defining equation) appears as AffineLine, so splitting maps can
-use it as source or target.
+use it as source or target.  A PPolyMap is a map between such groups, one
+p-polynomial in the source variables per target coordinate; ``homs``
+checks, canonicalizes and solves for them.
 
 A CocycleExtension is a central factor W, a base V, and a bi-additive
 cocycle h (one general polynomial per W coordinate, in two copies of V's
@@ -72,6 +74,36 @@ class HypersurfaceGroup(Record):
 
     def __repr__(self):
         return f"<group {self.name}>"
+
+
+class PPolyMap(Record):
+    __slots__ = ("name", "source", "target", "coords", "params")
+
+    def __init__(self, name, source, target, coords, params=None):
+        if len(coords) != target.nvars:
+            raise ValueError("coordinate count does not match the target")
+        for c in coords:
+            if c.nvars != source.nvars:
+                raise ValueError("coordinate over the wrong source variables")
+        self.name = name
+        self.source = source    # HypersurfaceGroup or AffineLine
+        self.target = target    # HypersurfaceGroup or AffineLine
+        self.coords = coords    # one PPoly in the source variables per target coordinate
+        self.params = params    # a ParamRing, or None
+
+    @classmethod
+    def _raw(cls, name, source, target, coords):
+        # trusted constructor: the caller fixes the counts that __init__ checks
+        self = object.__new__(cls)
+        self.name = name
+        self.source = source
+        self.target = target
+        self.coords = coords
+        self.params = None
+        return self
+
+    def __repr__(self):
+        return f"<map {self.name}: {self.source.name} -> {self.target.name}>"
 
 
 class ClassificationReport(Record):

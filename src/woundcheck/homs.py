@@ -41,7 +41,7 @@ returns is already canonical.
 
 from . import fqpoly as fq
 from .field import clear_denominators, common_denominator, kernel_basis, rref
-from .groups import block_relations, is_line, shift_vars
+from .groups import PPolyMap, block_relations, is_line, shift_vars
 from .params import ParamRing, flatten_ppoly
 from .polyring import RelationSet
 from .ppoly import PPoly, reduce_mod, to_relation
@@ -53,36 +53,6 @@ MAX_ENUM = 10_000_000  # largest p^dim(kernel) * #unknowns the solver lists
 
 class EnumerationBudgetError(RuntimeError):
     pass
-
-
-class PPolyMap(Record):
-    __slots__ = ("name", "source", "target", "coords", "params")
-
-    def __init__(self, name, source, target, coords, params=None):
-        if len(coords) != target.nvars:
-            raise ValueError("coordinate count does not match the target")
-        for c in coords:
-            if c.nvars != source.nvars:
-                raise ValueError("coordinate over the wrong source variables")
-        self.name = name
-        self.source = source    # HypersurfaceGroup or AffineLine
-        self.target = target    # HypersurfaceGroup or AffineLine
-        self.coords = coords    # one PPoly in the source variables per target coordinate
-        self.params = params    # a ParamRing, or None
-
-    @classmethod
-    def _raw(cls, name, source, target, coords):
-        # trusted constructor: the caller fixes the counts that __init__ checks
-        self = object.__new__(cls)
-        self.name = name
-        self.source = source
-        self.target = target
-        self.coords = coords
-        self.params = None
-        return self
-
-    def __repr__(self):
-        return f"<map {self.name}: {self.source.name} -> {self.target.name}>"
 
 
 def canonical_form(m):

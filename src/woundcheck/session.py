@@ -24,7 +24,7 @@ raises one ParseError that names its line.
 import re
 
 from .field import Field, FieldSpec
-from .groups import AffineLine, CocycleExtension, HypersurfaceGroup
+from .groups import AffineLine, CocycleExtension, HypersurfaceGroup, PPolyMap
 from .params import ParamRing
 from .parser import ParseError, check_ppower, parse_poly, parse_ppoly, render_poly, render_ppoly
 
@@ -165,7 +165,6 @@ def _statement(s, line):
         s._claim(name)
         s.extensions[name] = CocycleExtension(name, center, base, h)
     elif kind == "map":
-        from .homs import PPolyMap
         _require_field(s)
         kv = _header(head, "name", "from", "to")
         name = kv["name"]

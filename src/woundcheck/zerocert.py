@@ -21,18 +21,14 @@
       same coefficients with every N_i read as N_min.  Its NoZero is sound
       for the original, so the search before it finds nothing and the
       order changes no answer; its zero decides nothing.
-   c. A budgeted search over rational entries of bounded degree, charging
-      one unit per vector, as a lookup join on the last variable: the one
-      last entry that can cancel a prefix of the other entries is the
-      p^N-th root of -(prefix sum) / c_last, found by a dict lookup.  Each
-      degree level is built only when the scan reaches it.  When N >= 1, a
-      prefix whose terms have a nonzero derivative sum cannot hit, since
-      k^p is the kernel of d/db (F_q is perfect); it is charged as before
-      and skipped.  A witness settles Zero; exhausting the budget or the
-      bound returns Unknown.
+   c. ``_poly_search`` again, at the per-variable bounds n B p^(M - N_i),
+      with B = search_bound, M = max N_i and n variables.  Let x be a zero
+      with entries a_i / d_i, d_i monic and deg a_i <= deg d_i <= B, D the
+      lcm of the d_i and y_i = x_i D^(p^(M - N_i)).  Then P(y) = D^(p^M)
+      P(x) = 0, y != 0 and deg y_i <= n B p^(M - N_i), so this search finds
+      a zero whenever such a rational one exists.  A witness settles Zero;
+      none returns Unknown.
 """
-
-import itertools
 
 from . import fqpoly as fq
 from .field import Field, FieldElem, clear_denominators, kernel_basis, rref
@@ -130,7 +126,7 @@ def _equal_exponent(field, coeffs, N, stage):
     return ZeroDecision("zero", stage, witness=tuple(x), rank=rank)
 
 
-def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
+def decide_no_nontrivial_zero(P, search_bound=3):
     """Decide whether the principal part P has only the trivial zero.
 
     P must equal its own principal part and carry pure field coefficients.
@@ -150,9 +146,10 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
         return ZeroDecision("zero", "absent_variable", witness=tuple(w))
 
     top = sorted(P.terms.items())
-    nmin = min(e for (_, e), _ in top)
+    exps = [e for (_, e), _ in top]
     coeffs = [c for _, c in top]
-    if all(e == nmin for (_, e), _ in top):
+    nmin, nmax = min(exps), max(exps)
+    if nmin == nmax:
         res = _equal_exponent(field, coeffs, nmin, "equal_exponent")
         if res.witness is not None and not P.evaluate(res.witness).is_zero():
             raise RuntimeError("equal-exponent witness does not vanish")
@@ -160,145 +157,17 @@ def decide_no_nontrivial_zero(P, search_bound=3, search_budget=50_000):
 
     # mixed exponents: polynomial witnesses first (one F_p-kernel), then the
     # min-exponent relaxation w_i = x_i^(p^(N_i - nmin)), whose zeros decide
-    # nothing, then rational witnesses
-    found = _poly_search(P, search_bound)
+    # nothing, then the polynomial witnesses that clear rational ones
+    n = P.nvars
+    found = _poly_search(P, [search_bound] * n)
+    if found is None:
+        res = _equal_exponent(field, coeffs, nmin, "relaxation")
+        if res.verdict == "no_zero":
+            return res
+        found = _poly_search(P, [n * search_bound * field.p ** (nmax - e) for e in exps])
     if found is not None:
         return ZeroDecision("zero", "search", witness=found[1])
-    res = _equal_exponent(field, coeffs, nmin, "relaxation")
-    if res.verdict == "no_zero":
-        return res
-    found = _rational_witness_search(P, search_bound, search_budget)
-    if found is not None:
-        return ZeroDecision("zero", "search", witness=found)
     return ZeroDecision("unknown", "search", search_bound=search_bound)
-
-
-def rational_candidates(field, max_deg):
-    """Rational candidates by level, for d = 0 .. max_deg.
-
-    Level d lists the reduced fractions num / den with den monic of degree
-    exactly d and num of degree <= d, each once; level 0 is the constants
-    0, 1, 2, ...  A fraction that reduces to a lower level was listed there,
-    so no level repeats one.  Fractions whose numerator has the higher
-    degree, such as b, are never candidates.  Each level is built only when
-    the caller asks for it.
-    """
-    q = field.spec.q
-    seen = set()
-    for d in range(max_deg + 1):
-        level = []
-        nums = [fq.norm(t) for t in itertools.product(range(q), repeat=d + 1)]
-        dens = [fq.norm(t + (1,)) for t in itertools.product(range(q), repeat=d)]
-        for den in dens:
-            for num in nums:
-                if not num and len(den) > 1:
-                    continue
-                x = FieldElem(field, num, den)
-                key = (x.num, x.den)
-                if key in seen:
-                    continue
-                seen.add(key)
-                level.append(x)
-        yield level
-
-
-def _rational_witness_search(P, bound, budget):
-    """The first zero among rational candidate vectors, by degree level.
-
-    The scan runs itertools.product over the candidate pool, the last
-    present variable fastest.  At each level it covers the vectors with an
-    entry of that level, skips the zero vector, and charges one unit of the
-    budget per vector; the budget spent or the levels done, it returns None.
-
-    It runs as a lookup join on the last variable.  A vector vanishes iff
-    its last entry v satisfies v^(p^N) = t, where t = -s / c for the prefix
-    sum s of the other variables' terms and the last coefficient c.  So v
-    is the p^N-th root of t: unique, since Frobenius is injective, and
-    canonical when t is.  One dict lookup from canonical (num, den) forms to
-    pool indices finds it, and a prefix is charged the number of last
-    entries it pairs with.  The dict holds only the entries that a hit can
-    reach within the budget, and prefix terms are built lazily and
-    memoized, so the budget bounds the work.  A hit is re-verified through
-    P.evaluate.
-
-    When N >= 1, t must lie in k^p, the kernel of d/db (F_q is perfect),
-    so a prefix can hit only if the derivatives of its terms s_k
-    v_k^(p^N_k) sum to zero.  Each prefix is tested so before its sum is
-    made: the derivative terms are memoized like the terms, and the last
-    prefix variable's are stored negated, so with three variables the test
-    is one comparison of canonical forms.  A prefix that fails it is
-    charged the same units as one whose root misses, so the first hit, the
-    None and the budget spent are those of the scan without the test.  With
-    N = 0 every t is a p^0-th power and the test is off.
-    """
-    field = P.dom
-    gf = field.gf
-    pres = P.vars_present()
-    exps = {i: e for (i, e), _ in P.terms.items()}
-    terms = [(P.coeff(i, exps[i]), exps[i]) for i in pres]
-    c_last, n_last = terms[-1]
-    scales = [-c / c_last for c, _ in terms[:-1]]
-    pool = []
-    memo = [{} for _ in scales]  # per prefix variable: j -> -c_k / c_last * pool[j]^(p^N_k)
-    index = {}  # (num, den) of pool[j] -> j
-
-    def term(k, j):
-        if j not in memo[k]:
-            memo[k][j] = scales[k] * pool[j].frobenius(terms[k][1])
-        return memo[k][j]
-
-    dscales = [s.derivative() for s in scales]
-    dmemo = [{} for _ in scales]
-
-    def dterm(k, j):
-        # d(s v^(p^N)) = s' v^(p^N), plus s v' when N = 0; negated for the
-        # last prefix variable
-        if j not in dmemo[k]:
-            s, ds, (_, N), v = scales[k], dscales[k], terms[k], pool[j]
-            d = ds * v.frobenius(N)
-            if N == 0:
-                d += s * v.derivative()
-            dmemo[k][j] = -d if k == len(scales) - 1 else d
-        return dmemo[k][j]
-
-    def derivative_vanishes(prefix):
-        *head, i = prefix
-        ds = [dterm(k, j) for k, j in enumerate(head)]
-        lhs, rhs = sum(ds[1:], ds[0]) if ds else field.zero(), dterm(len(head), i)
-        return lhs.num == rhs.num and lhs.den == rhs.den
-
-    spent = 0
-    for level in rational_candidates(field, bound):
-        cut = len(pool)
-        pool += level
-        m = len(pool)
-        for j in range(len(index), min(m, cut + budget - spent + 1)):
-            index[(pool[j].num, pool[j].den)] = j
-        for prefix in itertools.product(range(m), repeat=len(scales)):
-            if spent >= budget:
-                return None
-            # last entries below cut pair with an all-below-cut prefix at a
-            # lower level; pool[0] is the only zero candidate
-            lo = cut if all(i < cut for i in prefix) else 0
-            skip = lo == 0 and not any(prefix)
-            if n_last and not derivative_vanishes(prefix):
-                spent += m - lo - skip
-                continue
-            ts = [term(k, i) for k, i in enumerate(prefix)]
-            t = sum(ts[1:], ts[0])
-            root = (fq.proot(gf, t.num, n_last), fq.proot(gf, t.den, n_last))
-            j = index.get(root)
-            if j is not None and j >= lo and not (skip and j == 0):
-                if spent + j - lo + 1 - skip > budget:
-                    return None
-                point = [field.zero()] * P.nvars
-                for slot, i in zip(pres, prefix + (j,)):
-                    point[slot] = pool[i]
-                if not P.evaluate(point).is_zero():
-                    raise RuntimeError("search witness does not vanish")
-                return tuple(point)
-            spent += m - lo - skip
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -328,53 +197,52 @@ def exhaustive_poly_search(P, degree_bound):
     if len(pres) < P.nvars:
         missing = next(i for i in range(P.nvars) if i not in pres)
         return tuple((int(i == missing),) + (0,) * degree_bound for i in range(P.nvars))
-    found = _poly_search(P, degree_bound)
+    found = _poly_search(P, [degree_bound] * P.nvars)
     return None if found is None else found[0]
 
 
-def _poly_search(P, degree_bound):
+def _poly_search(P, bounds):
     """(codes, point) for ``exhaustive_poly_search`` on a principal part P
-    in which every variable is present: the codes it returns, and the
-    FieldElem vector they stand for, built and verified once; or None."""
+    in which every variable is present, variable i's entry of degree <=
+    bounds[i]: the codes it returns, and the FieldElem vector they stand
+    for, built and verified once; or None."""
     field = P.dom
     p, e = field.p, field.spec.e
-    ncoef = degree_bound + 1
     n = P.nvars
     exps = {i: N for (i, N), _ in P.terms.items()}
     coeffs = clear_denominators(field, [P.coeff(i, exps[i]) for i in range(n)])[1]
-
     gf = field.gf
-    ns = [exps[i] for i in range(n)]
-    qs = [p ** N for N in ns]
 
     # scan order, most significant first: variable n-1, then 0 .. n-2.
     # Column blocks and the coefficients in them run least significant
-    # first: block b holds variable order[n-1-b], and its column
-    # (D * e + j) is the unit t^j at coefficient degree_bound - D.  Row
-    # m * e + s is digit s of output coefficient m, a dict of its nonzero
-    # entries; zero rows are never made, and the row order does not change
-    # the reduced form.  A column's nonzero digits do not depend on the
-    # coefficient degree, which only shifts their rows.
-    order = [n - 1] + list(range(n - 1))
-    width = n * ncoef * e
-    rows = {}
-    for b, k in enumerate(reversed(order)):
+    # first: the block of variable k, the last in scan order first, holds
+    # bounds[k] + 1 coefficients, and its column (D * e + j) is the unit t^j
+    # at coefficient bounds[k] - D.  Row m * e + s is digit s of output
+    # coefficient m, a dict of its nonzero entries; zero rows are never
+    # made, and the row order does not change the reduced form.  A column's
+    # nonzero digits do not depend on the coefficient degree, which only
+    # shifts their rows.
+    blocks = list(range(n - 2, -1, -1)) + [n - 1]
+    rows, width = {}, 0
+    for k in blocks:
         for j in range(e):
-            col = fq.smul(gf, gf.frob_n(p ** j, ns[k]), coeffs[k])
+            col = fq.smul(gf, gf.frob_n(p ** j, exps[k]), coeffs[k])
             entries = [(m * e + s, digit) for m, x in enumerate(col) if x
                        for s, digit in enumerate(gf.digits(x)) if digit]
-            for d in range(ncoef):
-                c = (b * ncoef + degree_bound - d) * e + j
-                offset = d * qs[k] * e
+            for d in range(bounds[k] + 1):
+                c = width + (bounds[k] - d) * e + j
+                offset = d * p ** exps[k] * e
                 for r, digit in entries:
                     rows.setdefault(offset + r, {})[c] = digit
+        width += (bounds[k] + 1) * e
     _, hit = next(kernel_basis(*rref(rows.values(), p, width), width, p), (None, None))
     if hit is None:
         return None
     codes = [gf.undigits([hit.get(i + s, 0) for s in range(e)]) for i in range(0, width, e)]
-    witness = [None] * n
-    for b, k in enumerate(reversed(order)):
-        witness[k] = tuple(reversed(codes[b * ncoef:(b + 1) * ncoef]))
+    witness, start = [None] * n, 0
+    for k in blocks:
+        witness[k] = tuple(reversed(codes[start:start + bounds[k] + 1]))
+        start += bounds[k] + 1
     point = tuple(field.elem(w) for w in witness)
     if not P.evaluate(point).is_zero():
         raise RuntimeError("kernel witness does not vanish")

@@ -1,9 +1,9 @@
 """Shared builders for the test suite: fields, corpus polynomials, random
 instances for the division and decision property suites, a brute-force
-witness scan, a one-by-one rational witness scan, a square-and-multiply
-power, dense fqpoly kernels, a dense F_p elimination, a FieldElem
-elimination over F_q(b), the point oracle's bare trial loop, and the
-earlier p-polynomial division, Hom derivation and Hom solver."""
+witness scan, a square-and-multiply power, dense fqpoly kernels, a dense
+F_p elimination, a FieldElem elimination over F_q(b), the point oracle's
+bare trial loop, and the earlier p-polynomial division, Hom derivation and
+Hom solver."""
 
 import itertools
 import random
@@ -19,7 +19,6 @@ from woundcheck.oracle import parametrize_relation
 from woundcheck.params import ParamRing
 from woundcheck.polyring import Poly, _add_terms
 from woundcheck.ppoly import PPoly, ReductionTrace, join_dom
-from woundcheck.zerocert import rational_candidates
 
 
 def field_fpa(p=3, depth=0, e=1):
@@ -309,47 +308,6 @@ def _nest(flat, shape):
         return tuple(flat)
     step = len(flat) // shape[0]
     return tuple(_nest(flat[i:i + step], shape[1:]) for i in range(0, len(flat), step))
-
-
-def enumerated_rational_search(P, bound, budget):
-    """The reference for ``zerocert._rational_witness_search``: every
-    candidate vector of the scan is summed in raw (num, den) arithmetic,
-    one at a time, in the same order and under the same budget."""
-    field = P.dom
-    gf = field.gf
-    pres = P.vars_present()
-    exps = {i: e for (i, e), _ in P.terms.items()}
-    terms = [(P.coeff(i, exps[i]), exps[i]) for i in pres]
-    pool = []
-    values = [[] for _ in pres]  # per present variable: (num, den) of c_i * v^(p^N_i)
-    spent = 0
-    for level in rational_candidates(field, bound):
-        cut = len(pool)
-        pool += level
-        for col, (c, N) in zip(values, terms):
-            col += [(fq.mul(gf, c.num, fq.frob(gf, v.num, N)),
-                     fq.mul(gf, c.den, fq.frob(gf, v.den, N))) for v in level]
-        for combo in itertools.product(range(len(pool)), repeat=len(pres)):
-            if all(c < cut for c in combo):
-                continue  # already tried at a lower level
-            if all(pool[c].is_zero() for c in combo):
-                continue
-            spent += 1
-            if spent > budget:
-                return None
-            num, den = (), fq.ONE
-            for col, c in zip(values, combo):
-                n2, d2 = col[c]
-                num = fq.add(gf, fq.mul(gf, num, d2), fq.mul(gf, n2, den))
-                den = fq.mul(gf, den, d2)
-            if not num:
-                point = [field.zero()] * P.nvars
-                for slot, c in zip(pres, combo):
-                    point[slot] = pool[c]
-                if not P.evaluate(point).is_zero():
-                    raise RuntimeError("search witness does not vanish")
-                return tuple(point)
-    return None
 
 
 def first_refuting_trial(h, rset, seed=0, trials=100):

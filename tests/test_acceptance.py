@@ -93,7 +93,8 @@ def test_criterion_3_p2_item():
 
 
 def test_criterion_3_paper_corpus_p2():
-    # W2's rational search ends in unknown at its default budget
+    # W2 is wound: no witness exists, so its last stage, the search at the
+    # cleared bounds, finds none and the verdict stays unknown
     with budget("3 (paper corpus, p=2)", 1.0):
         code, out = run_cli(["selftest-paper", "2"])
         assert code == 0, out
@@ -182,6 +183,30 @@ def test_criterion_6_mixed_search_three_variables_fq():
             assert rep.wound_verdict == "refuted" and rep.wound.stage == "search"
             assert rep.wound.witness == tuple(parse_element(k, w) for w in witness)
             assert f.principal_part().evaluate(rep.wound.witness).is_zero()
+
+
+# three-variable mixed groups over F_2(a) at the parser's degree scale,
+# p^11 = 2048, where the last stage searches entries of degree up to
+# 3 * 3 * 2^(11 - N_i); with Y^(p^2) it finds no witness, with Y^(p^1) it
+# refutes
+DEGREE_SCALE = {
+    "Y^(p^2)": "unknown",
+    "Y^(p^1)": "refuted",
+}
+
+
+def test_criterion_6_mixed_search_at_the_degree_scale():
+    k = corpus.base_field(2)
+    for y, verdict in DEGREE_SCALE.items():
+        text = (f"1*X^(p^0) + (a/(1+a+a^2))*X^(p^1) + (a/(1+a^2))*{y}"
+                " + ((1+a^3)/a)*Z^(p^11)")
+        with budget(f"6 (mixed exponents at p^11, {y})", 6.0):
+            f = parse_ppoly(text, k, ("X", "Y", "Z"))
+            rep = classify(HypersurfaceGroup("G", ("X", "Y", "Z"), f, 0))
+            assert rep.wound_verdict == verdict and rep.wound.stage == "search"
+            if verdict == "refuted":
+                assert any(not w.is_zero() for w in rep.wound.witness)
+                assert f.principal_part().evaluate(rep.wound.witness).is_zero()
 
 
 def _verdict_identities():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from woundcheck.cli import main
+from woundcheck.cli import MAX_SEARCH_BOUND, main
 from woundcheck.parser import MAX_PPOWER
 from woundcheck.session import parse_session
 
@@ -439,11 +439,16 @@ def _mixed_three_variables(tmp_path, p):
 
 
 def test_negative_search_bound_is_input_error(tmp_path):
+    """A bound below 0 or above MAX_SEARCH_BOUND is refused before any
+    search: at 10^7 the last stage would otherwise run out of memory."""
     mixed = _mixed_three_variables(tmp_path, 3)
     for argv in (["classify", WOUND, "Wa"], ["classify", mixed, "M"],
                  ["twist", WOUND, "Wa", "1"], ["twist", mixed, "M", "0"]):
-        code, out, err = run(argv + ["--search-bound", "-1"])
-        assert code == 3 and out == "" and _one_error_line(err)
+        for bound in ("-1", str(MAX_SEARCH_BOUND + 1), "10000000"):
+            code, out, err = run(argv + ["--search-bound", bound])
+            assert code == 3 and out == "" and _one_error_line(err)
+    code, _, _ = run(["classify", WOUND, "Wa", "--search-bound", str(MAX_SEARCH_BOUND)])
+    assert code == 0
 
 
 def test_classify_three_variable_mixed_group_at_p11(tmp_path):

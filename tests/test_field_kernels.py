@@ -2,8 +2,8 @@
 Zech-table sum and negation of gfq, in every field with e >= 2 and
 q <= 4096, against digit-wise arithmetic mod p; the multiply-add row
 gfq.axpy that runs fqpoly's product and division; the Frobenius-digit
-power FieldElem.__pow__; the derivative d/db, a derivation whose kernel
-is k^p; Henrici's reduced sum and product of FieldElem, with and
+power FieldElem.__pow__; the p-th root, the inverse of Frobenius on
+k^p; Henrici's reduced sum and product of FieldElem, with and
 without a unit denominator on either side; the lcm of
 common_denominator and clear_denominators; the x-adic fqpoly.gcd;
 fqpoly.divmod_ on sparse divisors; and the zero-skipping fqpoly.add,
@@ -63,23 +63,12 @@ def test_power_matches_square_and_multiply(x, data):
     assert x ** n == pow_by_squaring(x, n)
 
 
-@given(field_elem(), st.data())
-@PROPERTY
-def test_derivative_is_a_derivation(x, data):
-    y = data.draw(field_elem(x.field))
-    dx, dy = x.derivative(), y.derivative()
-    canonical = x.field.elem(dx.num, dx.den)
-    assert (dx.num, dx.den) == (canonical.num, canonical.den)
-    assert (x * y).derivative() == dx * y + x * dy
-    assert (x + y).derivative() == dx + dy
-    assert x.field.gen_elem().derivative().is_one()
-
-
 @given(field_elem())
 @PROPERTY
-def test_derivative_kernel_is_the_pth_powers(x):
-    assert x.frobenius(1).derivative().is_zero()
-    assert x.derivative().is_zero() == (x.pth_root() is not None)
+def test_pth_root_inverts_frobenius(x):
+    assert x.frobenius(1).pth_root() == x
+    root = x.pth_root()
+    assert root is None or root.frobenius(1) == x
 
 
 @st.composite

@@ -70,6 +70,7 @@ UNUSED = {"woundcheck.homs", "woundcheck.oracle", "woundcheck.corpus", "dataclas
     ["classify", WOUND, "Wa"],
     ["reduce", WOUND, "1*X^(p^3) + a*Y^(p^2)", "--group", "Va"],
     ["check-extension", WOUND, "Ua"],
+    ["classify", HOMS, "Va"],
 ])
 def test_a_command_on_groups_loads_no_hom_oracle_or_corpus(argv):
     code, late, loaded = _cli(argv)

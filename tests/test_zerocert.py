@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_force_poly_search, dense_left_kernel, enumerated_rational_search,
-                     field_fpa, plant_zero, ppoly, rand_elem, rand_principal_part, va_poly,
-                     w2_poly, wa_poly)
+from helpers import (brute_force_poly_search, dense_left_kernel, field_fpa, plant_zero, ppoly,
+                     rand_elem, rand_principal_part, va_poly, w2_poly, wa_poly)
 from woundcheck import fqpoly as fq
 from woundcheck import zerocert
 from woundcheck.field import Field, FieldElem, FieldSpec
 from woundcheck.groups import HypersurfaceGroup, classify
 from woundcheck.ppoly import PPoly
-from woundcheck.zerocert import (_rational_witness_search, decide_no_nontrivial_zero,
-                                 exhaustive_poly_search, left_kernel_vector)
+from woundcheck.zerocert import (decide_no_nontrivial_zero, exhaustive_poly_search,
+                                 left_kernel_vector)
 
 
 def test_wa_principal_no_zero_certificate():
@@ -72,7 +71,7 @@ def test_mixed_exponent_unknown_is_honest():
     k = field_fpa(2)
     a = k.base_gen()
     P = ppoly(k, 3, (0, 2, 1), (1, 1, a), (2, 3, a * a))
-    d = decide_no_nontrivial_zero(P, search_bound=1, search_budget=20_000)
+    d = decide_no_nontrivial_zero(P, search_bound=1)
     assert d.verdict == "unknown"
     assert d.search_bound == 1
 
@@ -177,7 +176,7 @@ def principal_parts(draw, e=1):
 @settings(max_examples=100, deadline=None, database=None)
 @given(principal_parts())
 def test_decision_agrees_with_exhaustive_search(P):
-    d = decide_no_nontrivial_zero(P, search_bound=1, search_budget=500)
+    d = decide_no_nontrivial_zero(P, search_bound=1)
     if d.verdict == "zero":
         assert any(not w.is_zero() for w in d.witness)
         assert P.evaluate(d.witness).is_zero()
@@ -219,14 +218,14 @@ def test_absent_variable_arrays_have_the_search_shape():
     assert got == ((1, 0), (0, 0))
 
 
-def test_rational_search_budget_bounds_the_levels():
-    # over F_9 no polynomial witness of degree <= 3 exists, so the rational
-    # search runs; level 2 alone has ~59k candidates and is never built
+def test_cleared_search_over_f9_ends_within_a_second():
+    # over F_9 no polynomial witness of degree <= 3 exists, so the search
+    # runs again at the cleared bounds 9 * 3^(3 - N_i) and finds none either
     k = field_fpa(3, e=2)
     a = k.base_gen()
     P = ppoly(k, 3, (0, 2, 1), (1, 1, a), (2, 3, a ** 3))  # X^9 + a Y^3 + a^3 Z^27
     start = time.perf_counter()
-    d = decide_no_nontrivial_zero(P, search_bound=3, search_budget=2000)
+    d = decide_no_nontrivial_zero(P, search_bound=3)
     assert time.perf_counter() - start < 1.0
     assert d.verdict == "unknown" and d.stage == "search" and d.search_bound == 3
 
@@ -242,23 +241,31 @@ def _mixed_instance(rng):
     exps = [rng.randrange(3) for _ in range(n)]
     while len(set(exps)) == 1:
         exps = [rng.randrange(3) for _ in range(n)]
+    P = _with_exponents(k, exps, rng)
+    return _plant_rational_zero(P, rng) if rng.random() < 0.5 else P
+
+
+def _with_exponents(k, exps, rng):
+    """The principal part sum_i c_i X_i^(p^exps[i]) with random nonzero,
+    partly rational, coefficients c_i."""
     terms = {}
     for i, N in enumerate(exps):
         c = rand_elem(k, rng, rational=True)
         while c.is_zero():
             c = rand_elem(k, rng, rational=True)
         terms[(i, N)] = c
-    P = PPoly(k, n, terms)
-    return _plant_rational_zero(P, rng) if rng.random() < 0.5 else P
+    return PPoly(k, len(exps), terms)
 
 
-def _plant_rational_zero(P, rng):
+def _plant_rational_zero(P, rng, degree=1):
     """P with one coefficient shifted so that P vanishes at a random vector
-    of nonzero entries u / (b + v), u of degree <= 1, or constants; P itself
-    when the shift would cancel that coefficient."""
+    of nonzero entries u / (b^degree + ...), u of degree <= degree, or
+    constants; P itself when the shift would cancel that coefficient, and
+    then P vanishes at that vector with the shifted entry set to 0."""
     k, n = P.dom, P.nvars
     q = k.spec.q
-    point = [k.elem((rng.randrange(q), rng.randrange(q)), (rng.randrange(q), 1))
+    point = [k.elem(tuple(rng.randrange(q) for _ in range(degree + 1)),
+                    tuple(rng.randrange(q) for _ in range(degree)) + (1,))
              if rng.random() < 0.5 else k.elem((rng.randrange(1, q),)) for _ in range(n)]
     point = [x if not x.is_zero() else k.one() for x in point]
     j = rng.randrange(n)
@@ -267,72 +274,27 @@ def _plant_rational_zero(P, rng):
     return P if c.is_zero() else PPoly(k, n, {**P.terms, slot: c})
 
 
-def _filtered_instance(rng):
-    """A principal part with 2-3 variables whose last exponent is 1 or 2, so
-    that the rational search runs its derivative test, and with a prefix
-    variable of exponent 0, so that the test takes its s v' term too; over
-    F_q(a^(1/p^m)) with q in {2, 3, 4, 5, 7, 9} and m in {0, 1, 2}, planted
-    with a rational zero."""
-    p, e = rng.choice(((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)))
-    k = field_fpa(p, depth=rng.randrange(3), e=e)
-    n = rng.choice((2, 3))
-    exps = [rng.randrange(3) for _ in range(n - 1)] + [rng.randrange(1, 3)]
-    exps[rng.randrange(n - 1)] = 0
-    terms = {}
-    for i, N in enumerate(exps):
-        c = rand_elem(k, rng, rational=True)
-        while c.is_zero():
-            c = rand_elem(k, rng, rational=True)
-        terms[(i, N)] = c
-    return _plant_rational_zero(PPoly(k, n, terms), rng)
-
-
-def _first_hit_budget(P, bound, budget):
-    """The smallest budget at which the enumerated scan returns its hit."""
-    lo, hi = 1, budget
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if enumerated_rational_search(P, bound, mid) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _hits_matching_the_enumerated_scan(instance, rng, count):
-    """Checks that the lookup join returns the enumerated scan's first hit,
-    or None, on count instances, and at budgets just below, at and just
-    above each hit's position in the scan; returns the number of hits."""
-    hits = 0
-    for _ in range(count):
-        P = instance(rng)
-        bound, budget = rng.choice((1, 2)), rng.choice((50, 200, 1000))
-        want = enumerated_rational_search(P, bound, budget)
-        assert _rational_witness_search(P, bound, budget) == want, (P, bound, budget)
-        if want is not None:
-            hits += 1
-            pos = _first_hit_budget(P, bound, budget)
-            for b in (pos - 1, pos, pos + 1):
-                assert (_rational_witness_search(P, bound, b)
-                        == enumerated_rational_search(P, bound, b)), (P, bound, b)
-    return hits
-
-
-def test_rational_search_matches_the_enumerated_scan():
-    assert _hits_matching_the_enumerated_scan(_mixed_instance, random.Random(7001), 80) >= 20
-
-
-def test_derivative_test_keeps_the_enumerated_scan():
-    """With a last exponent >= 1 the search skips the prefixes whose
-    terms' derivatives do not cancel, and still matches the scan."""
-    assert _hits_matching_the_enumerated_scan(_filtered_instance, random.Random(7002), 60) >= 15
+def test_cleared_search_finds_every_planted_rational_zero():
+    """The last stage is complete for the rational zeros within its bound:
+    an instance with pairwise distinct exponents, planted with a zero whose
+    entries have numerator and denominator degree <= B, is refuted at
+    search bound B by a nonzero witness that vanishes."""
+    rng = random.Random(7005)
+    for bound in (1, 3):
+        for _ in range(30):
+            k = field_fpa(rng.choice((2, 3, 5, 7)), depth=rng.randrange(3), e=rng.choice((1, 2)))
+            exps = rng.sample(range(3), rng.choice((2, 3)))
+            P = _plant_rational_zero(_with_exponents(k, exps, rng), rng, bound)
+            d = decide_no_nontrivial_zero(P, search_bound=bound)
+            assert d.verdict == "zero", (P, bound, d)
+            assert any(not w.is_zero() for w in d.witness)
+            assert P.evaluate(d.witness).is_zero()
 
 
 def test_w2_search_makes_few_products(monkeypatch):
-    """W2's rational search at the default budget joins on its last
-    variable instead of summing 50 000 vectors in raw arithmetic (450 519
-    ``fqpoly.mul`` calls), skips the prefixes that fail the derivative test
-    without summing them, and still ends in an honest unknown."""
+    """W2's last stage at the default bound is one sparse F_p elimination
+    at the cleared bounds, with few ``fqpoly`` products, and it ends in an
+    honest unknown: W2 is wound."""
     P = w2_poly(field_fpa(2)).principal_part()
     calls = []
     real = fq.mul
@@ -342,9 +304,9 @@ def test_w2_search_makes_few_products(monkeypatch):
     assert len(calls) < 2_000
 
 
-def test_fq_mixed_unknown_at_the_default_budget():
-    # X + X^9 + a Y^3 + a^3 Z^27 over F_9: no witness within the default
-    # bound and budget
+def test_fq_mixed_unknown_at_the_default_bound():
+    # X + X^9 + a Y^3 + a^3 Z^27 over F_9: no polynomial witness of degree
+    # <= 3, and none at the cleared bounds
     k = field_fpa(3, e=2)
     a = k.base_gen()
     f = ppoly(k, 3, (0, 0, 1), (0, 2, 1), (1, 1, a), (2, 3, a ** 3))
@@ -357,7 +319,7 @@ def test_fq_mixed_unknown_at_the_default_budget():
 @settings(max_examples=100, deadline=None, database=None)
 @given(principal_parts(e=2))
 def test_decision_agrees_with_exhaustive_search_over_fq(P):
-    d = decide_no_nontrivial_zero(P, search_bound=1, search_budget=500)
+    d = decide_no_nontrivial_zero(P, search_bound=1)
     if d.verdict == "zero":
         assert any(not w.is_zero() for w in d.witness)
         assert P.evaluate(d.witness).is_zero()
@@ -401,7 +363,7 @@ def test_search_witness_is_the_element_vector_of_the_public_codes():
                     terms[(i, N)] = c if not c.is_zero() else k.one()
                 P = plant_zero(PPoly(k, n, terms), rng, 1)
                 codes = exhaustive_poly_search(P, 3)
-                d = decide_no_nontrivial_zero(P, search_budget=500)
+                d = decide_no_nontrivial_zero(P)
                 if codes is not None:
                     hits += 1
                     assert d.verdict == "zero" and d.stage == "search", (P, d)
@@ -530,12 +492,15 @@ def _equal_exponent_instance(rng):
 def test_decisions_are_pinned():
     """Every field of the decisions (verdict, stage, witness, rows, columns,
     rank, bound) on 80 mixed and 60 equal-exponent instances, pinned by
-    sha256 from the decisions of the FieldElem elimination with the
-    relaxation before the search."""
+    sha256.  The equal-exponent digest is that of the FieldElem
+    elimination; the mixed one that of the search at the cleared bounds as
+    the last stage, which decides all 80."""
     rng = random.Random(7001)
-    mixed = [decide_no_nontrivial_zero(_mixed_instance(rng), search_budget=2000) for _ in range(80)]
+    mixed = [decide_no_nontrivial_zero(_mixed_instance(rng)) for _ in range(80)]
+    verdicts = [d.verdict for d in mixed]
+    assert [verdicts.count(v) for v in ("zero", "unknown", "no_zero")] == [66, 0, 14]
     assert (_decisions_digest(mixed)
-            == "56a04737426d3fdfbc5f4392add0e84fbdd59e78f5ca919ca23434d817919580")
+            == "abc7a0bedd32f9246f4e907338d7f989fb2c70099f4075ac380bb55dd106bf41")
     rng = random.Random(7003)
     equal = [decide_no_nontrivial_zero(_equal_exponent_instance(rng)) for _ in range(60)]
     assert {d.verdict for d in equal} == {"zero", "no_zero"}
