@@ -8,10 +8,9 @@ stderr: a file statement that the parser or a constructor refuses, a name
 or argument the command cannot use (a line source or an exponent cap
 that `homs.derive_hom_constraints` refuses, in its words), a `solve`
 whose kernel points times unknowns exceed `homs.MAX_ENUM` (10^7), and a
-command line that argparse rejects, such as a `--search-bound` outside
-0-64.  Each command takes only the flags it reads: `--search-bound`
-(classify, twist), `--trials` and `--seed` (verify-hom, selftest-paper);
-any other is a usage error.
+command line that argparse rejects, such as a negative twist `n`.  Each
+command takes only the flags it reads: `--trials` and `--seed`
+(verify-hom, selftest-paper); any other is a usage error.
 """
 
 import argparse
@@ -25,13 +24,12 @@ from .parser import (MAX_PPOWER, ParseError, check_ppower, parse_ppoly, render_e
                      render_poly, render_ppoly)
 from .ppoly import reduce_mod
 from .session import parse_session, render_extension, render_group, render_map
+from .zerocert import SEARCH_BOUND
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
-
-MAX_SEARCH_BOUND = 64  # largest --search-bound
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -80,8 +78,8 @@ def _witness_str(witness):
     return "(" + ", ".join(render_elem(x) for x in witness) + ")"
 
 
-def _classify_into(rep, g, search_bound):
-    c = classify(g, search_bound=search_bound)
+def _classify_into(rep, g):
+    c = classify(g)
     rep.add("smooth", str(c.smooth).lower())
     rep.add("connected", c.connected)
     rep.add("dimension", c.dimension)
@@ -98,7 +96,7 @@ def _classify_into(rep, g, search_bound):
     elif c.wound.verdict == "zero":
         rep.add("witness", _witness_str(c.wound.witness))
     else:
-        rep.add("search.bound", c.wound.search_bound)
+        rep.add("search.bound", SEARCH_BOUND)
     return c
 
 
@@ -109,7 +107,7 @@ def cmd_classify(args):
     rep.add("group", args.group)
     rep.add("field", _field_line(s.field))
     rep.add("defining", render_ppoly(g.f, g.vars))
-    c = _classify_into(rep, g, args.search_bound)
+    c = _classify_into(rep, g)
     rep.emit()
     return {"no_zero": EXIT_VERIFIED, "zero": EXIT_REFUTED, "unknown": EXIT_UNKNOWN}[c.wound.verdict]
 
@@ -274,7 +272,7 @@ def cmd_twist(args):
     rep.add("group", render_group(g))
     rep.add("n", args.n)
     rep.add("twisted", render_group(tw))
-    _classify_into(rep, tw, args.search_bound)
+    _classify_into(rep, tw)
     rep.add("relative_frobenius", render_map(m))
     rep.add("relative_frobenius.hom", str(verify_hom(m)).lower())
     rep.emit()
@@ -322,9 +320,8 @@ def cmd_selftest(args):
     return EXIT_VERIFIED if failures == 0 else EXIT_REFUTED
 
 
-def _at_least(low, high=None):
-    """An argparse type: an integer >= low, and <= high unless high is None,
-    or a usage error."""
+def _at_least(low):
+    """An argparse type: an integer >= low, or a usage error."""
     def parse(text):
         try:
             n = int(text)
@@ -332,8 +329,6 @@ def _at_least(low, high=None):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"{n} is below {low}")
-        if high is not None and n > high:
-            raise argparse.ArgumentTypeError(f"{n} is above {high}")
         return n
     return parse
 
@@ -361,13 +356,6 @@ def _command(sub, name, fn, summary, *positionals, needs=()):
     return sp
 
 
-def _add_search_bound(sp):
-    sp.add_argument("--search-bound", type=_at_least(0, MAX_SEARCH_BOUND), default=3,
-                    metavar="B", help="mixed exponents: search the polynomial witnesses of "
-                    "degree <= B and those that clear a rational zero whose entries have "
-                    f"numerator and denominator degree <= B (0-{MAX_SEARCH_BOUND}, default 3)")
-
-
 def _add_oracle(sp):
     sp.add_argument("--trials", type=_at_least(1), default=100,
                     help="randomized oracle trials (default 100)")
@@ -379,9 +367,7 @@ def main(argv=None):
                          description="certificates for additive-polynomial groups")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = _command(sub, "classify", cmd_classify, "smooth/connected/wound report",
-                  "file", "group")
-    _add_search_bound(sp)
+    _command(sub, "classify", cmd_classify, "smooth/connected/wound report", "file", "group")
 
     sp = _command(sub, "reduce", cmd_reduce,
                   "division with remainder against a pivoted p-polynomial", "file")
@@ -412,7 +398,6 @@ def main(argv=None):
     sp = _command(sub, "twist", cmd_twist, "Frobenius twist and relative Frobenius",
                   "file", "group", needs=("homs",))
     sp.add_argument("n", type=_at_least(0))
-    _add_search_bound(sp)
 
     _command(sub, "verify-iso", cmd_verify_iso, "check mutually inverse homomorphisms",
              "file", "f", "g", needs=("homs",))

@@ -385,9 +385,11 @@ def rref(rows, p, width):
     row has a 1 at its pivot and no entry in another basis row's pivot
     column.  A row that does not vanish joins with a leading 1 at its
     lowest column and clears that column from every basis row that has it.
-    Once the rank equals width, no further row can change the row space,
-    so the remaining rows are never read."""
-    basis = {}
+    ``holders`` maps each column to the pivots of every basis row that has
+    held it (a superset of those that hold it now), so the join looks only
+    at them.  Once the rank equals width, no further row can change the
+    row space, so the remaining rows are never read."""
+    basis, holders = {}, {}
     rows = iter(rows)
     while len(basis) < width:
         row = next(rows, None)
@@ -402,9 +404,13 @@ def rref(rows, p, width):
         if r[c] != 1:
             inv = pow(r[c], p - 2, p)
             r = {k: v * inv % p for k, v in r.items()}
-        for b in basis.values():
-            if c in b:
-                _axpy(b, -b[c], r, p)
+        for b in holders.pop(c, ()):
+            if c in basis[b]:
+                _axpy(basis[b], -basis[b][c], r, p)
+                for k in r:
+                    holders.setdefault(k, []).append(b)
+        for k in r:
+            holders.setdefault(k, []).append(c)
         basis[c] = r
     pivots = sorted(basis)
     return [basis[c] for c in pivots], pivots

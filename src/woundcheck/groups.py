@@ -120,7 +120,7 @@ class ClassificationReport(Record):
         return {"no_zero": "certified", "zero": "refuted", "unknown": "unknown"}[self.wound.verdict]
 
 
-def classify(g, search_bound=3):
+def classify(g):
     """Smoothness, a sufficient connectedness test, and the wound verdict."""
     f = g.f
     smooth = is_smooth(f)
@@ -128,7 +128,7 @@ def classify(g, search_bound=3):
     for (i, _e) in f.terms:
         occurrences[i] = occurrences.get(i, 0) + 1
     connected = "yes" if any(c == 1 for c in occurrences.values()) else "unknown"
-    wound = decide_no_nontrivial_zero(f.principal_part(), search_bound=search_bound)
+    wound = decide_no_nontrivial_zero(f.principal_part())
     return ClassificationReport(smooth, connected, wound, g.nvars - 1)
 
 

@@ -17,9 +17,11 @@ times the remainder of one source monomial, and each monomial at or above
 the pivot bound is divided once, in one step from the p-th power of the
 remainder below it; the generic map is never built, only its slots.
 Derivation is the one place that checks exponent caps: every cap names a
-source variable, none is negative, and the pivot's stays below the
-canonical bound.  Each condition is a PPoly in the unknowns, whose term
-(u, t) is the coefficient of c_u^(p^t): the type rules out a non-additive one.
+source variable, none is negative, the pivot's stays below the canonical
+bound, and p^cap stays within the degree scale ``parser.MAX_PPOWER``
+(a cap of 1 is allowed at every p).  Each condition is a PPoly in the
+unknowns, whose term (u, t) is the coefficient of c_u^(p^t): the type
+rules out a non-additive one.
 
 Every condition is additive in the unknowns, so the solver works by exact
 F_p-linear algebra: over the F_p-span of a finite coefficient domain the
@@ -176,10 +178,11 @@ def derive_hom_constraints(source, target, caps=None, names=None):
 
     caps maps a source variable index to its largest exponent; a variable
     it leaves out keeps default_exponent_caps.  ValueError for a line
-    source, a cap for a variable the source lacks, a negative cap, or a
-    pivot cap over the canonical-form bound.  names, when given, maps
-    (coordinate, variable, exponent) to the symbol to use; defaults to
-    c<coordinate>_<varname>_<exponent>.
+    source, a cap for a variable the source lacks, a negative cap, a pivot
+    cap over the canonical-form bound, or a cap N >= 2 with p^N >
+    MAX_PPOWER (a prime above MAX_PPOWER keeps the one Frobenius, N = 1).
+    names, when given, maps (coordinate, variable, exponent) to the symbol
+    to use; defaults to c<coordinate>_<varname>_<exponent>.
     """
     if is_line(source):
         raise ValueError("use a split presentation for a line source")
@@ -192,6 +195,9 @@ def derive_hom_constraints(source, target, caps=None, names=None):
             raise ValueError(f"cap {item!r} is negative")
         if i == source.pivot and cap > bounds[i]:
             raise ValueError(f"pivot cap {item!r} exceeds the canonical-form bound {bounds[i]}")
+        if cap > 1:
+            from .parser import check_ppower  # here, so that loading homs compiles no parser
+            check_ppower(source.field.p, cap, f"cap {item!r}:")
         bounds[i] = cap
     slots = []
     for j in range(target.nvars):

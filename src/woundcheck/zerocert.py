@@ -9,44 +9,45 @@
    normalizes only the witness entries (``left_kernel_vector``).
 2. Mixed exponents run three stages in turn, the first decisive one wins:
    a. ``exhaustive_poly_search``, also the test suites' confirmation
-      search, over every witness vector with polynomial entries up to a
-      degree bound.  Such a vector is a vector of F_p digits, one per
-      (coefficient, basis element of F_q over F_p), and the principal part
-      is F_p-linear in them, so the search is one sparse row reduction mod
-      p (``field.rref``) with a column per (variable, coefficient, digit)
-      and a row per output digit, holding only its nonzero entries; it
-      returns the first zero of a fixed scan order, built as FieldElems and
-      re-verified exactly once, and that vector settles Zero.
+      search, over every witness vector with polynomial entries of degree
+      <= B = SEARCH_BOUND, a constant 3.  Such a vector is a vector of F_p
+      digits, one per (coefficient, basis element of F_q over F_p), and
+      the principal part is F_p-linear in them, so the search is one
+      sparse row reduction mod p (``field.rref``) with a column per
+      (variable, coefficient, digit) and a row per output digit, holding
+      only its nonzero entries; it returns the first zero of a fixed scan
+      order, built as FieldElems and re-verified exactly once, and that
+      vector settles Zero.
    b. The relaxation w_i = x_i^(p^(N_i - N_min)), decided as in 1 on the
       same coefficients with every N_i read as N_min.  Its NoZero is sound
       for the original, so the search before it finds nothing and the
       order changes no answer; its zero decides nothing.
    c. ``_poly_search`` again, at the per-variable bounds n B p^(M - N_i),
-      with B = search_bound, M = max N_i and n variables.  Let x be a zero
+      with B = SEARCH_BOUND, M = max N_i and n variables.  Let x be a zero
       with entries a_i / d_i, d_i monic and deg a_i <= deg d_i <= B, D the
       lcm of the d_i and y_i = x_i D^(p^(M - N_i)).  Then P(y) = D^(p^M)
       P(x) = 0, y != 0 and deg y_i <= n B p^(M - N_i), so this search finds
       a zero whenever such a rational one exists.  A witness settles Zero;
-      none returns Unknown.
+      none returns Unknown.  The stage's one elimination is linear in B.
 """
 
 from . import fqpoly as fq
 from .field import Field, FieldElem, clear_denominators, kernel_basis, rref
 from .record import Record
 
+SEARCH_BOUND = 3  # B: witness degree bound of the mixed-exponent stages a and c
+
 
 class ZeroDecision(Record):
-    __slots__ = ("verdict", "stage", "witness", "matrix", "columns", "rank", "search_bound")
+    __slots__ = ("verdict", "stage", "witness", "matrix", "columns", "rank")
 
-    def __init__(self, verdict, stage, witness=None, matrix=None, columns=None, rank=None,
-                 search_bound=None):
+    def __init__(self, verdict, stage, witness=None, matrix=None, columns=None, rank=None):
         self.verdict = verdict      # "no_zero" | "zero" | "unknown"
         self.stage = stage          # where the verdict was reached
         self.witness = witness
         self.matrix = matrix        # semilinear certificate rows (tuples of FieldElem)
         self.columns = columns
         self.rank = rank
-        self.search_bound = search_bound
 
 
 def left_kernel_vector(rows, field):
@@ -126,7 +127,7 @@ def _equal_exponent(field, coeffs, N, stage):
     return ZeroDecision("zero", stage, witness=tuple(x), rank=rank)
 
 
-def decide_no_nontrivial_zero(P, search_bound=3):
+def decide_no_nontrivial_zero(P):
     """Decide whether the principal part P has only the trivial zero.
 
     P must equal its own principal part and carry pure field coefficients.
@@ -159,15 +160,15 @@ def decide_no_nontrivial_zero(P, search_bound=3):
     # min-exponent relaxation w_i = x_i^(p^(N_i - nmin)), whose zeros decide
     # nothing, then the polynomial witnesses that clear rational ones
     n = P.nvars
-    found = _poly_search(P, [search_bound] * n)
+    found = _poly_search(P, [SEARCH_BOUND] * n)
     if found is None:
         res = _equal_exponent(field, coeffs, nmin, "relaxation")
         if res.verdict == "no_zero":
             return res
-        found = _poly_search(P, [n * search_bound * field.p ** (nmax - e) for e in exps])
+        found = _poly_search(P, [n * SEARCH_BOUND * field.p ** (nmax - e) for e in exps])
     if found is not None:
         return ZeroDecision("zero", "search", witness=found[1])
-    return ZeroDecision("unknown", "search", search_bound=search_bound)
+    return ZeroDecision("unknown", "search")
 
 
 # ---------------------------------------------------------------------------

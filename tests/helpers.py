@@ -130,12 +130,14 @@ def dense_rref(rows, p):
         a[top] = [x * inv % p for x in a[top]]
         for r in range(top + 1, len(a)):
             f = a[r][c]
-            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[top])]
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[top])]
         pivots.append(c)
     for i in reversed(range(len(pivots))):
         for r in range(i):
             f = a[r][pivots[i]]
-            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[i])]
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[i])]
     return a[:len(pivots)], pivots
 
 

@@ -15,6 +15,7 @@ prime above 2^32, over which rref runs too.  The references are the
 dense loops of tests/helpers.py and, at e = 1, sympy."""
 
 import random
+import time
 
 import pytest
 import sympy
@@ -350,8 +351,10 @@ def fp_matrices(draw, p, shape):
     """Matrices mod p of the named shape: "empty" (no rows, or rows of
     width 0), "zero" (every row zero), "tall" (more rows than columns),
     "full_rank" (an echelon form with random pivot columns, mixed by a unit
-    lower-triangular matrix and shuffled) or "deficient" (an r x k times a
-    k x c product with k < r)."""
+    lower-triangular matrix and shuffled), "deficient" (an r x k times a
+    k x c product with k < r) or "wide_sparse" (up to 200 columns, rows of
+    2-3 entries within a few columns of each other, in random order, so
+    that joining rows clear columns of earlier basis rows)."""
     entries = st.integers(0, p - 1)
 
     def block(nrows, ncols):
@@ -366,6 +369,18 @@ def fp_matrices(draw, p, shape):
     if shape == "tall":
         ncols = draw(st.integers(1, 5))
         return block(draw(st.integers(ncols + 1, ncols + 6)), ncols)
+    if shape == "wide_sparse":
+        ncols = draw(st.integers(2, 200))
+        rows = []
+        for _ in range(draw(st.integers(1, ncols + 5))):
+            c0 = draw(st.integers(0, ncols - 2))
+            cols = {c0} | set(draw(st.lists(st.integers(c0 + 1, min(c0 + 4, ncols - 1)),
+                                            min_size=1, max_size=2)))
+            row = [0] * ncols
+            for c in cols:
+                row[c] = draw(st.integers(1, p - 1))
+            rows.append(row)
+        return rows
     ncols = draw(st.integers(1, 8))
     if shape == "full_rank":
         cols = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
@@ -382,7 +397,8 @@ def fp_matrices(draw, p, shape):
             for row in left]
 
 
-@pytest.mark.parametrize("shape", ("empty", "zero", "tall", "full_rank", "deficient"))
+@pytest.mark.parametrize("shape", ("empty", "zero", "tall", "full_rank", "deficient",
+                                   "wide_sparse"))
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 4_294_967_311))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, database=None)
@@ -450,3 +466,20 @@ def test_rref_reads_no_row_after_the_rank_is_full():
     got, pivots = rref(rows(), 7, 3)
     assert pivots == [0, 1, 2]
     assert got == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_rref_of_a_shuffled_bidiagonal_matrix_within_two_seconds():
+    """Rows {i: 1, i+1: 2} mod 3 in random order: each joining row clears
+    its pivot column from the few basis rows that hold it, not from all of
+    them, so 20 000 columns reduce in well under the budget.  The rank is
+    19 999, and the kernel vector annihilates every row."""
+    width, p = 20_000, 3
+    rows = [{i: 1, i + 1: 2} for i in range(width - 1)]
+    random.Random(2028).shuffle(rows)
+    start = time.perf_counter()
+    reduced, pivots = rref(rows, p, width)
+    elapsed = time.perf_counter() - start
+    assert len(pivots) == width - 1
+    [(_, v)] = kernel_basis(reduced, pivots, width, p)
+    assert all(sum(x * v.get(c, 0) for c, x in row.items()) % p == 0 for row in rows)
+    assert elapsed < 2.0, f"rref took {elapsed:.2f}s"

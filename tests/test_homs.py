@@ -131,10 +131,13 @@ def test_derive_pivot_cap_enforced():
     ({0: -1}, "cap 'X=-1' is negative"),
     ({5: 1}, "cap for variable index 5, which Va lacks"),
     ({0: 5}, "pivot cap 'X=5' exceeds the canonical-form bound 1"),
+    ({1: 8}, "cap 'Y=8': p^8 exceeds the supported degree scale 4096"),
+    ({1: 13}, "cap 'Y=13': p^13 exceeds the supported degree scale 4096"),
 ])
 def test_derive_refuses_a_cap_it_cannot_honour(caps, message):
-    """A negative cap would drop the variable and a cap for a missing
-    variable would be ignored; derive refuses both, in the CLI's words."""
+    """A negative cap would drop the variable, a cap for a missing
+    variable would be ignored and a cap past the degree scale would run
+    for minutes or out of memory; derive refuses each, in the CLI's words."""
     k = k3()
     with pytest.raises(ValueError) as exc:
         derive_hom_constraints(corpus.group_va(k), corpus.group_u(k), caps=caps)

@@ -71,9 +71,8 @@ def test_mixed_exponent_unknown_is_honest():
     k = field_fpa(2)
     a = k.base_gen()
     P = ppoly(k, 3, (0, 2, 1), (1, 1, a), (2, 3, a * a))
-    d = decide_no_nontrivial_zero(P, search_bound=1)
+    d = decide_no_nontrivial_zero(P)
     assert d.verdict == "unknown"
-    assert d.search_bound == 1
 
 
 def test_scale_invariance():
@@ -176,13 +175,11 @@ def principal_parts(draw, e=1):
 @settings(max_examples=100, deadline=None, database=None)
 @given(principal_parts())
 def test_decision_agrees_with_exhaustive_search(P):
-    d = decide_no_nontrivial_zero(P, search_bound=1)
+    d = decide_no_nontrivial_zero(P)
     if d.verdict == "zero":
         assert any(not w.is_zero() for w in d.witness)
         assert P.evaluate(d.witness).is_zero()
     else:
-        assert exhaustive_poly_search(P, 1) is None
-    if d.verdict == "no_zero":
         assert exhaustive_poly_search(P, 3) is None
 
 
@@ -225,9 +222,9 @@ def test_cleared_search_over_f9_ends_within_a_second():
     a = k.base_gen()
     P = ppoly(k, 3, (0, 2, 1), (1, 1, a), (2, 3, a ** 3))  # X^9 + a Y^3 + a^3 Z^27
     start = time.perf_counter()
-    d = decide_no_nontrivial_zero(P, search_bound=3)
+    d = decide_no_nontrivial_zero(P)
     assert time.perf_counter() - start < 1.0
-    assert d.verdict == "unknown" and d.stage == "search" and d.search_bound == 3
+    assert d.verdict == "unknown" and d.stage == "search"
 
 
 def _mixed_instance(rng):
@@ -277,16 +274,16 @@ def _plant_rational_zero(P, rng, degree=1):
 def test_cleared_search_finds_every_planted_rational_zero():
     """The last stage is complete for the rational zeros within its bound:
     an instance with pairwise distinct exponents, planted with a zero whose
-    entries have numerator and denominator degree <= B, is refuted at
-    search bound B by a nonzero witness that vanishes."""
+    entries have numerator and denominator degree 1 or 3 (<= SEARCH_BOUND),
+    is refuted by a nonzero witness that vanishes."""
     rng = random.Random(7005)
-    for bound in (1, 3):
+    for degree in (1, 3):
         for _ in range(30):
             k = field_fpa(rng.choice((2, 3, 5, 7)), depth=rng.randrange(3), e=rng.choice((1, 2)))
             exps = rng.sample(range(3), rng.choice((2, 3)))
-            P = _plant_rational_zero(_with_exponents(k, exps, rng), rng, bound)
-            d = decide_no_nontrivial_zero(P, search_bound=bound)
-            assert d.verdict == "zero", (P, bound, d)
+            P = _plant_rational_zero(_with_exponents(k, exps, rng), rng, degree)
+            d = decide_no_nontrivial_zero(P)
+            assert d.verdict == "zero", (P, degree, d)
             assert any(not w.is_zero() for w in d.witness)
             assert P.evaluate(d.witness).is_zero()
 
@@ -300,7 +297,7 @@ def test_w2_search_makes_few_products(monkeypatch):
     real = fq.mul
     monkeypatch.setattr(fq, "mul", lambda *args: calls.append(args) or real(*args))
     d = decide_no_nontrivial_zero(P)
-    assert d.verdict == "unknown" and d.stage == "search" and d.search_bound == 3
+    assert d.verdict == "unknown" and d.stage == "search"
     assert len(calls) < 2_000
 
 
@@ -319,13 +316,11 @@ def test_fq_mixed_unknown_at_the_default_bound():
 @settings(max_examples=100, deadline=None, database=None)
 @given(principal_parts(e=2))
 def test_decision_agrees_with_exhaustive_search_over_fq(P):
-    d = decide_no_nontrivial_zero(P, search_bound=1)
+    d = decide_no_nontrivial_zero(P)
     if d.verdict == "zero":
         assert any(not w.is_zero() for w in d.witness)
         assert P.evaluate(d.witness).is_zero()
     else:
-        assert exhaustive_poly_search(P, 1) is None
-    if d.verdict == "no_zero":
         assert exhaustive_poly_search(P, 3) is None
 
 
@@ -491,7 +486,7 @@ def _equal_exponent_instance(rng):
 
 def test_decisions_are_pinned():
     """Every field of the decisions (verdict, stage, witness, rows, columns,
-    rank, bound) on 80 mixed and 60 equal-exponent instances, pinned by
+    rank) on 80 mixed and 60 equal-exponent instances, pinned by
     sha256.  The equal-exponent digest is that of the FieldElem
     elimination; the mixed one that of the search at the cleared bounds as
     the last stage, which decides all 80."""
@@ -500,9 +495,9 @@ def test_decisions_are_pinned():
     verdicts = [d.verdict for d in mixed]
     assert [verdicts.count(v) for v in ("zero", "unknown", "no_zero")] == [66, 0, 14]
     assert (_decisions_digest(mixed)
-            == "abc7a0bedd32f9246f4e907338d7f989fb2c70099f4075ac380bb55dd106bf41")
+            == "31ef286da8bccc78526967ddbff119206ac141ac86e114adf2987fa02af234f5")
     rng = random.Random(7003)
     equal = [decide_no_nontrivial_zero(_equal_exponent_instance(rng)) for _ in range(60)]
     assert {d.verdict for d in equal} == {"zero", "no_zero"}
     assert (_decisions_digest(equal)
-            == "16b260fb4bdde20acfe927d987bd754da0a7e5133d6154155d73ea3c17701a55")
+            == "da0a6eeedc8a12c84ca0b6ee728aa8cd32a78a245b7ffee3d8f6b7edbf5327bc")
