@@ -31,7 +31,14 @@ is never run:
     a/b + c = (a + cb) / b,            gcd(a + cb, b) = gcd(a, b) = 1;
     (a/b) c = (a (c/g2)) / (b/g2),     g2 = gcd(c, b), g1 = 1;
 
-and an element built with denominator 1 is already normalized.
+and an element built with denominator 1 is already normalized.  When
+one denominator of a product is 1, or becomes 1 once g1 or g2 is
+cancelled, the other is the product's denominator as it stands.
+
+Most operands are FieldElems of one field, so ``+`` and ``*`` test for
+exactly that class first; an int is coerced into the field, and any
+other operand gives NotImplemented, so that a parameter-ring element on
+the right takes the operation over.
 """
 
 from . import fqpoly as fq
@@ -207,10 +214,10 @@ class FieldElem:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not FieldElem:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.from_int(other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
         f, gf = self.field, self.field.gf
         b, d = self.den, other.den
         if b == fq.ONE and d == fq.ONE:
@@ -252,10 +259,10 @@ class FieldElem:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not FieldElem:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.from_int(other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
         f, gf = self.field, self.field.gf
         a, c = self.num, other.num
         if not a or not c:
@@ -270,7 +277,8 @@ class FieldElem:
             a, d = _exact_div(gf, a, g1), _exact_div(gf, d, g1)
         if g2 != fq.ONE:
             c, b = _exact_div(gf, c, g2), _exact_div(gf, b, g2)
-        return FieldElem._raw(f, fq.mul(gf, a, c), fq.mul(gf, b, d))
+        den = d if b == fq.ONE else b if d == fq.ONE else fq.mul(gf, b, d)
+        return FieldElem._raw(f, fq.mul(gf, a, c), den)
 
     __rmul__ = __mul__
 

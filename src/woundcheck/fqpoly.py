@@ -6,21 +6,27 @@ the field handle as first argument and return canonical tuples.
 
 Tuples stay dense, but the kernels cost work in proportion to nonzero
 coefficients, not to length: in a tower, x^(p^k) and the embeddings
-spread coefficients p^k apart, and denominators are powers of x.  add,
-smul and neg touch only nonzero coefficients, and mul takes a monomial
-operand c*x^k as one scaling plus a shift.  Every other product is the
-schoolbook loop, and long division the quotient loop; both run through
-gfq's multiply-add kernel axpy, one call per row, over the nonzero
-coefficients of one operand only, so division skips zero divisor
-coefficients as the product skips zero factor coefficients.  Both are
-exact for any p.
+spread coefficients p^k apart, and denominators are powers of x.  The
+operands are short (about three coefficients in a tower's identities),
+so the cost is Python calls more than arithmetic, and a row of
+coefficients costs one gfq call: smul, neg and monic make one gfq.scale
+(one gfq.mul for a constant), and mul takes a monomial operand c*x^k as
+one scaling plus a shift.  add touches only the nonzero coefficients of
+the shorter operand, one gfq.add each.  Every other product is the
+schoolbook loop, long division the quotient loop and gcd's remainders
+the same loop without a quotient; they run through gfq.axpy, one call
+per row, over the nonzero coefficients of one operand only, so division
+skips zero divisor coefficients as the product skips zero factor
+coefficients.  All are exact for any p.  Over F_p, frob is spread,
+since Frobenius fixes every coefficient.
 
 The generator x is prime in F_q[x], and in a tower every denominator that
 comes from a coefficient a^(-1/p^m) is a power of it.  So gcd first takes
 out the common power x^min(order f, order g) and runs Euclid only on
-operands that are not constants after their own x-power is stripped, and
-divmod_ by a monomial c*x^k is a slice.  Both are exact: the results are
-the same canonical tuples that plain Euclid and long division return.
+operands that are not constants after their own x-power is stripped, on
+remainders only, in place; and divmod_ by a monomial c*x^k is a slice.
+All are exact: the results are the same canonical tuples that plain
+Euclid and long division return.
 """
 
 ONE = (1,)
@@ -48,27 +54,39 @@ def order(f):
 
 
 def add(gf, f, g):
-    """f + g, touching only the nonzero coefficients of the shorter one."""
+    """f + g, touching only the nonzero coefficients of the shorter one; a
+    constant costs one gfq.add.  Only equal lengths can cancel the top."""
     if len(f) < len(g):
         f, g = g, f
+    if len(g) <= 1:
+        if not g:
+            return f
+        s = gf.add(f[0], g[0])
+        if len(f) > 1:
+            return (s,) + f[1:]
+        return (s,) if s else ()
     out = list(f)
     for i, c in enumerate(g):
         if c:
             out[i] = gf.add(out[i], c) if out[i] else c
-    return norm(out)
+    return tuple(out) if len(f) > len(g) else norm(out)
 
 
 def neg(gf, f):
-    return smul(gf, gf.neg(1), f)
+    # -1 is the code p - 1: its one nonzero digit is the lowest
+    return smul(gf, gf.p - 1, f)
 
 
 def smul(gf, c, f):
-    """c * f; zero coefficients are left alone."""
+    """c * f in one gfq call: a product for a constant f, else a
+    gfq.scale row."""
+    if c == 1 or not f:
+        return f
     if c == 0:
         return ()
-    if c == 1:
-        return f
-    return tuple([gf.mul(c, x) if x else 0 for x in f])
+    if len(f) == 1:
+        return (gf.mul(c, f[0]),)
+    return gf.scale(c, f)
 
 
 def mul(gf, f, g):
@@ -80,6 +98,8 @@ def mul(gf, f, g):
         return ()
     if len(f) < len(g):
         f, g = g, f
+    if len(f) == 1:
+        return (gf.mul(f[0], g[0]),)
     if not any(g[:-1]):
         return shift(smul(gf, g[-1], f), len(g) - 1)
     if not any(f[:-1]):
@@ -100,26 +120,48 @@ def divmod_(gf, f, g):
     if len(f) < len(g):
         return (), f
     k = len(g) - 1
-    if order(g) == k:  # g = c * x^k
-        return smul(gf, gf.inv(g[-1]), f[k:]), norm(f[:k])
+    if not any(g[:k]):  # g = c * x^k
+        low = f[:k]
+        return smul(gf, gf.inv(g[k]), f[k:]), norm(low) if any(low) else ()
     # each step cancels rem[j + k] against c * x^j * g; only the terms of
     # g below its lead are added, negated once here, so rem[j + k] is
-    # left stale and never read again
-    inv_lead = gf.inv(g[-1])
-    minus_g = [(i, gf.neg(c)) for i, c in enumerate(g[:k]) if c]
+    # left stale and never read again.  The top quotient coefficient is
+    # f's lead over g's, so the quotient needs no normalization.
+    inv_lead = gf.inv(g[k])
+    minus_g = [(i, c) for i, c in enumerate(neg(gf, g[:k])) if c]
     rem = list(f)
     quo = [0] * (len(f) - k)
-    axpy = gf.axpy
+    axpy, mul_ = gf.axpy, gf.mul
     for j in range(len(f) - k - 1, -1, -1):
-        c = gf.mul(rem[j + k], inv_lead)
+        c = rem[j + k]
         if c:
-            quo[j] = c
+            c = quo[j] = mul_(c, inv_lead)
             axpy(rem, j, c, minus_g)
-    return norm(quo), norm(rem[:k])
+    return tuple(quo), norm(rem[:k])
 
 
 def rem(gf, f, g):
     return divmod_(gf, f, g)[1]
+
+
+def _rem_in_place(gf, a, g):
+    """a <- a mod g on the list a, with no quotient; g is nonzero and
+    canonical, and a is left so.  g's terms below its lead are scaled
+    once by -1/lead, so a step is one axpy row by the coefficient it
+    cancels, which is cut off with the rest of the top."""
+    k = len(g) - 1
+    if len(a) <= k:
+        return
+    tail = [(i, c) for i, c in enumerate(smul(gf, gf.neg(gf.inv(g[k])), g[:k])) if c]
+    if tail:
+        axpy = gf.axpy
+        for t in range(len(a) - 1, k - 1, -1):
+            c = a[t]
+            if c:
+                axpy(a, t - k, c, tail)
+    del a[k:]
+    while a and not a[-1]:
+        a.pop()
 
 
 def gcd(gf, f, g):
@@ -127,17 +169,24 @@ def gcd(gf, f, g):
 
     x is prime, so gcd(x^i f', x^j g') = x^min(i, j) gcd(f', g') where
     neither f' nor g' is divisible by x; Euclid runs only when neither of
-    them is a constant, since otherwise gcd(f', g') = 1.
+    them is a constant, since otherwise gcd(f', g') = 1.  Euclid is the
+    remainder sequence alone (Knuth, TAOCP vol. 2, 4.6.1), on two lists
+    reduced in place by turns, and it stops at the first constant.
     """
     if not f or not g:
         return monic(gf, f or g)[0]
     i, j = order(f), order(g)
     f, g = f[i:], g[j:]
-    if len(f) == 1 or len(g) == 1:
-        return shift(ONE, min(i, j))
-    while g:
-        f, g = g, rem(gf, f, g)
-    return shift(monic(gf, f)[0], min(i, j))
+    m = min(i, j)
+    if len(f) > 1 and len(g) > 1:
+        a, b = list(f), list(g)
+        while len(b) > 1:
+            _rem_in_place(gf, a, b)
+            a, b = b, a
+        # a nonzero constant remainder ends Euclid with gcd 1
+        if not b:
+            return shift(monic(gf, tuple(a))[0], m)
+    return shift(ONE, m)
 
 
 def monic(gf, f):
@@ -151,10 +200,13 @@ def monic(gf, f):
 
 
 def frob(gf, f, n):
-    """f ** (p^n): spread exponents by p^n and power the coefficients."""
+    """f ** (p^n): spread exponents by p^n and power the coefficients,
+    which Frobenius fixes over F_p."""
     if n == 0 or not f:
         return f
     k = gf.p ** n
+    if gf.e == 1:
+        return spread(f, k)
     out = [0] * ((len(f) - 1) * k + 1)
     for i, c in enumerate(f):
         if c:
@@ -164,7 +216,7 @@ def frob(gf, f, n):
 
 def spread(f, k):
     """f(x) -> f(x^k), coefficients untouched (tower embedding)."""
-    if k == 1 or not f:
+    if k == 1 or len(f) <= 1:
         return f
     out = [0] * ((len(f) - 1) * k + 1)
     for i, c in enumerate(f):
@@ -195,6 +247,6 @@ def deriv(gf, f):
 
 def shift(f, k):
     """Multiply by x^k."""
-    if not f:
+    if not f or not k:
         return f
     return (0,) * k + tuple(f)

@@ -13,8 +13,11 @@ For e > 1 every operation is a table lookup over a primitive element g:
 exp/log tables for products, and a Zech table zech[i] = log(1 + g^i)
 (None where 1 + g^i = 0) for sums, since a + b = a * (1 + b/a).  The
 tables are built once per field: adding 1 to a code raises only its
-lowest digit.  axpy is the one multiply-add loop of fqpoly's product and
-division, so a row of coefficients costs one call.
+lowest digit.  Two row kernels serve fqpoly, so that a row of
+coefficients costs one call whatever its length: axpy, the multiply-add
+loop of its product, division and gcd, and scale, the scaling of its
+smul, neg and monic.  Each holds both the e = 1 path and the table
+path.
 
 Field handles are cached by (p, e).  Elements carry no field pointer, so
 callers must keep operands inside one field.
@@ -187,6 +190,16 @@ class _GFq:
                 out[j] = 0 if z is None else exp[lo + z]
             else:
                 out[j] = exp[lt]
+
+    def scale(self, c, f):
+        """The tuple c * f over the coefficients f, zeros kept; c is
+        nonzero, so a canonical f gives a canonical product."""
+        if self.e == 1:
+            p = self.p
+            return tuple([c * x % p for x in f])
+        exp, log = self._exp, self._log
+        lc = log[c]
+        return tuple([exp[lc + log[x]] if x else 0 for x in f])
 
     def mul(self, a, b):
         if self.e == 1:

@@ -5,8 +5,12 @@ occurs in exactly one term c * Y^(p^r): draw every other block variable as
 S^(p^r) and extract the p^r-th root of the equation solved for Y, over the
 tower deepened by r.  The shallowest such Y wins, and among those at r = 0
 the pivot comes first, so a relation linear in its pivot is solved for the
-pivot over the base field.  The parametrization is verified by composition
-when it is built.
+pivot over the base field.  The root is taken coefficientwise: the
+equation's ratios lie in the base field, whose embedding in the deeper
+one spreads exponents by p^r, so their p^r-th roots there have the same
+num and den with every F_q coefficient rooted.  The parametrization is
+verified by composition when it is built, and the samplers' coordinates
+carry their own tower level, so no level is built twice.
 
 Free variables are drawn as random polynomials of degree <= 3 in the
 (possibly deepened) working generator.  Before any draw the identity is
@@ -19,6 +23,7 @@ all-zero samples are evidence.
 
 import random
 
+from .field import FieldElem
 from .params import flatten_ppoly
 from .polyring import Poly, _add_terms
 from .ppoly import PPoly
@@ -48,12 +53,15 @@ def parametrize_relation(f, pivot, field):
     slot = {v: s for s, v in enumerate(free)}
     coords = {v: PPoly.variable(deeper, len(free), slot[v], r) for v in free}
     cinv = c.inverse()
+    gf = field.gf
 
     def root_ratio(coef):
-        ratio = field.embed(coef * cinv, deeper)
-        for _ in range(r):
-            ratio = ratio.pth_root()
-        return ratio
+        # the p^r-th root of coef/c embedded in the deeper field
+        ratio = coef * cinv
+        if not r:
+            return ratio
+        return FieldElem._raw(deeper, tuple([gf.proot_n(x, r) for x in ratio.num]),
+                              tuple([gf.proot_n(x, r) for x in ratio.den]))
 
     y_terms = _add_terms({}, (((slot[i], e), -root_ratio(coef))
                               for (i, e), coef in f.terms.items() if i != y))
@@ -91,12 +99,11 @@ def random_point_oracle(h, rset, seed=0, trials=100):
     hdeep = Poly(deep, h.nvars, {m: field.embed(c, deep) for m, c in h.terms.items()})
     in_block = {v for s in samplers for v in s[2]}
     loose = [i for i in range(h.nvars) if i not in in_block]
-    composite = _composite(hdeep, samplers, loose, field)
+    composite = _composite(hdeep, samplers, loose)
     if composite.is_zero():
         return True
     # the field each variable of the composite is drawn from, in draw order
-    fields = [deep] * len(loose) + [field.extend(field.spec.depth + extra_r)
-                                    for extra_r, free, _ in samplers for _ in free]
+    fields = [deep] * len(loose) + [_level(coords) for _, free, coords in samplers for _ in free]
     for t in range(trials):
         rng = random.Random((seed << 20) ^ (t * 0x9E3779B1))
         point = [own.embed(_draw(own, rng), deep) for own in fields]
@@ -105,7 +112,12 @@ def random_point_oracle(h, rset, seed=0, trials=100):
     return True
 
 
-def _composite(hdeep, samplers, loose, field):
+def _level(coords):
+    """The tower level a sampler's coordinates are defined over."""
+    return next(iter(coords.values())).dom
+
+
+def _composite(hdeep, samplers, loose):
     """hdeep with each block variable replaced by its sampler coordinate
     and each loose variable kept: a Poly over hdeep's field whose variables
     are the loose variables in order, then every sampler's free slots.
@@ -116,8 +128,8 @@ def _composite(hdeep, samplers, loose, field):
     for offset, i in enumerate(loose):
         args[i] = Poly.variable(deep, nv, offset)
     offset = len(loose)
-    for extra_r, free, coords in samplers:
-        own = field.extend(field.spec.depth + extra_r)
+    for _, free, coords in samplers:
+        own = _level(coords)
         slots = range(offset, offset + len(free))
         for v, fp in coords.items():
             fdeep = PPoly(deep, fp.nvars, {k: own.embed(c, deep) for k, c in fp.terms.items()})

@@ -141,13 +141,15 @@ class Poly:
         return result
 
     def substitute(self, args):
-        """Evaluate at a tuple of Polys (the evaluation homomorphism)."""
+        """Evaluate at a tuple of Polys (the evaluation homomorphism).  Each
+        monomial's image is added into one dict, so the partial sum is
+        never copied."""
         if len(args) != self.nvars:
             raise ValueError("wrong number of substitution arguments")
         nv = args[0].nvars if args else self.nvars
-        if not self.terms:
-            return Poly.zero(self.field, nv)
-        out = Poly.zero(self.field, nv)
+        if any(a.nvars != nv for a in args):
+            raise ValueError("variable count mismatch")
+        out = {}
         cache = {}
         for m, c in self.terms.items():
             piece = None
@@ -162,8 +164,8 @@ class Poly:
                 piece = Poly.constant(self.field, nv, c)
             elif not c.is_one():
                 piece = piece.scale(c)
-            out = out + piece
-        return out
+            _add_terms(out, piece.terms.items())
+        return Poly._raw(self.field, nv, out)
 
     def evaluate(self, point):
         """Evaluate at field elements.  Each power point[i] ** e is taken

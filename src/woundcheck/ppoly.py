@@ -143,12 +143,15 @@ class PPoly:
         return PPoly._raw(dom, nv, out)
 
     def principal_part(self):
-        """Keep, for each variable present, only its top-exponent term."""
-        out = {}
-        for i in {j for j, _ in self.terms}:
-            e = self.max_exp(i)
-            out[(i, e)] = self.terms[(i, e)]
-        return PPoly._raw(self.dom, self.nvars, out)
+        """Keep, for each variable present, only its top-exponent term, in
+        increasing variable order; one pass finds every top exponent."""
+        top = {}
+        for i, e in self.terms:
+            if top.get(i, -1) < e:
+                top[i] = e
+        terms = self.terms
+        return PPoly._raw(self.dom, self.nvars,
+                          {(i, top[i]): terms[(i, top[i])] for i in sorted(top)})
 
     def linear_part(self):
         return PPoly._raw(self.dom, self.nvars,
@@ -234,6 +237,11 @@ def reduce_mod(h, f, pivot):
     insensitive to adding explicit multiples of f to h.  Each step lowers
     the top pivot term in one Frobenius-shifted subtraction, whose
     multiplier c (-u^-1)^(p^j) is formed once for all the divisor's terms.
+    A step at pivot exponent t adds only pivot terms below t, since every
+    pivot term of f other than u's lies below n0, so one downward sweep of
+    the pivot exponents from h's top to n0 takes every step in order.  The
+    divisor's other terms are listed once, and -u^-1 is formed at the
+    first step taken.
     """
     if not isinstance(h, PPoly):
         raise TypeError("reduce_mod divides p-polynomials; reduce a Poly with normal_form")
@@ -243,18 +251,19 @@ def reduce_mod(h, f, pivot):
     u = f.terms[(pivot, n0)]
     if not u.is_unit():
         raise ValueError("leading pivot coefficient is not a unit")
-    neg_uinv = -u.inverse()
     rem = dict(h.terms)
     dom = join_dom(h.dom, f.dom)
     steps = []
-    while True:
-        top = max((e for i, e in rem if i == pivot and e >= n0), default=None)
-        if top is None:
-            break
-        c = rem.pop((pivot, top))
-        j = top - n0
+    rest = [(k, b) for k, b in f.terms.items() if k != (pivot, n0)]
+    neg_uinv = None
+    for t in range(max((e for i, e in rem if i == pivot), default=-1), n0 - 1, -1):
+        c = rem.pop((pivot, t), None)
+        if c is None:
+            continue
+        if neg_uinv is None:
+            neg_uinv = -u.inverse()
+        j = t - n0
         steps.append((c, j))
         s = c * neg_uinv.frobenius(j)
-        _add_terms(rem, (((i, e + j), s * b.frobenius(j))
-                         for (i, e), b in f.terms.items() if (i, e) != (pivot, n0)))
+        _add_terms(rem, (((i, e + j), s * b.frobenius(j)) for (i, e), b in rest))
     return ReductionTrace(f, pivot, tuple(steps), PPoly._raw(dom, h.nvars, rem))

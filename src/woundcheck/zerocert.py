@@ -134,8 +134,7 @@ def decide_no_nontrivial_zero(P):
     """
     if not isinstance(P.dom, Field):
         raise ValueError("decision requires pure field coefficients")
-    if P != P.principal_part():
-        raise ValueError("input must equal its own principal part")
+    _check_principal(P)
     if P.is_zero():
         raise ValueError("zero polynomial has every vector as a zero")
     field = P.dom
@@ -192,14 +191,20 @@ def exhaustive_poly_search(P, degree_bound):
     significant): with the columns least significant first, that is the
     first vector of ``field.kernel_basis``, the one of the first free column.
     """
-    if P != P.principal_part():
-        raise ValueError("input must equal its own principal part")
+    _check_principal(P)
     pres = P.vars_present()
     if len(pres) < P.nvars:
         missing = next(i for i in range(P.nvars) if i not in pres)
         return tuple((int(i == missing),) + (0,) * degree_bound for i in range(P.nvars))
     found = _poly_search(P, [degree_bound] * P.nvars)
     return None if found is None else found[0]
+
+
+def _check_principal(P):
+    """P equals its own principal part iff no variable occurs in two terms."""
+    variables = [i for i, _ in P.terms]
+    if len(set(variables)) != len(variables):
+        raise ValueError("input must equal its own principal part")
 
 
 def _poly_search(P, bounds):

@@ -15,7 +15,7 @@ from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError,
                              PPolyMap, _domain_key, _fp_vectors, _undigits,
                              default_exponent_caps)
 from woundcheck.groups import is_line
-from woundcheck.oracle import parametrize_relation
+from woundcheck.oracle import UnsupportedRelationError, parametrize_relation
 from woundcheck.params import ParamRing
 from woundcheck.polyring import Poly, _add_terms
 from woundcheck.ppoly import PPoly, ReductionTrace, join_dom
@@ -111,6 +111,14 @@ def dense_divmod(gf, f, g):
         for i, gc in enumerate(g):
             rem[k + i] = gf.add(rem[k + i], gf.neg(gf.mul(c, gc)))
     return fq.norm(quo), fq.norm(rem)
+
+
+def dense_gcd(gf, f, g):
+    """Monic gcd by Euclid's remainder sequence over dense_divmod, with no
+    x-adic shortcut: the reference for fqpoly.gcd; gcd(0, 0) = 0."""
+    while g:
+        f, g = g, dense_divmod(gf, f, g)[1]
+    return dense_smul(gf, gf.inv(f[-1]), f) if f else ()
 
 
 def dense_rref(rows, p):
@@ -383,6 +391,43 @@ def reference_reduce_mod(h, f, pivot):
         _add_terms(rem, (((i, e + j), c * (neg_uinv * b).frobenius(j))
                          for (i, e), b in f.terms.items() if (i, e) != (pivot, n0)))
     return ReductionTrace(f, pivot, tuple(steps), PPoly._raw(dom, h.nvars, rem))
+
+
+def reference_parametrize_relation(f, pivot, field):
+    """The reference for ``oracle.parametrize_relation``, which roots each
+    F_q coefficient of a ratio: here the ratio is embedded in the deeper
+    field and its p-th root taken r times, each one tested by derivatives.
+
+    (extra_depth, free_vars, coords) sampling the block of f.
+
+    coords maps every block variable to a PPoly over the free slots,
+    defined over field.extend(depth + extra_depth).
+    """
+    block = sorted({i for i, _ in f.terms})
+    single = [(next(e for (j, e) in f.terms if j == i), i) for i in block
+              if sum(1 for (j, _) in f.terms if j == i) == 1]
+    if not single:
+        raise UnsupportedRelationError(
+            "no variable occurs in exactly one term; cannot sample the variety")
+    # shallowest tower extension wins; a linear pivot is solved for first
+    r, y = (0, pivot) if (0, pivot) in single else min(single)
+    c = f.terms[(y, r)]
+    deeper = field.extend(field.spec.depth + r)
+    free = [i for i in block if i != y]
+    slot = {v: s for s, v in enumerate(free)}
+    coords = {v: PPoly.variable(deeper, len(free), slot[v], r) for v in free}
+    cinv = c.inverse()
+
+    def root_ratio(coef):
+        ratio = field.embed(coef * cinv, deeper)
+        for _ in range(r):
+            ratio = ratio.pth_root()
+        return ratio
+
+    y_terms = _add_terms({}, (((slot[i], e), -root_ratio(coef))
+                              for (i, e), coef in f.terms.items() if i != y))
+    coords[y] = PPoly(deeper, len(free), y_terms)
+    return r, free, coords
 
 
 def reference_derive(source, target, caps=None, names=None):

@@ -5,9 +5,10 @@ gfq.axpy that runs fqpoly's product and division; the Frobenius-digit
 power FieldElem.__pow__; the p-th root, the inverse of Frobenius on
 k^p; Henrici's reduced sum and product of FieldElem, with and
 without a unit denominator on either side; the lcm of
-common_denominator and clear_denominators; the x-adic fqpoly.gcd;
-fqpoly.divmod_ on sparse divisors; and the zero-skipping fqpoly.add,
-smul and mul.  The property suites run over
+common_denominator and clear_denominators; the x-adic fqpoly.gcd, whose
+Euclid keeps remainders only, against the dense Euclid; fqpoly.divmod_
+on sparse divisors; and the zero-skipping fqpoly.add, smul and mul, with
+gfq.scale, the row kernel of smul.  The property suites run over
 p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands are drawn
 mostly as monomials c*x^k, multiples of x^j, Frobenius images and
 x^o*g(x^s), the shapes the shortcuts take, plus dense products over one
@@ -22,7 +23,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_add, dense_divmod, dense_mul, dense_rref, dense_smul,
+from helpers import (dense_add, dense_divmod, dense_gcd, dense_mul, dense_rref, dense_smul,
                      pow_by_squaring, table_fields)
 from woundcheck import fqpoly as fq
 from woundcheck.field import (Field, FieldSpec, clear_denominators, common_denominator,
@@ -151,6 +152,8 @@ def test_sparse_kernels_match_the_dense_loops(case):
     gf, f, g, c = case
     assert fq.add(gf, f, g) == dense_add(gf, f, g)
     assert fq.smul(gf, c, f) == dense_smul(gf, c, f)
+    if c:
+        assert gf.scale(c, f) == dense_smul(gf, c, f)
     product = fq.mul(gf, f, g)
     assert product == dense_mul(gf, f, g) == fq.mul(gf, g, f)
     if gf.e == 1:
@@ -214,6 +217,64 @@ def test_axpy_rows_add_the_dense_product(case, data):
         if b:
             gf.axpy(out, j, b, terms)
     assert fq.norm(out) == dense_add(gf, h, product)
+
+
+@st.composite
+def gcd_operands(draw):
+    """(gf, f, g): polynomials times their own x-powers, the images of
+    short polynomials under fq.spread or fq.frob, or two products with a
+    planted common factor that is itself either kind, each a third of the
+    time."""
+    gf = GFq(draw(PRIMES), draw(st.integers(1, 2)))
+    q = gf.q
+
+    def shifted():
+        return fq.shift(draw(polys(q, 4)), draw(st.integers(0, 5)))
+
+    kind = draw(st.sampled_from(("x-power", "spread", "planted")))
+    if kind == "x-power":
+        return gf, shifted(), shifted()
+    if kind == "spread":
+        return gf, draw(spread_operand(gf)), draw(spread_operand(gf))
+    h = draw(spread_operand(gf)) if draw(st.booleans()) else shifted()
+    return gf, dense_mul(gf, shifted(), h), dense_mul(gf, draw(spread_operand(gf)), h)
+
+
+@given(gcd_operands())
+@PROPERTY
+def test_gcd_matches_the_dense_euclid(case):
+    gf, f, g = case
+    want = dense_gcd(gf, f, g)
+    assert fq.gcd(gf, f, g) == want == fq.gcd(gf, g, f)
+
+
+def test_gcd_divides_nothing_and_smul_is_one_gfq_call(monkeypatch):
+    """fq.gcd runs Euclid on remainders alone and never calls divmod_,
+    and fq.smul of a long operand makes one gfq call, to scale.  Over F_3
+    and F_9, the two multiples of (1 + x)^3 need a few Euclid rows."""
+    def no_divmod(*args):
+        raise AssertionError("gcd called divmod_")
+
+    for e in (1, 2):
+        gf = GFq(3, e)
+        cube = fq.frob(gf, (1, 1), 1)
+        f, g = fq.mul(gf, cube, (1, 1, 1)), fq.mul(gf, cube, (2, 0, 0, 1))
+        calls = []
+        cls = type(gf)
+        with monkeypatch.context() as m:
+            m.setattr(fq, "divmod_", no_divmod)
+            for name in ("add", "neg", "mul", "inv", "axpy", "scale"):
+                real = getattr(cls, name)
+                m.setattr(cls, name, lambda self, *args, real=real, name=name:
+                          calls.append(name) or real(self, *args))
+            d = fq.gcd(gf, f, g)
+            rows = calls.count("axpy")
+            del calls[:]
+            product = fq.smul(gf, 2, f)
+        assert d == dense_gcd(gf, f, g) and fq.rem(gf, d, cube) == ()
+        assert rows > 0
+        assert calls == ["scale"]
+        assert product == dense_smul(gf, 2, f)
 
 
 @st.composite

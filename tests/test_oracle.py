@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import first_refuting_trial, rand_elem
+from helpers import first_refuting_trial, rand_elem, reference_parametrize_relation
 
 from woundcheck import corpus
 from woundcheck.groups import block_relations, landing_poly
@@ -151,6 +151,37 @@ def test_oracle_on_seeded_relations(p, e, depth):
     for v in free:
         assert not random_point_oracle(Poly.variable(k, 3, v), rset, seed=p, trials=20)
         assert _assert_matches_trial_loop(Poly.variable(k, 3, v), rset, f"X{v}") == 3
+
+
+def _nonzero(k, rng):
+    while True:
+        c = rand_elem(k, rng, deg=2, rational=True)
+        if c:
+            return c
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sampler_roots_match_the_embedded_pth_roots(p, e, depth):
+    """The sampler roots each F_q coefficient of a ratio, where the
+    reference embeds the ratio in the deeper field and takes its p-th
+    root r times.  In each relation one variable occurs in a single term,
+    at r in {0, 1, 2}, and the coefficients are rational functions."""
+    k = corpus.base_field(p, e, depth)
+    rng = random.Random(100 * p + 10 * e + depth)
+    for _ in range(12):
+        y, r = rng.randrange(3), rng.randrange(3)
+        terms = {(y, r): _nonzero(k, rng)}
+        for v in range(3):
+            if v != y:
+                for n in rng.sample(range(4), rng.randrange(2, 4)):
+                    terms[(v, n)] = _nonzero(k, rng)
+        f = PPoly(k, 3, terms)
+        pivot = rng.randrange(3)
+        got = parametrize_relation(f, pivot, k)
+        assert got == reference_parametrize_relation(f, pivot, k)
+        assert got[0] == r
 
 
 def _commutator(k):
