@@ -168,8 +168,8 @@ class FieldElem:
             gf = field.gf
             g = fq.gcd(gf, num, den)
             if len(g) > 1:
-                num = fq.divmod_(gf, num, g)[0]
-                den = fq.divmod_(gf, den, g)[0]
+                num = fq.exact_div(gf, num, g)
+                den = fq.exact_div(gf, den, g)
             den, lead = fq.monic(gf, den)
             if lead != 1:
                 num = fq.smul(gf, gf.inv(lead), num)
@@ -231,7 +231,7 @@ class FieldElem:
             return FieldElem._raw(f, t, b) if t else f.zero()
         g = fq.gcd(gf, b, d)
         if g != fq.ONE:
-            b, d = _exact_div(gf, b, g), _exact_div(gf, d, g)
+            b, d = fq.exact_div(gf, b, g), fq.exact_div(gf, d, g)
         t = fq.add(gf, fq.mul(gf, a, d), fq.mul(gf, c, b))
         if not t:
             return f.zero()
@@ -239,7 +239,7 @@ class FieldElem:
         if g != fq.ONE:
             h = fq.gcd(gf, t, g)
             if h != fq.ONE:
-                t, g = _exact_div(gf, t, h), _exact_div(gf, g, h)
+                t, g = fq.exact_div(gf, t, h), fq.exact_div(gf, g, h)
             den = fq.mul(gf, den, g)
         return FieldElem._raw(f, t, den)
 
@@ -274,9 +274,9 @@ class FieldElem:
         g1 = fq.gcd(gf, a, d) if d != fq.ONE else fq.ONE
         g2 = fq.gcd(gf, c, b) if b != fq.ONE else fq.ONE
         if g1 != fq.ONE:
-            a, d = _exact_div(gf, a, g1), _exact_div(gf, d, g1)
+            a, d = fq.exact_div(gf, a, g1), fq.exact_div(gf, d, g1)
         if g2 != fq.ONE:
-            c, b = _exact_div(gf, c, g2), _exact_div(gf, b, g2)
+            c, b = fq.exact_div(gf, c, g2), fq.exact_div(gf, b, g2)
         den = d if b == fq.ONE else b if d == fq.ONE else fq.mul(gf, b, d)
         return FieldElem._raw(f, fq.mul(gf, a, c), den)
 
@@ -343,11 +343,6 @@ class FieldElem:
         return f"<{render_elem(self)}>"
 
 
-def _exact_div(gf, f, g):
-    """f / g for a g that divides f."""
-    return fq.divmod_(gf, f, g)[0]
-
-
 def _digit_pow(x, d):
     """x ** d for d >= 1 by square-and-multiply."""
     r = None
@@ -368,7 +363,7 @@ def common_denominator(gf, dens):
         if den == fq.ONE:
             den = d
         elif d != fq.ONE and d != den:
-            den = fq.mul(gf, den, _exact_div(gf, d, fq.gcd(gf, den, d)))
+            den = fq.mul(gf, den, fq.exact_div(gf, d, fq.gcd(gf, den, d)))
     return den
 
 
@@ -379,7 +374,7 @@ def clear_denominators(field, elems):
         return fq.ONE, [x.num for x in elems]
     gf = field.gf
     den = common_denominator(gf, (x.den for x in elems))
-    return den, [fq.mul(gf, x.num, den if x.den == fq.ONE else _exact_div(gf, den, x.den))
+    return den, [fq.mul(gf, x.num, den if x.den == fq.ONE else fq.exact_div(gf, den, x.den))
                  for x in elems]
 
 

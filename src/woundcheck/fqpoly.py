@@ -13,11 +13,12 @@ coefficients costs one gfq call: smul, neg and monic make one gfq.scale
 (one gfq.mul for a constant), and mul takes a monomial operand c*x^k as
 one scaling plus a shift.  add touches only the nonzero coefficients of
 the shorter operand, one gfq.add each.  Every other product is the
-schoolbook loop, long division the quotient loop and gcd's remainders
-the same loop without a quotient; they run through gfq.axpy, one call
-per row, over the nonzero coefficients of one operand only, so division
-skips zero divisor coefficients as the product skips zero factor
-coefficients.  All are exact for any p.  Over F_p, frob is spread,
+schoolbook loop, long division the quotient loop, gcd's remainders the
+same loop without a quotient, and exact_div, for a divisor known to
+divide, the loop without a remainder; they run through gfq.axpy, one
+call per row, over the nonzero coefficients of one operand only, so
+division skips zero divisor coefficients as the product skips zero
+factor coefficients.  All are exact for any p.  Over F_p, frob is spread,
 since Frobenius fixes every coefficient.
 
 The generator x is prime in F_q[x], and in a tower every denominator that
@@ -138,6 +139,26 @@ def divmod_(gf, f, g):
             c = quo[j] = mul_(c, inv_lead)
             axpy(rem, j, c, minus_g)
     return tuple(quo), norm(rem[:k])
+
+
+def exact_div(gf, f, g):
+    """f / g for a nonzero g that divides f: divmod_'s quotient loop with
+    no remainder.  Each quotient coefficient is stored in the slot of the
+    coefficient it cancels, which no later step writes, so the top of the
+    list is the quotient and the bottom, the zero remainder, is not read."""
+    k = len(g) - 1
+    if not any(g[:k]):  # g = c * x^k
+        return smul(gf, gf.inv(g[k]), f[k:])
+    inv_lead = gf.inv(g[k])
+    minus_g = [(i, c) for i, c in enumerate(neg(gf, g[:k])) if c]
+    out = list(f)
+    axpy, mul_ = gf.axpy, gf.mul
+    for j in range(len(f) - k - 1, -1, -1):
+        c = out[j + k]
+        if c:
+            c = out[j + k] = mul_(c, inv_lead)
+            axpy(out, j, c, minus_g)
+    return tuple(out[k:])
 
 
 def rem(gf, f, g):

@@ -28,18 +28,17 @@ F_p-linear algebra: over the F_p-span of a finite coefficient domain the
 solutions are the F_p-combinations of a sparse kernel basis
 (``field.kernel_basis``); it looks up only the unknowns that the basis
 moves, reads every other one as 0 once, and refuses a kernel whose points
-times unknowns exceed MAX_ENUM.  Both eliminations, of the domain vectors
-for a basis of the span and of the constraint matrix, are one sparse
-``field.rref``: rows are dicts from column to a nonzero digit, and the
-domain vectors are fed one at a time, so the elimination stops reading
-them once they span every digit column.  A constraint's rows are the
-base-p digits of its column numerators over one common denominator, read
-off F_q[b] polynomials, and hold only the columns the constraint touches:
-scaling a constraint by a nonzero polynomial keeps its solutions, so the
-reduced matrix does not depend on that choice.  The slots keep every
-pivot exponent below the canonical bound, so each satisfying map it
-returns is already canonical.
+times unknowns exceed MAX_ENUM.  Rows are dicts from column to a nonzero
+digit.  The domain vectors are fed to ``field.rref`` one at a time, so it
+stops once they span every digit column.  A constraint's rows, over one
+common denominator (scaling keeps its solutions), are one sparse
+convolution of its coefficients with the span basis.  Most say that one
+column is 0; such columns are deleted before ``rref`` runs on the rest.
+The slots keep every pivot exponent below the canonical bound, so each
+satisfying map it returns is already canonical.
 """
+
+from collections import defaultdict
 
 from . import fqpoly as fq
 from .field import clear_denominators, common_denominator, kernel_basis, rref
@@ -256,62 +255,67 @@ def _landing_constraints(source, target, slots):
 def _fp_vectors(field, elems):
     """F_p coordinates of elems over one common denominator D: the base-p
     digits, from gfq, of every GF(q) coefficient of the numerators.  Returns
-    (D, vectors); the vectors share one length."""
+    (D, vectors); the vectors are tuples of one length."""
     gf = field.gf
     den, nums = clear_denominators(field, elems)
     width = max(map(len, nums), default=0)
     vectors = []
     for num in nums:
         num = num + (0,) * (width - len(num))
-        if gf.e == 1:
-            vectors.append(list(num))
-        else:
-            vectors.append([d for c in num for d in gf.digits(c)])
+        vectors.append(num if gf.e == 1 else tuple(d for c in num for d in gf.digits(c)))
     return den, vectors
 
 
-def _undigits(gf, digits):
-    """The numerator whose coordinates _fp_vectors reads as digits."""
-    e = gf.e
-    return fq.norm([gf.undigits(digits[i:i + e]) for i in range(0, len(digits), e)])
-
-
 def _constraint_rows(gf, constraint, r, nums, den, frob):
-    """The sparse F_p rows of one p-polynomial constraint: the digits of its
-    column numerators over one common denominator L, one row per (power of
-    b, digit) that has a nonzero entry, built only from the columns the
-    constraint touches.  Its term c u^(p^e) puts the summand c d_j^(p^e),
-    which is c.num nums[j]^(p^e) over c.den den^(p^e), in column u r + j;
-    frob memoizes (nums^(p^e), den^(p^e)) per e.  Scaling a constraint by
-    L != 0 keeps its solutions, so the rows span the same space as those
-    of the reduced fractions."""
+    """The sparse F_p rows of one p-polynomial constraint over one common
+    denominator L, one per (power of b, digit).  Its term c u^(p^e) puts
+    c d_j^(p^e) = c.num nums[j]^(p^e) / (c.den den^(p^e)) in column u r + j;
+    frob memoizes per e the nonzero coefficients (j, power, value) of the
+    nums[j]^(p^e), and den^(p^e).  Each nonzero coefficient of a numerator
+    scaled to L times each of those goes straight into {power: {column:
+    value}}, mod p at e = 1, or in F_q and then split into digits.  Scaling
+    by L != 0 keeps the constraint's solutions."""
     summands = []
     for (u, e), c in constraint.terms.items():
         if e not in frob:
-            frob[e] = [fq.frob(gf, n, e) for n in nums], fq.frob(gf, den, e)
+            frob[e] = ([(j, k, x) for j, n in enumerate(nums)
+                        for k, x in enumerate(fq.frob(gf, n, e)) if x], fq.frob(gf, den, e))
         bnums, bden = frob[e]
         summands.append((u * r, bnums, c.num, c.den if bden == fq.ONE else fq.mul(gf, c.den, bden)))
-    dens = [d for *_, d in summands if d != fq.ONE]
-    lcm = common_denominator(gf, dens) if dens else fq.ONE
-    cols = {}
+    lcm = common_denominator(gf, [s[3] for s in summands])
+    acc, p, e1, mul, add = defaultdict(dict), gf.p, gf.e == 1, gf.mul, gf.add
     for col, bnums, num, d in summands:
         if d != lcm:
-            num = fq.mul(gf, num, fq.divmod_(gf, lcm, d)[0])
-        for j, bn in enumerate(bnums, col):
-            x = num if bn == fq.ONE else fq.mul(gf, num, bn)
-            cols[j] = fq.add(gf, cols[j], x) if j in cols else x
-    rows = {}
-    for col, num in cols.items():
-        for k, x in enumerate(num):
-            if not x:
-                continue
-            if gf.e == 1:
-                rows.setdefault(k, {})[col] = x
-                continue
-            for s, digit in enumerate(gf.digits(x)):
-                if digit:
-                    rows.setdefault((k, s), {})[col] = digit
-    return rows.values()
+            num = fq.mul(gf, num, fq.exact_div(gf, lcm, d))
+        for k, a in enumerate(num):
+            if a:
+                for i, kb, b in bnums:
+                    row, j = acc[k + kb], col + i
+                    # a b != 0, so only a sum can vanish
+                    x = (row.get(j, 0) + a * b) % p if e1 else add(row.get(j, 0), mul(a, b))
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+    if e1:
+        return acc.values()
+    digits = [{j: gf.digits(x) for j, x in row.items()} for row in acc.values()]
+    return [{j: d[s] for j, d in row.items() if d[s]} for row in digits for s in range(gf.e)]
+
+
+def _presolved_rref(matrix, p, width):
+    """field.rref of sparse rows, presolved: a row with one entry says that
+    its column is 0, so the column is deleted from every other row, until no
+    new such row appears.  The unit rows of those columns and rref's rows of
+    what is left make up the reduced form of the whole matrix."""
+    zero = {}
+    while unit := {c: {c: 1} for row in matrix if len(row) == 1 for c in row}:
+        zero.update(unit)
+        matrix = [row if unit.keys().isdisjoint(row) else
+                  {c: x for c, x in row.items() if c not in unit} for row in matrix if len(row) > 1]
+    rows, pivots = rref(matrix, p, width)
+    reduced = dict(zip(pivots, rows)) | zero
+    return [reduced[c] for c in sorted(reduced)], sorted(reduced)
 
 
 def solve_homs_bounded(cs, domain):
@@ -327,6 +331,7 @@ def solve_homs_bounded(cs, domain):
     the F_p-combinations of a sparse basis, are kept when every unknown the
     basis moves lies in the domain, and the others are 0, read once: all
     for a subspace domain, none for a domain without 0 and a fixed unknown.
+    ValueError for a domain element from another field;
     EnumerationBudgetError is raised before listing when p^dim(kernel) *
     #unknowns exceeds MAX_ENUM.
     """
@@ -335,22 +340,26 @@ def solve_homs_bounded(cs, domain):
     p = field.p
     nunk = len(cs.ring.names)
     domain = list(domain)
+    for x in domain:
+        if x.field is not field and x.field.spec != field.spec:
+            raise ValueError(f"domain element {x!r} lies in {x.field!r}, not in {field!r}")
     # span basis d_j = nums[j] / den, and each domain element keyed by its
-    # coordinates
+    # coordinates, which are its vector when the span is the whole space
     den, vecs = _fp_vectors(field, domain)
     width = len(vecs[0]) if vecs else 0
     rows, dpiv = rref(({c: x for c, x in enumerate(v) if x} for v in vecs), p, width)
     r = len(dpiv)
-    by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
-    nums = [_undigits(gf, [row.get(c, 0) for c in range(width)]) for row in rows]
+    by_coords = (dict(zip(vecs, domain)) if r == width else
+                 {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)})
+    # the numerators whose digits, as _fp_vectors reads them, are the rows
+    nums = [fq.norm([gf.undigits([row.get(c, 0) for c in range(i, i + gf.e)])
+                     for i in range(0, width, gf.e)]) for row in rows]
     # one column per (unknown, d_j); l^p = l for l in F_p, so
     # u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
     ncols = nunk * r
     frob = {}
-    matrix = []
-    for _, constraint in cs.constraints:
-        matrix.extend(_constraint_rows(gf, constraint, r, nums, den, frob))
-    basis = dict(kernel_basis(*rref(matrix, p, ncols), ncols, p))
+    matrix = [row for _, c in cs.constraints for row in _constraint_rows(gf, c, r, nums, den, frob)]
+    basis = dict(kernel_basis(*_presolved_rref(matrix, p, ncols), ncols, p))
     if p ** len(basis) * nunk > MAX_ENUM:
         raise EnumerationBudgetError(
             f"listing {p}^{len(basis)} kernel points of {nunk} unknowns exceeds {MAX_ENUM}")

@@ -80,7 +80,7 @@ def left_kernel_vector(rows, field):
             row = [fq.add(gf, fq.mul(gf, d, v), fq.mul(gf, f, u))
                    for v, u in zip(t[i][c + 1:], top[c + 1:])]
             if prev != fq.ONE:
-                row = [fq.divmod_(gf, v, prev)[0] for v in row]
+                row = [fq.exact_div(gf, v, prev) for v in row]
             t[i][c + 1:] = row
         pivots.append(c)
         prev = d
@@ -93,7 +93,7 @@ def left_kernel_vector(rows, field):
         s = ()
         for j in range(i + 1, free + 1):
             s = fq.add(gf, s, fq.mul(gf, t[i][j], z[j]))
-        z[i] = fq.divmod_(gf, fq.neg(gf, s), t[i][i])[0]
+        z[i] = fq.exact_div(gf, fq.neg(gf, s), t[i][i])
     x = [FieldElem(field, u, D) for u in z[:free]] + [field.one()] + [field.zero()] * (n - free - 1)
     return len(pivots), x
 

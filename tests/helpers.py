@@ -2,8 +2,9 @@
 instances for the division and decision property suites, a brute-force
 witness scan, a square-and-multiply power, dense fqpoly kernels, a dense
 F_p elimination, a FieldElem elimination over F_q(b), the point oracle's
-bare trial loop, and the earlier p-polynomial division, Hom derivation and
-Hom solver."""
+bare trial loop, and the earlier p-polynomial division, Hom derivation,
+Hom solver and its constraint rows, which read domain coordinates off
+FieldElem products."""
 
 import itertools
 import random
@@ -12,8 +13,7 @@ from woundcheck import fqpoly as fq
 from woundcheck.field import Field, FieldElem, FieldSpec
 from woundcheck.gfq import GFq, is_prime
 from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError, HomSolution,
-                             PPolyMap, _domain_key, _fp_vectors, _undigits,
-                             default_exponent_caps)
+                             PPolyMap, _domain_key, default_exponent_caps)
 from woundcheck.groups import is_line
 from woundcheck.oracle import UnsupportedRelationError, parametrize_relation
 from woundcheck.params import ParamRing
@@ -478,6 +478,45 @@ def reference_derive(source, target, caps=None, names=None):
     return ConstraintSystem(source, target, ring, tuple(slots), constraints)
 
 
+def reference_coords(field, elems):
+    """(D, vectors): D is the product of the distinct denominators of elems,
+    as a FieldElem, and each vector lists the base-p digits of every
+    coefficient of the numerator x * D, padded to one length.  Read off
+    FieldElem products, for the reference solver."""
+    D = field.one()
+    for den in dict.fromkeys(x.den for x in elems):
+        D = D * FieldElem(field, den, fq.ONE)
+    nums = []
+    for x in elems:
+        y = x * D
+        assert y.den == fq.ONE
+        nums.append(y.num)
+    width = max(map(len, nums), default=0)
+    gf = field.gf
+    return D, [[d for c in num + (0,) * (width - len(num)) for d in gf.digits(c)] for num in nums]
+
+
+def reference_undigits(gf, digits):
+    """The numerator whose digits reference_coords lists."""
+    e = gf.e
+    return fq.norm([gf.undigits(digits[i:i + e]) for i in range(0, len(digits), e)])
+
+
+def reference_constraint_rows(field, constraint, basis, ncols):
+    """The dense F_p rows of one p-polynomial constraint over the span basis
+    d_j: column u r + j holds the FieldElem sum of c d_j^(p^e) over the
+    terms c u^(p^e), and the rows are the digit positions of those columns'
+    numerators over their product of denominators (reference_coords),
+    nonzero ones only."""
+    r = len(basis)
+    cols = [field.zero()] * ncols
+    for (u, e), c in constraint.terms.items():
+        for j, d in enumerate(basis):
+            cols[u * r + j] = cols[u * r + j] + c * d.frobenius(e)
+    _, vals = reference_coords(field, cols)
+    return [list(row) for row in zip(*vals) if any(row)]
+
+
 def reference_solve(cs, domain):
     """The reference for ``homs.solve_homs_bounded``: it builds each matrix
     entry as a FieldElem sum of products and then clears denominators.
@@ -500,25 +539,17 @@ def reference_solve(cs, domain):
     nunk = len(cs.ring.names)
     domain = list(domain)
     # span basis d_1..d_r, and each domain element keyed by its coordinates
-    den, vecs = _fp_vectors(field, domain)
+    den, vecs = reference_coords(field, domain)
     rows, dpiv = dense_rref(vecs, p)
     r = len(dpiv)
     by_coords = {tuple(v[c] for c in dpiv): x for v, x in zip(vecs, domain)}
-    basis = [FieldElem(field, _undigits(field.gf, row), den) for row in rows]
+    basis = [FieldElem(field, reference_undigits(field.gf, row), den.num) for row in rows]
     # one column per (unknown, d_j); l^p = l for l in F_p, so
     # u = sum l_j d_j gives u^(p^e) = sum l_j d_j^(p^e)
     ncols = nunk * r
-    frob = {}
     matrix = []
     for _, constraint in cs.constraints:
-        cols = [field.zero()] * ncols
-        for (u, e), c in constraint.terms.items():
-            for j, d in enumerate(basis):
-                if (j, e) not in frob:
-                    frob[(j, e)] = d.frobenius(e)
-                cols[u * r + j] = cols[u * r + j] + c * frob[(j, e)]
-        _, vals = _fp_vectors(field, cols)
-        matrix.extend(row for row in zip(*vals) if any(row))
+        matrix.extend(reference_constraint_rows(field, constraint, basis, ncols))
     reduced, pivots = dense_rref(matrix, p)
     free = [c for c in range(ncols) if c not in pivots]
     if p ** len(free) * nunk > MAX_ENUM:

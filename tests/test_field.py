@@ -175,13 +175,14 @@ def test_power_of_b_denominator_needs_no_division(monkeypatch, p, e):
         num = (rng.randrange(1, k.spec.q),) + tuple(rng.randrange(k.spec.q) for _ in range(4))
         elems.append((num, fq.shift(fq.ONE, i)))
     divisions = _count_calls(monkeypatch, "divmod_")
+    exact = _count_calls(monkeypatch, "exact_div")
     for num, den in elems:
         x = k.elem(num, den)
         assert (x.num, x.den) == (fq.norm(num), den)
     for (n1, d1), (n2, d2) in zip(elems, elems[1:]):
         y = k.elem(n1, d1) * k.elem(n2, d2)
         assert y.den == fq.shift(fq.ONE, len(d1) + len(d2) - 2)
-    assert divisions == []
+    assert divisions == exact == []
 
 
 @pytest.mark.parametrize("p,depth", [(2, 1), (3, 2), (5, 1), (7, 0)])

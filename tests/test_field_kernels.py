@@ -7,8 +7,9 @@ k^p; Henrici's reduced sum and product of FieldElem, with and
 without a unit denominator on either side; the lcm of
 common_denominator and clear_denominators; the x-adic fqpoly.gcd, whose
 Euclid keeps remainders only, against the dense Euclid; fqpoly.divmod_
-on sparse divisors; and the zero-skipping fqpoly.add, smul and mul, with
-gfq.scale, the row kernel of smul.  The property suites run over
+on sparse divisors, and exact_div on every shape of divisor; and the
+zero-skipping fqpoly.add, smul and mul, with gfq.scale, the row kernel
+of smul.  The property suites run over
 p in {2, 3, 5, 7}, e in {1, 2} and tower depth 0-2; operands are drawn
 mostly as monomials c*x^k, multiples of x^j, Frobenius images and
 x^o*g(x^s), the shapes the shortcuts take, plus dense products over one
@@ -296,6 +297,27 @@ def sparse_division(draw):
 def test_division_by_a_sparse_divisor_matches_long_division(case):
     gf, f, g = case
     assert fq.divmod_(gf, f, g) == dense_divmod(gf, f, g)
+
+
+@st.composite
+def exact_division(draw):
+    """(gf, f, g) over F_p or F_(p^2): f from polys, g nonzero from polys
+    (c*x^k half the time, constants included) or x^o * g'(x^s)."""
+    gf = GFq(draw(PRIMES), draw(st.integers(1, 2)))
+    f = draw(polys(gf.q, 6))
+    g = draw(polys(gf.q, 4)) or fq.ONE
+    if draw(st.booleans()):
+        g = fq.shift(fq.spread(g, draw(st.integers(1, 9))), draw(st.integers(0, 3)))
+    return gf, f, g
+
+
+@given(exact_division())
+@PROPERTY
+def test_exact_div_recovers_the_factor(case):
+    """fqpoly.exact_div(f g, g) is f, and equals long division's quotient."""
+    gf, f, g = case
+    h = dense_mul(gf, f, g)
+    assert fq.exact_div(gf, h, g) == f == dense_divmod(gf, h, g)[0]
 
 
 def test_sparse_division_makes_one_row_per_quotient_term(monkeypatch):

@@ -6,9 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_derive, reference_solve
-from woundcheck import corpus
-from woundcheck.field import Field, FieldSpec
+from helpers import (dense_rref, reference_constraint_rows, reference_derive,
+                     reference_solve)
+from woundcheck import corpus, homs
+from woundcheck.field import Field, FieldElem, FieldSpec, rref
 from woundcheck.groups import AffineLine, HypersurfaceGroup
 from woundcheck.homs import (MAX_ENUM, ConstraintSystem, EnumerationBudgetError, PPolyMap,
                              canonical_form, compose_maps, derive_hom_constraints, identity_map,
@@ -573,12 +574,13 @@ def test_solver_matches_reference_over_rational_domains(case):
 @st.composite
 def _subspace_systems(draw):
     """A derived system from a random group in 1-2 variables to another
-    such group or to itself, over F_5, F_7, F_25 or F_49 at depth 0-2,
+    such group or to itself, over F_q for q in {2, 3, 4, 5, 7, 9, 25, 49}
+    at depth 0-2,
     every cap 0, and a domain that is the whole F_p-span of 1-2 elements:
     maybe 1, so that an endomorphism system has the multiples of the
     identity among its solutions, and random ones, rational ones included.
     At most 4 kernel columns, so at most 7^4 points are listed."""
-    p, e = draw(st.sampled_from(((5, 1), (7, 1), (5, 2), (7, 2))))
+    p, e = draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (3, 2), (5, 1), (7, 1), (5, 2), (7, 2))))
     k = Field(FieldSpec(p, e, "a", draw(st.integers(0, 2))))
     src = draw(_random_group(k, "S", max_vars=2))
     tgt = src if draw(st.booleans()) else draw(_random_group(k, "T", max_vars=2))
@@ -603,3 +605,127 @@ def test_solver_matches_reference_over_subspace_domains_at_larger_p(case):
     assert [s.values for s in got] == [s.values for s in want]
     assert [s.map.coords for s in got] == [s.map.coords for s in want]
     assert [s.map.name for s in got] == [s.map.name for s in want]
+
+
+def test_solver_refuses_a_domain_element_from_another_field():
+    """A domain element of F_5(a), or of F_3(a^(1/3)), is not read as an
+    element of F_3(a); an equal field built afresh is accepted."""
+    k = k3()
+    cs = derive_hom_constraints(corpus.group_va(k), corpus.group_u(k))
+    f5 = corpus.base_field(5)
+    with pytest.raises(ValueError, match=r"FieldSpec\(p=5, e=1, gen='a', depth=0\)"):
+        solve_homs_bounded(cs, [f5.from_int(c) for c in range(5)])
+    deeper = k.extend(1)
+    with pytest.raises(ValueError, match=r"FieldSpec\(p=3, e=1, gen='a', depth=1\)"):
+        solve_homs_bounded(cs, [deeper.zero(), deeper.gen_elem()])
+    same = Field(FieldSpec(3))
+    assert same is not k
+    want = solve_homs_bounded(cs, [k.from_int(c) for c in range(3)])
+    got = solve_homs_bounded(cs, [same.from_int(c) for c in range(3)])
+    assert [s.map.coords for s in got] == [s.map.coords for s in want]
+
+
+class _Stop(Exception):
+    pass
+
+
+@st.composite
+def _row_systems(draw):
+    """Constraints in 1-3 unknowns with rational coefficients on u^(p^0..2),
+    over F_q(a^(1/p^m)) for p in {2, 3, 5, 7}, e in {1, 2} and m in 0-2,
+    some of them ties that leave a kernel, and a domain of 1-4 random
+    elements, rational ones included, and maybe 0: a rational domain that
+    is rarely a subspace.  Half the time a chain u0 = 0, u_i + c u_(i+1)
+    = 0 is planted, which the presolve forces one unknown per pass."""
+    k = Field(FieldSpec(draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 2)), "a",
+                        draw(st.integers(0, 2))))
+    nunk = draw(st.integers(1, 3))
+    base = derive_hom_constraints(corpus.split_line(k), AffineLine(), caps={0: nunk - 1})
+    constraints = []
+    if draw(st.booleans()):
+        constraints.append(((0, 0), PPoly(k, nunk, {(0, 0): k.one()})))
+        for u in range(nunk - 1):
+            c = k.from_int(draw(st.integers(1, k.p - 1))) if k.p > 2 else k.one()
+            constraints.append(((0, 0), PPoly(k, nunk, {(u, 0): k.one(), (u + 1, 0): c})))
+    for _ in range(draw(st.integers(0 if constraints else 1, 3))):
+        if nunk > 1 and draw(st.booleans()):
+            # a tie c (u0^(p^x) - u1^(p^x)) + ..., which leaves a kernel
+            terms = {}
+            for x in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)):
+                c = _nonzero_elem(draw, k)
+                terms[(0, x)], terms[(1, x)] = c, -c
+        else:
+            keys = draw(st.lists(st.tuples(st.integers(0, nunk - 1), st.integers(0, 2)),
+                                 min_size=1, max_size=4, unique=True))
+            terms = {key: _nonzero_elem(draw, k) for key in keys}
+        constraints.append(((0, 0), PPoly(k, nunk, terms)))
+    draw(st.randoms()).shuffle(constraints)
+    domain = [_nonzero_elem(draw, k) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        domain.append(k.zero())
+    return (ConstraintSystem(base.source, base.target, base.ring, base.slots,
+                             tuple(constraints)), list(dict.fromkeys(domain)))
+
+
+@given(_row_systems())
+@settings(max_examples=100, deadline=None, database=None)
+def test_constraint_rows_span_the_reference_rows_and_the_presolve_is_rref(case):
+    """Inside solve_homs_bounded: each constraint's sparse rows span the
+    rows that the reference builds from FieldElem sums over the same span
+    basis, and the presolved reduced form handed to kernel_basis is rref of
+    the whole matrix (and of the dense elimination)."""
+    cs, domain = case
+    k = cs.ring.base
+    calls, seen = [], []
+    real_rows, real_basis = homs._constraint_rows, homs.kernel_basis
+
+    def rows(gf, constraint, r, nums, den, frob):
+        out = [dict(row) for row in real_rows(gf, constraint, r, nums, den, frob)]
+        calls.append((constraint, nums, den, out))
+        return out
+
+    def kernel_basis(reduced, pivots, width, p):
+        seen.append((reduced, pivots, width))
+        raise _Stop()
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homs, "_constraint_rows", rows)
+        m.setattr(homs, "kernel_basis", kernel_basis)
+        with pytest.raises(_Stop):
+            solve_homs_bounded(cs, domain)
+    (reduced, pivots, ncols), = seen
+    matrix = []
+    for constraint, nums, den, out in calls:
+        basis = [FieldElem(k, num, den) for num in nums]
+        want = reference_constraint_rows(k, constraint, basis, ncols)
+        got = [[row.get(c, 0) for c in range(ncols)] for row in out if row]
+        assert dense_rref(got, k.p)[1] == dense_rref(want, k.p)[1] == dense_rref(want + got, k.p)[1]
+        matrix += out
+    assert (reduced, pivots) == rref(matrix, k.p, ncols)
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
+    assert (dense, pivots) == dense_rref([[row.get(c, 0) for c in range(ncols)] for row in matrix], k.p)
+
+
+def test_presolve_follows_a_chain_of_forced_columns(monkeypatch):
+    """Rows {0}, {0, 1}, {1, 2}, ..., {8, 9} force one column per pass; the
+    columns 10-13 beside them have a 2-dimensional kernel.  Only those
+    rows reach rref, the presolved form equals rref's of the whole matrix,
+    and the chain's columns are its unit rows."""
+    p = 5
+    chain = [{0: 3}] + [{i: 1, i + 1: 2} for i in range(9)]
+    rest = [{10: 1, 11: 4, 12: 2}, {11: 1, 13: 3}, {10: 2, 11: 1, 12: 4, 13: 4}]  # 2 r0 + 3 r1
+    matrix = rest[:1] + chain[::-1] + rest[1:]
+    eliminated = []
+
+    def recorded(rows, p, width):
+        eliminated.extend(rows)
+        return rref(eliminated, p, width)
+
+    monkeypatch.setattr(homs, "rref", recorded)
+    reduced, pivots = homs._presolved_rref(matrix, p, 14)
+    assert eliminated == rest
+    monkeypatch.undo()
+    assert (reduced, pivots) == rref(matrix, p, 14)
+    assert pivots[:10] == list(range(10))
+    assert reduced[:10] == [{c: 1} for c in range(10)]
+    assert len(pivots) == 12
